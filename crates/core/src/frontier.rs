@@ -73,9 +73,9 @@ pub fn frontier_search(
     let mut rounds = 0u32;
     let mut minimal: Vec<Subspace> = Vec::new();
 
-    // One OD evaluator for the whole search: lazy per-query cache and
-    // amortisation live behind the `hos_index::evaluator` seam, shared
-    // with `dynamic_search`.
+    // One OD evaluator for the whole search: the per-query cache lives
+    // behind the `hos_index::evaluator` seam, shared with
+    // `dynamic_search`.
     let mut evaluator = engine.evaluator(query, k, exclude);
 
     // Inlier fast path: the full space has the maximum OD.

@@ -19,16 +19,14 @@ use hos_data::{PointId, Subspace};
 ///
 /// A thin convenience wrapper over the [`crate::evaluator`] seam: one
 /// throwaway [`crate::evaluator::OdEvaluator`] evaluates the batch, so
-/// the amortisation cost model lives in exactly one place. When the
-/// engine provides a [`QueryContext`] (linear scan does) and the batch
-/// is large enough to amortise the `n x d` build (summed subspace
-/// dimensionality exceeds `2d`), the pre-distance matrix is computed
-/// once and every subspace OD becomes a cached subset-combine;
-/// otherwise each OD is an independent engine query. Callers that
-/// evaluate several batches for the *same* query point — level-by-level
-/// searches do — should hold one [`KnnEngine::evaluator`] and call
-/// `od_batch` on it per level instead, so the cache amortises across
-/// batches too.
+/// context handling lives in exactly one place. When the engine
+/// provides a [`QueryContext`] (linear scan does), the pre-distance
+/// matrix is computed once and every subspace OD becomes a walk over
+/// cached columns; otherwise each OD is an independent engine query.
+/// Callers that evaluate several batches for the *same* query point —
+/// level-by-level searches do — should hold one
+/// [`KnnEngine::evaluator`] and call `od_batch` on it per level
+/// instead, so one build serves every batch.
 ///
 /// `threads == 1` (or a single subspace) short-circuits to a serial
 /// loop, where thread spawn overhead would dominate small batches.

@@ -3,23 +3,19 @@
 //! Every search layer in `hos-core` reduces to the same inner loop:
 //! given one `(engine, query)` pair, evaluate `OD(query, s)` for a
 //! stream of subspaces — one at a time or a whole lattice level per
-//! call. Before this module, each caller re-implemented the same
-//! amortisation dance by hand: hold an `Option<QueryContext>`, track
-//! cumulative evaluated dimensionality, build the cache once past the
-//! `~2d` breakeven, then branch on `Some`/`None` at every batch. That
-//! copy-pasted plumbing is exactly the seam a sharded, async or
-//! multi-backend execution layer has to cut through, so it lives here
-//! once, behind a trait:
+//! call. The per-query state that loop amortises (the distance cache,
+//! the prefix stack, per-shard fan-out) lives here once, behind a
+//! trait:
 //!
 //! * [`OdEvaluator`] — one object per `(engine, query)` pair with
 //!   [`OdEvaluator::od`] and [`OdEvaluator::od_batch`] methods. The
-//!   evaluator owns lazy [`QueryContext`] construction and the cost
-//!   model; callers just stream subspaces at it.
+//!   evaluator owns [`QueryContext`] construction; callers just stream
+//!   subspaces at it.
 //! * [`LazyContextEvaluator`] — the default implementation every
-//!   [`KnnEngine`] hands out: uncached engine queries until the
-//!   cumulative evaluated dimensionality clears `2d`, a shared
-//!   pre-distance cache afterwards (engines without a context simply
-//!   stay on the uncached path forever).
+//!   [`KnnEngine`] hands out: the engine's pre-distance cache is built
+//!   on the first OD call and every OD after it is a prefix-stack
+//!   walk over cached columns. Engines without a context (X-tree,
+//!   VA-file) stay on their own pruning search for every call.
 //!
 //! Engines with their own execution strategy override
 //! [`KnnEngine::evaluator`]: [`crate::sharded::ShardedEngine`] returns
@@ -27,7 +23,7 @@
 //! `QueryContext` **per shard** and merges exact per-shard top-k lists.
 //!
 //! Exactness: evaluator results are bit-identical to calling
-//! [`KnnEngine::od`] per subspace — the lazy cache is pinned by the
+//! [`KnnEngine::od`] per subspace — the cache is pinned by the
 //! context equivalence tests, and the evaluator-path equivalence tests
 //! in `tests/properties.rs` pin the context-less engines too.
 //!
@@ -73,32 +69,26 @@ pub trait OdEvaluator {
     }
 }
 
-/// The default [`OdEvaluator`]: direct engine queries with a lazily
-/// built per-query distance cache.
+/// The default [`OdEvaluator`]: a per-query distance cache built on
+/// the first OD call, walked by the prefix-stack kernel.
 ///
 /// # Cost model
 ///
-/// An uncached OD costs about `n · |s|` full-strength per-dimension
-/// terms; the cache costs one `n · d` build plus `n · |s|` cheap
-/// column combines (~half a term each, per `benches/context.rs`).
-/// Breakeven is therefore near a *cumulative* evaluated
-/// dimensionality of `2d`: the evaluator sums `|s|` over every
-/// subspace it has been asked for and builds the context the moment
-/// the running total clears `2d`, so shallow searches that close
-/// after one cheap level never pay the build, while lattice walks pay
-/// it exactly once.
+/// A cached OD is one `O(n)` column fold per visited lattice node
+/// (DESIGN.md §8); an uncached linear-scan OD re-reads every row-major
+/// row whatever `|s|` is. The one-pass build costs less than one
+/// uncached full-space OD (≈ 0.4 vs 0.9 ms at 20000 × 12), so even a
+/// search that ends after the full-space OD comes out ahead by
+/// building first (DESIGN.md §3).
 pub struct LazyContextEvaluator<'a, E: KnnEngine + ?Sized> {
     engine: &'a E,
     query: &'a [f64],
     k: usize,
     exclude: Option<PointId>,
-    ctx: Option<QueryContext<'a>>,
-    /// Whether the context may still be built (false once built or
-    /// once the engine declined to provide one).
-    ctx_pending: bool,
-    /// Cumulative `Σ|s|` over every subspace evaluated so far.
-    dims_evaluated: usize,
-    /// The prefix-stack kernel state, reused across batches so
+    /// `None` until the first OD call; then the engine's context, or
+    /// `Some(None)` for engines that offer none.
+    ctx: Option<Option<QueryContext<'a>>>,
+    /// The prefix-stack kernel state, reused across calls so
     /// steady-state traversal allocates nothing (an owned sibling of
     /// `ctx`, threaded into it per call — see [`PrefixStack`]).
     stack: PrefixStack,
@@ -118,31 +108,22 @@ impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
             k,
             exclude,
             ctx: None,
-            ctx_pending: true,
-            dims_evaluated: 0,
             stack: PrefixStack::new(),
             order: Vec::new(),
             parallel_visits: 0,
-        }
-    }
-
-    /// Accounts `dims` evaluated dimensions and builds the context
-    /// once the cumulative total clears the `2d` breakeven.
-    fn note_dims(&mut self, dims: usize) {
-        self.dims_evaluated += dims;
-        if self.ctx_pending && self.dims_evaluated > 2 * self.engine.dataset().dim() {
-            self.ctx = self.engine.query_context(self.query);
-            self.ctx_pending = false;
         }
     }
 }
 
 impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
     fn od(&mut self, s: Subspace) -> f64 {
-        self.note_dims(s.dim());
-        match &self.ctx {
-            Some(ctx) => ctx.od(self.k, s, self.exclude),
-            None => self.engine.od(self.query, self.k, s, self.exclude),
+        let (engine, query) = (self.engine, self.query);
+        match self.ctx.get_or_insert_with(|| engine.query_context(query)) {
+            Some(ctx) => {
+                self.stack.seek(ctx, s);
+                self.stack.od(ctx, self.k, self.exclude)
+            }
+            None => engine.od(query, self.k, s, self.exclude),
         }
     }
 
@@ -150,9 +131,8 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
         if subspaces.is_empty() {
             return Vec::new();
         }
-        self.note_dims(subspaces.iter().map(|s| s.dim()).sum());
-        let (k, exclude) = (self.k, self.exclude);
-        match &self.ctx {
+        let (engine, query, k, exclude) = (self.engine, self.query, self.k, self.exclude);
+        match self.ctx.get_or_insert_with(|| engine.query_context(query)) {
             Some(ctx) => {
                 // Prefix-stack kernel: traverse in walker order so
                 // consecutive subspaces share accumulator prefixes,
@@ -174,6 +154,7 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
                     // path.
                     let chunk = self.order.len().div_ceil(threads);
                     let chunks: Vec<&[usize]> = self.order.chunks(chunk).collect();
+                    let ctx = &*ctx;
                     let results = parallel_map(&chunks, threads, |&idx| {
                         let mut stack = PrefixStack::new();
                         let ods: Vec<(usize, f64)> = idx
@@ -194,10 +175,7 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
                 }
                 out
             }
-            None => {
-                let (engine, query) = (self.engine, self.query);
-                parallel_map(subspaces, threads, |&s| engine.od(query, k, s, exclude))
-            }
+            None => parallel_map(subspaces, threads, |&s| engine.od(query, k, s, exclude)),
         }
     }
 
@@ -209,8 +187,11 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::Engine;
     use crate::linear::LinearScan;
+    use crate::sharded::ShardedEngine;
     use crate::vafile::{VaFile, VaFileConfig};
+    use crate::xtree::{XTree, XTreeConfig};
     use hos_data::{Dataset, Metric};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -223,9 +204,9 @@ mod tests {
 
     #[test]
     fn matches_per_subspace_engine_queries_across_paths() {
-        // Drive the evaluator through its uncached AND cached phases
-        // (single calls, then whole-lattice batches) and pin every
-        // result against the engine reference, bit for bit.
+        // Drive the evaluator through single calls, then whole-lattice
+        // batches, and pin every result against the engine reference,
+        // bit for bit.
         let d = 5;
         let ds = dataset(120, d, 1);
         for metric in [Metric::L1, Metric::L2, Metric::LInf] {
@@ -246,23 +227,48 @@ mod tests {
     }
 
     #[test]
-    fn context_builds_only_past_the_breakeven() {
-        let d = 6;
-        let ds = dataset(80, d, 2);
-        let engine = LinearScan::new(ds.clone(), Metric::L2);
+    fn context_builds_on_the_first_od_call() {
+        // The contract: engines that offer a context get it on the
+        // evaluator's first call — a single `od` or an `od_batch` —
+        // and every OD from then on is a walker fold (node visits).
+        // Context-less engines never get one and never fold.
+        let d = 5;
+        let ds = dataset(90, d, 2);
         let q: Vec<f64> = ds.row(0).to_vec();
-        let mut ev = LazyContextEvaluator::new(&engine, &q, 3, Some(0));
-        // Singles at level 1: cumulative dims stay ≤ 2d, no context.
-        for dim in 0..d {
-            ev.od(Subspace::single(dim));
+        let single = Subspace::single(3);
+        let lattice: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+
+        let linear = LinearScan::new(ds.clone(), Metric::L2);
+        let mut ev = LazyContextEvaluator::new(&linear, &q, 3, Some(0));
+        assert!(ev.ctx.is_none(), "nothing happens before the first call");
+        assert_eq!(ev.od(single), linear.od(&q, 3, single, Some(0)));
+        assert!(matches!(ev.ctx, Some(Some(_))), "built on the first od");
+        assert_eq!(ev.node_visits(), 1);
+        let mut ev = LazyContextEvaluator::new(&linear, &q, 3, Some(0));
+        ev.od_batch(&[single], 1);
+        assert!(
+            matches!(ev.ctx, Some(Some(_))),
+            "built on the first od_batch"
+        );
+
+        let sharded = ShardedEngine::build(ds.clone(), Metric::L2, Engine::Linear, 3, 2);
+        let mut ev = sharded.evaluator(&q, 3, Some(0));
+        assert_eq!(ev.od(single), linear.od(&q, 3, single, Some(0)));
+        assert_eq!(ev.node_visits(), 3, "one fold per shard context");
+
+        let xtree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
+        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
+        let sharded_xtree = ShardedEngine::build(ds.clone(), Metric::L2, Engine::XTree, 3, 2);
+        let contextless: [&dyn KnnEngine; 3] = [&xtree, &va, &sharded_xtree];
+        for engine in contextless {
+            let mut ev = engine.evaluator(&q, 3, Some(0));
+            ev.od(single);
+            ev.od_batch(&lattice, 2);
+            assert_eq!(ev.node_visits(), 0, "context-less engines never fold");
         }
-        assert!(ev.ctx.is_none());
-        assert!(ev.ctx_pending);
-        // One level-2 batch pushes the total past 2d = 12.
-        let level2: Vec<Subspace> = Subspace::all_of_dim(d, 2).collect();
-        ev.od_batch(&level2, 2);
-        assert!(ev.ctx.is_some());
-        assert!(!ev.ctx_pending);
+        let mut ev = LazyContextEvaluator::new(&xtree, &q, 3, Some(0));
+        ev.od(single);
+        assert!(matches!(ev.ctx, Some(None)), "asked once, declined");
     }
 
     #[test]
@@ -278,7 +284,7 @@ mod tests {
             .collect();
         let mut ev = va.evaluator(&q, 3, Some(5));
         assert_eq!(ev.od_batch(&subspaces, 2), reference);
-        // Repeat batch: still correct with ctx_pending resolved to None.
+        // Repeat batch: still correct with the context resolved to none.
         assert_eq!(ev.od_batch(&subspaces, 1), reference);
     }
 

@@ -465,10 +465,12 @@ impl IncrementalEngine for HnswEngine {
     }
 }
 
-/// The candidate-then-exact [`OdEvaluator`]: the hnsw analogue of
-/// [`crate::evaluator::LazyContextEvaluator`]. Uncached engine queries
-/// until the cumulative evaluated dimensionality clears the same `2d`
-/// breakeven, then a [`QueryContext`] whose cached columns serve
+/// The candidate-then-exact [`OdEvaluator`]. Unlike
+/// [`crate::evaluator::LazyContextEvaluator`], which builds its context
+/// on the first call, this one keeps an uncached phase — the
+/// approximate beam is what the engine is for: uncached engine queries
+/// until the cumulative evaluated dimensionality `Σ|s|` clears `2d`,
+/// then a [`QueryContext`] whose cached columns serve
 /// *both* sides of the split — candidate generation navigates the
 /// graph with `ctx.pre_dist` folds, and the exact re-rank re-selects
 /// from the same values. Per-query fallback to the context's exact
@@ -710,6 +712,36 @@ mod tests {
         for threads in [1, 3] {
             assert_eq!(ev.od_batch(&subspaces, threads), reference, "t={threads}");
         }
+    }
+
+    #[test]
+    fn evaluator_defers_its_context_past_the_breakeven() {
+        // Unlike the exact engines' evaluators, hnsw keeps its
+        // uncached phase: the approximate beam is what the engine is
+        // for. Level-1 singles stay at Σ|s| = d ≤ 2d, uncached; one
+        // level-2 batch pushes the total past 2d and builds.
+        let d = 6;
+        let ds = dataset(120, d, 2);
+        let e = HnswEngine::build(ds.clone(), Metric::L2, HnswConfig::default());
+        let q: Vec<f64> = ds.row(0).to_vec();
+        let mut ev = HnswOdEvaluator {
+            engine: &e,
+            query: &q,
+            k: 3,
+            exclude: Some(0),
+            ctx: None,
+            ctx_pending: true,
+            dims_evaluated: 0,
+        };
+        for dim in 0..d {
+            ev.od(Subspace::single(dim));
+        }
+        assert!(ev.ctx.is_none());
+        assert!(ev.ctx_pending);
+        let level2: Vec<Subspace> = Subspace::all_of_dim(d, 2).collect();
+        ev.od_batch(&level2, 2);
+        assert!(ev.ctx.is_some());
+        assert!(!ev.ctx_pending);
     }
 
     #[test]

@@ -107,9 +107,9 @@ pub trait KnnEngine: Send + Sync {
 
     /// An [`OdEvaluator`] for one `(engine, query)` pair: the object
     /// every search layer streams subspaces at. The default is the
-    /// [`LazyContextEvaluator`] (uncached queries until the `2d`
-    /// amortisation breakeven, then a per-query distance cache when
-    /// the engine provides one); engines with their own execution
+    /// [`LazyContextEvaluator`] (the engine's per-query distance cache,
+    /// built on the first OD call when the engine provides one; direct
+    /// engine queries otherwise); engines with their own execution
     /// strategy override it — [`crate::sharded::ShardedEngine`]
     /// returns a shard-fanning evaluator.
     fn evaluator<'a>(

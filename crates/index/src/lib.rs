@@ -29,9 +29,9 @@
 //!   `O(n)` column fold (plus bounded top-k) instead of an
 //!   `O(n · |s|)` recombine, bit-identical to the direct path.
 //! * [`evaluator`] — the engine-agnostic OD-evaluation seam: one
-//!   [`evaluator::OdEvaluator`] per `(engine, query)` pair owns lazy
-//!   context construction, the amortisation cost model and the walker
-//!   traversal; every search layer streams subspaces at it.
+//!   [`evaluator::OdEvaluator`] per `(engine, query)` pair builds the
+//!   context on its first OD call and owns the walker traversal; every
+//!   search layer streams subspaces at it.
 //! * [`block`] — the blocked all-points full-space OD kernel behind
 //!   dataset-wide scans: SoA layout, reused selection heaps, and a
 //!   quantized `f32` admission filter that rejects provably-losing

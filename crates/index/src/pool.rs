@@ -1,7 +1,7 @@
 //! Process-lifetime worker pool behind [`crate::batch::parallel_map`].
 //!
 //! Before this module existed, every `parallel_map` call spawned fresh
-//! crossbeam scoped threads — fine for one-shot CLI runs, but a
+//! scoped threads — fine for one-shot CLI runs, but a
 //! resident server paying a thread spawn + join per admission batch
 //! wastes latency on the hottest path. The pool spawns its workers
 //! once (lazily, on first parallel call) and keeps them parked on a
@@ -13,7 +13,7 @@
 //! Pool workers are ordinary detached threads, so the jobs they run
 //! must be `'static` — but `parallel_map` closures borrow the caller's
 //! stack (the input slice, the output slice, the mapping function).
-//! [`run_scoped`] bridges the gap the same way rayon and crossbeam do
+//! [`run_scoped`] bridges the gap the same way rayon does
 //! internally: it transmutes the job's lifetime away **and blocks the
 //! caller on a latch until every job has finished running** (even when
 //! a job panics), so no borrow ever outlives its frame. The unsafe is

@@ -30,13 +30,13 @@
 //! # Evaluator
 //!
 //! [`ShardedEngine::evaluator`] returns a sharded
-//! [`OdEvaluator`]: each shard keeps its **own** lazy
-//! [`QueryContext`] (the same `2d` cumulative-dimensionality breakeven
-//! as the unsharded evaluator, applied to the summed shard matrices),
-//! and each OD is a k-way merge of per-shard cached top-k lists. Large
-//! batches parallelise across subspaces; small batches parallelise
-//! across shards — so a single full-space OD query also uses every
-//! core, which is precisely what the unsharded engine cannot do.
+//! [`OdEvaluator`]: each shard builds its **own** [`QueryContext`] on
+//! the evaluator's first OD call (the builds fan over the shards), and
+//! each OD is a k-way merge of per-shard top-k lists from one prefix
+//! stack per shard, shards in parallel — so a single full-space OD
+//! also uses every core, which is precisely what the unsharded engine
+//! cannot do. Shards over context-less engines (X-tree, VA-file, HNSW)
+//! answer every OD through their own search instead.
 
 use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
@@ -88,24 +88,16 @@ impl Shard {
         exclude.and_then(|g| self.local_of(g))
     }
 
-    /// The shard's top-k for one subspace, with **global** ids and
-    /// finished distances — via the shard's own query context when one
-    /// is supplied, the sub-engine otherwise. Either path returns the
-    /// same values bit for bit (pinned by the context equivalence
-    /// tests).
+    /// The shard's top-k for one subspace from its sub-engine, with
+    /// **global** ids and finished distances.
     fn topk(
         &self,
-        ctx: Option<&QueryContext<'_>>,
         query: &[f64],
         k: usize,
         s: Subspace,
         exclude: Option<PointId>,
     ) -> Vec<Neighbor> {
-        let local = self.local_exclude(exclude);
-        let mut list = match ctx {
-            Some(ctx) => ctx.knn(k, s, local),
-            None => self.engine.knn(query, k, s, local),
-        };
+        let mut list = self.engine.knn(query, k, s, self.local_exclude(exclude));
         for n in &mut list {
             n.id = self.global_of(n.id);
         }
@@ -209,9 +201,7 @@ impl ShardedEngine {
         exclude: Option<PointId>,
         threads: usize,
     ) -> Vec<Vec<Neighbor>> {
-        parallel_map(&self.shards, threads, |sh| {
-            sh.topk(None, query, k, s, exclude)
-        })
+        parallel_map(&self.shards, threads, |sh| sh.topk(query, k, s, exclude))
     }
 }
 
@@ -294,10 +284,7 @@ impl KnnEngine for ShardedEngine {
             k,
             exclude,
             shard_threads: self.threads(),
-            d: self.dataset.dim(),
             ctxs: None,
-            ctx_pending: true,
-            dims_evaluated: 0,
             stacks: self.shards.iter().map(|_| PrefixStack::new()).collect(),
             order: Vec::new(),
             merge: TopK::new(k),
@@ -306,12 +293,12 @@ impl KnnEngine for ShardedEngine {
     }
 }
 
-/// The sharded [`OdEvaluator`]: per-shard lazy query contexts plus the
-/// exact k-way merge. Single ODs fan across the shards; cached batches
-/// run the prefix-stack kernel **per shard** (one [`PrefixStack`] and
-/// one walk over the batch per shard, shards in parallel), so sharded
-/// lattice queries get the same `O(n/shards)`-per-node cost the
-/// unsharded walker gets over `n`.
+/// The sharded [`OdEvaluator`]: per-shard query contexts built on the
+/// first OD call, plus the exact k-way merge. Every cached OD runs the
+/// prefix-stack kernel **per shard** (one [`PrefixStack`] and one walk
+/// over the batch per shard, shards in parallel), so sharded lattice
+/// queries get the same `O(n/shards)`-per-node cost the unsharded
+/// walker gets over `n`.
 struct ShardedOdEvaluator<'a> {
     shards: &'a [Shard],
     query: &'a [f64],
@@ -319,13 +306,10 @@ struct ShardedOdEvaluator<'a> {
     exclude: Option<PointId>,
     /// Shard fan-out width for single-OD calls (from the engine).
     shard_threads: usize,
-    d: usize,
-    /// One lazy context per shard, slot `i` for shard `i`; `None`
-    /// until the breakeven, `Some(vec)` after (slots stay `None` for
-    /// sub-engines without a context, e.g. X-tree).
-    ctxs: Option<Vec<Option<QueryContext<'a>>>>,
-    ctx_pending: bool,
-    dims_evaluated: usize,
+    /// `None` until the first OD call; then one context per shard
+    /// (slot `i` for shard `i`), or `Some(None)` when the sub-engines
+    /// offer none (X-tree, VA-file, HNSW).
+    ctxs: Option<Option<Vec<QueryContext<'a>>>>,
     /// One prefix stack per shard, reused across batches.
     stacks: Vec<PrefixStack>,
     /// Reused walk-order index scratch.
@@ -339,34 +323,29 @@ struct ShardedOdEvaluator<'a> {
 }
 
 impl ShardedOdEvaluator<'_> {
-    /// Same cumulative-`2d` amortisation model as the unsharded
-    /// [`crate::evaluator::LazyContextEvaluator`]: the shard matrices
-    /// sum to the one `n x d` build the model prices.
-    fn note_dims(&mut self, dims: usize) {
-        self.dims_evaluated += dims;
-        if self.ctx_pending && self.dims_evaluated > 2 * self.d {
-            // The builds are the biggest one-time cost on this path
-            // (together one full n x d pass): fan them over the shards
-            // like every query. (Mapped over `&'a Shard` refs so the
-            // returned contexts keep the evaluator's lifetime rather
-            // than the worker closure's.)
+    /// Builds the per-shard contexts on first use: together one `n x d`
+    /// pass, fanned over the shards like every query. (Mapped over
+    /// `&'a Shard` refs so the returned contexts keep the evaluator's
+    /// lifetime rather than the worker closure's.) Returns whether the
+    /// sub-engines offered contexts.
+    fn ensure_contexts(&mut self) -> bool {
+        if self.ctxs.is_none() {
             let query = self.query;
             let shard_refs: Vec<&Shard> = self.shards.iter().collect();
-            self.ctxs = Some(parallel_map(&shard_refs, self.shard_threads, |sh| {
+            let built = parallel_map(&shard_refs, self.shard_threads, |sh| {
                 sh.engine.query_context(query)
-            }));
-            self.ctx_pending = false;
+            });
+            self.ctxs = Some(built.into_iter().collect());
         }
+        matches!(self.ctxs, Some(Some(_)))
     }
 
-    /// One OD: per-shard top-k (cached where available), exact merge,
+    /// One OD through the sub-engines: per-shard top-k, exact merge,
     /// sum in ascending `(distance, id)` order — the unsharded
     /// summation order. `threads` bounds the shard fan-out.
     fn od_merged(&self, s: Subspace, threads: usize) -> f64 {
-        let indices: Vec<usize> = (0..self.shards.len()).collect();
-        let lists = parallel_map(&indices, threads, |&i| {
-            let ctx = self.ctxs.as_ref().and_then(|c| c[i].as_ref());
-            self.shards[i].topk(ctx, self.query, self.k, s, self.exclude)
+        let lists = parallel_map(self.shards, threads, |sh| {
+            sh.topk(self.query, self.k, s, self.exclude)
         });
         merge_topk(self.k, &lists).iter().map(|n| n.dist).sum()
     }
@@ -374,27 +353,28 @@ impl ShardedOdEvaluator<'_> {
 
 impl OdEvaluator for ShardedOdEvaluator<'_> {
     fn od(&mut self, s: Subspace) -> f64 {
-        self.note_dims(s.dim());
-        self.od_merged(s, self.shard_threads)
+        if self.ensure_contexts() {
+            self.od_batch_walked(&[s], self.shard_threads)[0]
+        } else {
+            self.od_merged(s, self.shard_threads)
+        }
     }
 
     fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
         if subspaces.is_empty() {
             return Vec::new();
         }
-        self.note_dims(subspaces.iter().map(|s| s.dim()).sum());
-        if self.ctxs.is_some() {
+        if self.ensure_contexts() {
             return self.od_batch_walked(subspaces, threads);
         }
         if subspaces.len() >= threads.max(1) {
-            // Uncached phase, wide batch: enough subspaces to saturate
-            // the workers on their own; nested shard fan-out would
-            // only oversubscribe.
+            // Wide batch: enough subspaces to saturate the workers on
+            // their own; nested shard fan-out would only oversubscribe.
             let this = &*self;
             parallel_map(subspaces, threads, |&s| this.od_merged(s, 1))
         } else {
-            // Uncached phase, few subspaces (e.g. the last open
-            // level): spread each one across the shards instead.
+            // Few subspaces (e.g. the last open level): spread each
+            // one across the shards instead.
             subspaces
                 .iter()
                 .map(|&s| self.od_merged(s, threads))
@@ -417,32 +397,22 @@ const WALK_BLOCK: usize = 256;
 
 impl ShardedOdEvaluator<'_> {
     /// One shard's top-k for one subspace inside a walked batch, with
-    /// global ids: through the shard's prefix stack when a context
-    /// exists, through the sub-engine's own search otherwise.
-    /// Bit-identical to [`Shard::topk`] either way — same candidates,
-    /// same `(pre, id)` selection.
+    /// global ids, through the shard's prefix stack. Bit-identical to
+    /// [`Shard::topk`] — same candidates, same `(pre, id)` selection.
     fn lane_topk(
         shard: &Shard,
-        ctx: Option<&QueryContext<'_>>,
+        ctx: &QueryContext<'_>,
         stack: &mut PrefixStack,
-        query: &[f64],
         k: usize,
         s: Subspace,
         exclude: Option<PointId>,
     ) -> Vec<Neighbor> {
-        match ctx {
-            Some(ctx) => {
-                stack.seek(ctx, s);
-                let mut list = stack.knn(ctx, k, shard.local_exclude(exclude));
-                for n in &mut list {
-                    n.id = shard.global_of(n.id);
-                }
-                list
-            }
-            // Context-less sub-engine (e.g. X-tree): the engine's own
-            // pruning search, as before.
-            None => shard.topk(None, query, k, s, exclude),
+        stack.seek(ctx, s);
+        let mut list = stack.knn(ctx, k, shard.local_exclude(exclude));
+        for n in &mut list {
+            n.id = shard.global_of(n.id);
         }
+        list
     }
 
     /// The cached batch path: every shard walks the batch in walker
@@ -460,8 +430,10 @@ impl ShardedOdEvaluator<'_> {
     /// per-shard candidates, same merge, same summation order.
     fn od_batch_walked(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
         walk_order(subspaces, &mut self.order);
-        let (k, exclude, query) = (self.k, self.exclude, self.query);
-        let ctxs = self.ctxs.as_ref().expect("cached phase");
+        let (k, exclude) = (self.k, self.exclude);
+        let Some(Some(ctxs)) = self.ctxs.as_ref() else {
+            unreachable!("walked batches run only once the contexts exist")
+        };
         let nshards = self.shards.len();
         let width = threads.max(1);
         // Sub-segments per shard per block when oversubscribed
@@ -473,12 +445,12 @@ impl ShardedOdEvaluator<'_> {
         let mut out = vec![0.0f64; subspaces.len()];
         let block_len = WALK_BLOCK;
 
-        let mut lanes: Vec<(&Shard, Option<&QueryContext<'_>>, &mut PrefixStack)> = self
+        let mut lanes: Vec<(&Shard, &QueryContext<'_>, &mut PrefixStack)> = self
             .shards
             .iter()
             .zip(ctxs)
             .zip(&mut self.stacks)
-            .map(|((shard, ctx), stack)| (shard, ctx.as_ref(), stack))
+            .map(|((shard, ctx), stack)| (shard, ctx, stack))
             .collect();
 
         let mut block_start = 0usize;
@@ -489,9 +461,7 @@ impl ShardedOdEvaluator<'_> {
                 let rows = parallel_map_mut(&mut lanes, width, |(shard, ctx, stack)| {
                     block
                         .iter()
-                        .map(|&i| {
-                            Self::lane_topk(shard, *ctx, stack, query, k, subspaces[i], exclude)
-                        })
+                        .map(|&i| Self::lane_topk(shard, ctx, stack, k, subspaces[i], exclude))
                         .collect::<Vec<Vec<Neighbor>>>()
                 });
                 rows.into_iter().flatten().collect()
@@ -509,14 +479,12 @@ impl ShardedOdEvaluator<'_> {
                 let shards = self.shards;
                 let results = parallel_map(&tasks, width, |&(s, j)| {
                     let shard = &shards[s];
-                    let ctx = ctxs[s].as_ref();
+                    let ctx = &ctxs[s];
                     let mut stack = PrefixStack::new();
                     let segment = &block[j * seg..((j + 1) * seg).min(block.len())];
                     let lists: Vec<Vec<Neighbor>> = segment
                         .iter()
-                        .map(|&i| {
-                            Self::lane_topk(shard, ctx, &mut stack, query, k, subspaces[i], exclude)
-                        })
+                        .map(|&i| Self::lane_topk(shard, ctx, &mut stack, k, subspaces[i], exclude))
                         .collect();
                     (s, j * seg, lists, stack.node_visits())
                 });
@@ -672,9 +640,9 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_matches_unsharded_through_both_phases() {
-        // Batch enough dimensionality that the per-shard contexts
-        // build mid-stream; every OD must still equal the unsharded
+    fn evaluator_matches_unsharded_singles_and_batches() {
+        // Single calls (the first builds the per-shard contexts), then
+        // whole-lattice batches: every OD must equal the unsharded
         // engine's bit for bit.
         let d = 5;
         let ds = dataset(120, d, 2);
@@ -688,7 +656,7 @@ mod tests {
             let engine = ShardedEngine::build(ds.clone(), Metric::L2, Engine::Linear, shards, 3);
             let q: Vec<f64> = ds.row(7).to_vec();
             let mut ev = engine.evaluator(&q, 5, Some(7));
-            // Single calls first (uncached), then a big batch (cached).
+            // Single calls first, then a big batch.
             for (i, &s) in subspaces.iter().take(3).enumerate() {
                 assert_eq!(ev.od(s), reference[i], "shards={shards} single {s}");
             }
@@ -699,7 +667,7 @@ mod tests {
                     "shards={shards} threads={threads}"
                 );
             }
-            // Small batch takes the shard-parallel branch.
+            // Small batch, more threads than shards.
             assert_eq!(ev.od_batch(&subspaces[..2], 8), reference[..2]);
         }
     }

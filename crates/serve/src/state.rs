@@ -613,7 +613,9 @@ impl SharedState {
 
     /// Writes a snapshot of the current miner into the attached store
     /// (no-op without one). `final_sync` additionally fsyncs the WAL
-    /// tail even if the snapshot fails — the drain path.
+    /// tail even if the snapshot fails — the drain path. The write
+    /// counter restarts only on success, so after a failed snapshot
+    /// the next write retries the checkpoint.
     pub fn checkpoint(self: &Arc<SharedState>, final_sync: bool) {
         let mut slot = self.store.lock().expect("store lock poisoned");
         let (base, oldest, rows_consumed) = slot.carry;
@@ -631,18 +633,24 @@ impl SharedState {
             search_width: snapshot_search_width(&miner),
         });
         drop(miner);
-        match result {
+        let snapshotted = match result {
             Ok(_) => {
                 println!("hos-serve snapshot: seq {}", store.last_seq());
+                true
             }
-            Err(e) => eprintln!("hos-serve: snapshot failed: {e}"),
-        }
+            Err(e) => {
+                eprintln!("hos-serve: snapshot failed: {e}");
+                false
+            }
+        };
         if final_sync {
             if let Err(e) = store.sync() {
                 eprintln!("hos-serve: wal sync failed: {e}");
             }
         }
-        slot.writes_since_snapshot = 0;
+        if snapshotted {
+            slot.writes_since_snapshot = 0;
+        }
     }
 }
 
@@ -758,6 +766,51 @@ mod tests {
         assert_eq!(v4, 2);
         assert!(res.is_err());
         drain(&state, handles);
+    }
+
+    #[test]
+    fn failed_snapshot_is_retried_on_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("hos-serve-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = Store::open(
+            &dir,
+            hos_storage::StoreConfig {
+                sync_every: 1,
+                meta: String::new(),
+            },
+        )
+        .unwrap();
+        let (state, handles) = spawn_state(64);
+        state.attach_store(store, 2, (0, 0, 0));
+        let snapshots = || {
+            std::fs::read_dir(&dir).map_or(0, |entries| {
+                entries
+                    .filter(|e| {
+                        let name = e.as_ref().unwrap().file_name();
+                        name.to_str().unwrap().starts_with("snap-")
+                    })
+                    .count()
+            })
+        };
+        let pending = || state.store.lock().unwrap().writes_since_snapshot;
+        let insert = |x: f64| {
+            let (_, res) = state.submit_write(WriteOp::Insert(vec![x, x, x])).unwrap();
+            assert!(res.is_ok());
+        };
+        // The store's directory vanishes: the checkpoint due at the
+        // second write fails, and the writes stay counted.
+        std::fs::remove_dir_all(&dir).unwrap();
+        insert(50.0);
+        insert(51.0);
+        assert_eq!(pending(), 2, "a failed snapshot must not restart the count");
+        assert_eq!(snapshots(), 0);
+        // Once the directory is back, the very next write retries.
+        std::fs::create_dir_all(&dir).unwrap();
+        insert(52.0);
+        assert_eq!(snapshots(), 1);
+        assert_eq!(pending(), 0);
+        drain(&state, handles);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
