@@ -11,8 +11,7 @@
 //!   window updates/s.
 //! * `queries_under_churn` — one full-space OD against the churned
 //!   window: detection latency while tombstones and appended rows are
-//!   present (the X-tree's bounded re-bulk-load and the VA-file's
-//!   widened marks are in play by then).
+//!   present (the X-tree's bounded re-bulk-load is in play by then).
 //! * `interleaved` — ten updates then one OD query, the CLI's
 //!   steady-state mix.
 //!
@@ -44,7 +43,6 @@ fn configs() -> Vec<(String, Engine, usize)> {
         ("linear".into(), Engine::Linear, 1),
         ("linear_shards4".into(), Engine::Linear, 4),
         ("xtree".into(), Engine::XTree, 1),
-        ("vafile".into(), Engine::VaFile, 1),
     ]
 }
 

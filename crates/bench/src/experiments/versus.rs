@@ -9,7 +9,7 @@ use hos_core::od::OdMode;
 use hos_core::{minimal_subspaces, HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::table::{fmt_f64, Table};
 use hos_data::{Metric, Subspace};
-use hos_index::{KnnEngine, LinearScan, VaFile, VaFileConfig, XTree, XTreeConfig};
+use hos_index::{KnnEngine, LinearScan, XTree, XTreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -212,15 +212,12 @@ pub fn e7_index(dir: &Path) {
         "|s|",
         "xtree evals/q",
         "xtree ms/q",
-        "vafile evals/q",
-        "vafile ms/q",
         "linear evals/q",
         "linear ms/q",
     ]);
     for (n, d) in [(4000usize, 8usize), (16000, 8), (16000, 16)] {
         let w = standard_planted(n, d, 500 + n as u64 + d as u64);
         let xtree = XTree::build(w.dataset.clone(), Metric::L2, XTreeConfig::default());
-        let vafile = VaFile::build(w.dataset.clone(), Metric::L2, VaFileConfig::default());
         let linear = LinearScan::new(w.dataset.clone(), Metric::L2);
         let mut rng = StdRng::seed_from_u64(7);
         for sub_dim in [2usize, d / 2, d] {
@@ -249,7 +246,6 @@ pub fn e7_index(dir: &Path) {
                 (evals, secs / queries.len() as f64)
             };
             let (xe, xt_s) = run(&xtree);
-            let (ve, vt_s) = run(&vafile);
             let (le, lt_s) = run(&linear);
             t.push(vec![
                 n.to_string(),
@@ -257,8 +253,6 @@ pub fn e7_index(dir: &Path) {
                 sub_dim.to_string(),
                 format!("{xe:.0}"),
                 ms(xt_s),
-                format!("{ve:.0}"),
-                ms(vt_s),
                 format!("{le:.0}"),
                 ms(lt_s),
             ]);
@@ -266,7 +260,7 @@ pub fn e7_index(dir: &Path) {
     }
     emit(
         "e7_index",
-        "X-tree vs VA-file vs linear scan for subspace k-NN (20 queries each, k=5)",
+        "X-tree vs linear scan for subspace k-NN (20 queries each, k=5)",
         &t,
         dir,
     );

@@ -25,7 +25,7 @@ USAGE:
   hos-miner query    --data FILE (--id N | --ids N1,N2,... | --point \"x1,x2,...\")
                      [--model FILE]
                      [--k 5] [--threshold T | --quantile 0.95]
-                     [--engine linear|xtree|vafile|hnsw] [--samples 20]
+                     [--engine linear|xtree|hnsw] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
                      [--smoothing 1.0] [--threads 1] [--shards 1]
                      [--ef N] [--recall-target 0.95]

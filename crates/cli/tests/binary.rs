@@ -484,7 +484,7 @@ fn engine_flag_accepts_all_engines() {
             .status
             .success()
     );
-    for engine in ["linear", "xtree", "vafile"] {
+    for engine in ["linear", "xtree"] {
         let out = run(&[
             "query",
             "--data",
@@ -498,5 +498,12 @@ fn engine_flag_accepts_all_engines() {
         ]);
         assert!(out.status.success(), "engine {engine}");
     }
+    // A removed engine name is refused with the names that exist.
+    let out = run(&[
+        "query", "--data", csv_s, "--id", "300", "--engine", "vafile",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("linear|xtree|hnsw"), "{err}");
     std::fs::remove_file(csv).ok();
 }

@@ -865,7 +865,7 @@ mod tests {
 
     #[test]
     fn insert_and_retire_maintain_queries_incrementally() {
-        for engine in [Engine::Linear, Engine::XTree, Engine::VaFile] {
+        for engine in [Engine::Linear, Engine::XTree] {
             let (mut miner, truth) = fitted(engine);
             let n0 = miner.engine().dataset().len();
             assert_eq!(miner.live_len(), n0);

@@ -313,6 +313,18 @@ mod tests {
     }
 
     #[test]
+    fn removed_engine_name_is_a_config_error() {
+        let (miner, _) = fitted();
+        let good = ModelFile::from_miner(&miner).to_text();
+        assert!(good.contains("engine linear\n"));
+        let removed = good.replace("engine linear\n", "engine vafile\n");
+        match ModelFile::from_text(&removed) {
+            Err(HosError::Config(msg)) => assert!(msg.contains("linear|xtree|hnsw"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn dimension_mismatch_rejected() {
         let (miner, _) = fitted();
         let m = ModelFile::from_miner(&miner);

@@ -192,7 +192,7 @@ mod tests {
         let ds = m.engine().dataset().clone();
         let report = scan_outliers(&m, usize::MAX).unwrap();
         let full = ds.full_space();
-        for engine_kind in [Engine::Linear, Engine::XTree, Engine::VaFile] {
+        for engine_kind in [Engine::Linear, Engine::XTree] {
             let cfg = HosMinerConfig {
                 k: 5,
                 threshold: ThresholdPolicy::Fixed(m.threshold()),

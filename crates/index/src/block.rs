@@ -484,7 +484,7 @@ mod tests {
         for metric in [Metric::L1, Metric::L2, Metric::LInf, Metric::Lp(3.0)] {
             let blocked = all_points_full_od(&ds, metric, 5).unwrap();
             assert_eq!(blocked.len(), 70);
-            for kind in [Engine::Linear, Engine::XTree, Engine::VaFile] {
+            for kind in [Engine::Linear, Engine::XTree] {
                 let engine = build_engine(kind, ds.clone(), metric);
                 for &(i, od) in &blocked {
                     assert_eq!(
@@ -539,7 +539,7 @@ mod tests {
         // 5 live, self-excluding queries see 4 candidates.
         let err = all_points_full_od(&ds, Metric::L2, 5).unwrap_err();
         assert_eq!(err, IndexError::InsufficientPoints { available: 4, k: 5 });
-        for kind in [Engine::Linear, Engine::XTree, Engine::VaFile] {
+        for kind in [Engine::Linear, Engine::XTree] {
             let engine = build_engine(kind, ds.clone(), Metric::L2);
             let per_point = engine
                 .try_od(ds.row(0), 5, Subspace::full(2), Some(0))

@@ -15,7 +15,7 @@
 //!   [`KnnEngine`] hands out: the engine's pre-distance cache is built
 //!   on the first OD call and every OD after it is a prefix-stack
 //!   walk over cached columns. Engines without a context (X-tree,
-//!   VA-file) stay on their own pruning search for every call.
+//!   HNSW) stay on their own search for every call.
 //!
 //! Engines with their own execution strategy override
 //! [`KnnEngine::evaluator`]: [`crate::sharded::ShardedEngine`] returns
@@ -190,7 +190,6 @@ mod tests {
     use crate::knn::Engine;
     use crate::linear::LinearScan;
     use crate::sharded::ShardedEngine;
-    use crate::vafile::{VaFile, VaFileConfig};
     use crate::xtree::{XTree, XTreeConfig};
     use hos_data::{Dataset, Metric};
     use rand::rngs::StdRng;
@@ -257,9 +256,8 @@ mod tests {
         assert_eq!(ev.node_visits(), 3, "one fold per shard context");
 
         let xtree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
-        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
         let sharded_xtree = ShardedEngine::build(ds.clone(), Metric::L2, Engine::XTree, 3, 2);
-        let contextless: [&dyn KnnEngine; 3] = [&xtree, &va, &sharded_xtree];
+        let contextless: [&dyn KnnEngine; 2] = [&xtree, &sharded_xtree];
         for engine in contextless {
             let mut ev = engine.evaluator(&q, 3, Some(0));
             ev.od(single);
@@ -275,14 +273,14 @@ mod tests {
     fn contextless_engine_stays_on_engine_path() {
         let d = 4;
         let ds = dataset(60, d, 3);
-        let va = VaFile::build(ds.clone(), Metric::L2, VaFileConfig::default());
+        let xtree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
         let q: Vec<f64> = ds.row(5).to_vec();
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
         let reference: Vec<f64> = subspaces
             .iter()
-            .map(|&s| va.od(&q, 3, s, Some(5)))
+            .map(|&s| xtree.od(&q, 3, s, Some(5)))
             .collect();
-        let mut ev = va.evaluator(&q, 3, Some(5));
+        let mut ev = xtree.evaluator(&q, 3, Some(5));
         assert_eq!(ev.od_batch(&subspaces, 2), reference);
         // Repeat batch: still correct with the context resolved to none.
         assert_eq!(ev.od_batch(&subspaces, 1), reference);

@@ -71,10 +71,10 @@ pub trait KnnEngine: Send + Sync {
     /// it transparently: one `n x d` pre-distance pass per query point
     /// replaces per-subspace raw-coordinate scans.
     ///
-    /// The default is `None`: engines with their own pruning structure
-    /// (X-tree, VA-file) answer each query through that structure, and
-    /// a full-matrix cache would bypass exactly what makes them worth
-    /// benchmarking.
+    /// The default is `None`: engines with their own search structure
+    /// (the X-tree's pruning, HNSW's candidate graph) answer each query
+    /// through that structure, and a full-matrix cache would bypass
+    /// exactly what makes them worth having.
     fn query_context<'a>(&'a self, query: &[f64]) -> Option<QueryContext<'a>> {
         let _ = query;
         None
@@ -222,8 +222,6 @@ pub enum Engine {
     Linear,
     /// X-tree index.
     XTree,
-    /// VA-file (quantised filter-and-refine scan).
-    VaFile,
     /// HNSW graph (approximate-recall candidate generation with exact
     /// re-rank; see [`crate::hnsw`]).
     Hnsw,
@@ -236,10 +234,9 @@ impl std::str::FromStr for Engine {
         match s.to_ascii_lowercase().as_str() {
             "linear" | "scan" => Ok(Engine::Linear),
             "xtree" | "x-tree" => Ok(Engine::XTree),
-            "vafile" | "va-file" | "va" => Ok(Engine::VaFile),
             "hnsw" => Ok(Engine::Hnsw),
             other => Err(format!(
-                "unknown engine {other:?} (expected linear|xtree|vafile|hnsw)"
+                "unknown engine {other:?} (expected linear|xtree|hnsw)"
             )),
         }
     }
@@ -250,7 +247,6 @@ impl std::fmt::Display for Engine {
         match self {
             Engine::Linear => write!(f, "linear"),
             Engine::XTree => write!(f, "xtree"),
-            Engine::VaFile => write!(f, "vafile"),
             Engine::Hnsw => write!(f, "hnsw"),
         }
     }
@@ -264,11 +260,6 @@ pub fn build_engine(engine: Engine, dataset: Dataset, metric: Metric) -> Box<dyn
             dataset,
             metric,
             crate::xtree::XTreeConfig::default(),
-        )),
-        Engine::VaFile => Box::new(crate::vafile::VaFile::build(
-            dataset,
-            metric,
-            crate::vafile::VaFileConfig::default(),
         )),
         Engine::Hnsw => Box::new(crate::hnsw::HnswEngine::build(
             dataset,
@@ -287,14 +278,16 @@ mod tests {
         assert_eq!("linear".parse::<Engine>().unwrap(), Engine::Linear);
         assert_eq!("XTREE".parse::<Engine>().unwrap(), Engine::XTree);
         assert_eq!("x-tree".parse::<Engine>().unwrap(), Engine::XTree);
-        assert_eq!("va".parse::<Engine>().unwrap(), Engine::VaFile);
-        assert_eq!("VA-FILE".parse::<Engine>().unwrap(), Engine::VaFile);
         assert_eq!("hnsw".parse::<Engine>().unwrap(), Engine::Hnsw);
         assert_eq!("HNSW".parse::<Engine>().unwrap(), Engine::Hnsw);
-        assert!("quadtree".parse::<Engine>().is_err());
+        // Unknown and removed engine names fail typed, naming the
+        // engines that do exist.
+        for name in ["quadtree", "vafile", "va", "VA-FILE"] {
+            let err = name.parse::<Engine>().unwrap_err();
+            assert!(err.contains("linear|xtree|hnsw"), "{name}: {err}");
+        }
         assert_eq!(Engine::Linear.to_string(), "linear");
         assert_eq!(Engine::XTree.to_string(), "xtree");
-        assert_eq!(Engine::VaFile.to_string(), "vafile");
         assert_eq!(Engine::Hnsw.to_string(), "hnsw");
         assert_eq!(Engine::default(), Engine::Linear);
     }
@@ -302,7 +295,7 @@ mod tests {
     #[test]
     fn build_engine_returns_working_engines() {
         let ds = Dataset::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap();
-        for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
             let e = build_engine(kind, ds.clone(), Metric::L2);
             let nn = e.knn(&[0.1, 0.1], 1, Subspace::full(2), None);
             assert_eq!(nn[0].id, 0, "{kind}");
@@ -321,7 +314,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, (i % 3) as f64]).collect();
         let ds = Dataset::from_rows(&rows).unwrap();
         let s = Subspace::full(2);
-        for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
             for shards in [1usize, 3] {
                 let label = format!("{kind} shards={shards}");
                 let mut e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
@@ -401,7 +394,7 @@ mod tests {
     #[test]
     fn incremental_insert_into_empty_engine() {
         use crate::sharded::build_engine_sharded;
-        for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
             for shards in [1usize, 2] {
                 let mut e = build_engine_sharded(kind, Dataset::empty(), Metric::L2, shards, 1);
                 let inc = e.as_incremental().unwrap();

@@ -17,10 +17,6 @@
 //!   which is what keeps it functional in high dimensionality.
 //!   Subspace queries use MINDIST lower bounds computed only over the
 //!   projected dimensions.
-//! * [`vafile::VaFile`] — a VA-file (Weber, Schek, Blott, VLDB'98):
-//!   the classic scan-based competitor to hierarchical indexes in
-//!   high dimensionality, included so experiment E7 covers both index
-//!   philosophies.
 //! * [`context`] — the per-query distance cache: one `n x d`
 //!   pre-distance matrix per query point turns every subspace OD into
 //!   a subset-combine over cached columns (no raw coordinate reads).
@@ -65,7 +61,6 @@ pub mod linear;
 pub mod pool;
 pub mod sharded;
 mod topk;
-pub mod vafile;
 pub mod walker;
 pub mod xtree;
 
@@ -79,6 +74,5 @@ pub use hnsw::{calibrate_search_width, recall_at_k, HnswConfig, HnswEngine};
 pub use knn::{Engine, IncrementalEngine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
 pub use sharded::{build_engine_sharded, ShardedEngine};
-pub use vafile::{VaFile, VaFileConfig};
 pub use walker::{PrefixStack, PrefixWalker};
 pub use xtree::{XTree, XTreeConfig};

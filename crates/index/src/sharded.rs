@@ -35,7 +35,7 @@
 //! each OD is a k-way merge of per-shard top-k lists from one prefix
 //! stack per shard, shards in parallel — so a single full-space OD
 //! also uses every core, which is precisely what the unsharded engine
-//! cannot do. Shards over context-less engines (X-tree, VA-file, HNSW)
+//! cannot do. Shards over context-less engines (X-tree, HNSW)
 //! answer every OD through their own search instead.
 
 use crate::batch::{parallel_map, parallel_map_mut};
@@ -308,7 +308,7 @@ struct ShardedOdEvaluator<'a> {
     shard_threads: usize,
     /// `None` until the first OD call; then one context per shard
     /// (slot `i` for shard `i`), or `Some(None)` when the sub-engines
-    /// offer none (X-tree, VA-file, HNSW).
+    /// offer none (X-tree, HNSW).
     ctxs: Option<Option<Vec<QueryContext<'a>>>>,
     /// One prefix stack per shard, reused across batches.
     stacks: Vec<PrefixStack>,

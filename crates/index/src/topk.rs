@@ -14,8 +14,9 @@
 //!   compares against the cached root, before any `Candidate` is
 //!   built or any heap operation runs. (The reject must use the full
 //!   `(pre, id)` order, not `pre` alone: a candidate *tying* the worst
-//!   pre-distance still wins when its id is smaller, and VA-file
-//!   offers candidates in lower-bound order where that case is live.
+//!   pre-distance still wins when its id is smaller, and HNSW's
+//!   re-rank and the sharded merge offer candidates out of id order,
+//!   where that case is live.
 //!   `equal_pre_keeps_smaller_id_regardless_of_offer_order` pins it.)
 //! * **Reuse** — [`TopK::reset`] recycles the backing allocation, so a
 //!   walker evaluating thousands of lattice nodes performs zero heap
@@ -89,8 +90,9 @@ impl TopK {
     /// Offers one candidate; keeps it only if it beats the current
     /// worst (or the heap is not yet full). Eviction compares the
     /// full `(pre, id)` order, so the kept set — and the tie-break —
-    /// is independent of the order candidates are offered in (VaFile
-    /// offers in lower-bound order, not id order).
+    /// is independent of the order candidates are offered in (HNSW's
+    /// re-rank offers its pool in beam-heap order, the sharded merge
+    /// shard by shard — neither in id order).
     ///
     /// `inline(always)`: the chunked selection loop in
     /// `context::offer_bounded` offers up to eight candidates per
@@ -158,13 +160,6 @@ impl TopK {
     #[inline]
     pub fn is_full(&self) -> bool {
         self.heap.len() == self.k
-    }
-
-    /// The worst kept pre-distance (the current kth best), if any —
-    /// the filter bound for engines that can skip candidates.
-    #[inline]
-    pub fn worst(&self) -> Option<f64> {
-        self.heap.first().map(|c| c.pre)
     }
 
     /// The admission bound for candidate pre-distances: the cached
@@ -255,11 +250,11 @@ mod tests {
     #[test]
     fn equal_pre_keeps_smaller_id_regardless_of_offer_order() {
         // Ties resolve to the smaller id whether it arrives first
-        // (LinearScan/QueryContext offer in id order) or last (VaFile
-        // offers in lower-bound order): the kept set depends only on
-        // the candidates, not their sequence. This is exactly the case
-        // the bound fast path must NOT reject: pre == worst.pre with a
-        // smaller id still enters the heap.
+        // (LinearScan/QueryContext offer in id order) or last (HNSW's
+        // re-rank and the sharded merge do not): the kept set depends
+        // only on the candidates, not their sequence. This is exactly
+        // the case the bound fast path must NOT reject: pre == worst.pre
+        // with a smaller id still enters the heap.
         for ids in [[0usize, 1], [1, 0]] {
             let mut t = TopK::new(1);
             for id in ids {
@@ -326,15 +321,16 @@ mod tests {
     }
 
     #[test]
-    fn worst_tracks_the_kth_best() {
+    fn bound_tracks_the_kth_best() {
         let mut t = TopK::new(2);
-        assert_eq!(t.worst(), None);
+        assert_eq!(t.bound(), f64::INFINITY);
         t.offer(5.0, 0);
-        assert_eq!(t.worst(), Some(5.0));
+        assert_eq!(t.bound(), f64::INFINITY);
         t.offer(1.0, 1);
-        assert_eq!(t.worst(), Some(5.0));
-        t.offer(2.0, 2);
-        assert_eq!(t.worst(), Some(2.0));
         assert!(t.is_full());
+        assert_eq!(t.bound(), 5.0);
+        t.offer(2.0, 2);
+        assert_eq!(t.bound(), 2.0);
+        assert_eq!(TopK::new(0).bound(), f64::NEG_INFINITY);
     }
 }

@@ -5,7 +5,7 @@
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{
     all_points_full_od_counted, quantized_lower_bounds, Engine, HnswConfig, HnswEngine, KnnEngine,
-    LinearScan, QueryContext, ShardedEngine, VaFile, VaFileConfig, XTree, XTreeConfig,
+    LinearScan, QueryContext, ShardedEngine, XTree, XTreeConfig,
 };
 use proptest::prelude::*;
 
@@ -70,25 +70,6 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn vafile_knn_equals_linear(ds in arb_dataset(),
-                                q in prop::collection::vec(-60.0f64..60.0, D),
-                                k in 1usize..12,
-                                mask in 1u64..(1 << D),
-                                bits in 1u32..8,
-                                metric in arb_metric()) {
-        let s = Subspace::from_mask(mask);
-        let va = VaFile::build(ds.clone(), metric, VaFileConfig { bits });
-        let lin = LinearScan::new(ds, metric);
-        let a = va.knn(&q, k, s, None);
-        let b = lin.knn(&q, k, s, None);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.dist - y.dist).abs() < 1e-9,
-                "bits={} {} vs {} in {}", bits, x.dist, y.dist, s);
-        }
     }
 
     /// The query-context cache is indistinguishable from the uncached
@@ -169,10 +150,10 @@ proptest! {
         prop_assert_eq!(ev.od_batch(&subspaces, 2), expected);
     }
 
-    /// The evaluator path of the context-less engines (X-tree,
-    /// VA-file) returns exactly what per-subspace `engine.od` calls
-    /// return — the refactor onto `OdEvaluator` cannot silently change
-    /// their results, batched or single, at any thread count.
+    /// The evaluator path of the context-less X-tree returns exactly
+    /// what per-subspace `engine.od` calls return — the refactor onto
+    /// `OdEvaluator` cannot silently change its results, batched or
+    /// single, at any thread count.
     #[test]
     fn evaluator_path_preserves_contextless_engines(ds in arb_dataset(),
                                                     q in prop::collection::vec(-60.0f64..60.0, D),
@@ -181,24 +162,20 @@ proptest! {
         let tree = XTree::build(ds.clone(), metric, XTreeConfig {
             max_leaf: 8, max_dir: 4, ..XTreeConfig::default()
         });
-        let va = VaFile::build(ds.clone(), metric, VaFileConfig { bits: 4 });
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(D).collect();
-        for engine in [&tree as &dyn KnnEngine, &va as &dyn KnnEngine] {
-            let expected: Vec<f64> = subspaces
-                .iter()
-                .map(|&s| engine.od(&q, k, s, Some(0)))
-                .collect();
-            for threads in [1usize, 3] {
-                let mut ev = engine.evaluator(&q, k, Some(0));
-                prop_assert_eq!(ev.od_batch(&subspaces, threads), expected.clone());
-            }
-            // Single-od streaming agrees too (the cumulative cost
-            // model must never switch these engines onto a cache —
-            // they have none).
-            let mut ev = engine.evaluator(&q, k, Some(0));
-            for (i, &s) in subspaces.iter().enumerate() {
-                prop_assert_eq!(ev.od(s), expected[i]);
-            }
+        let expected: Vec<f64> = subspaces
+            .iter()
+            .map(|&s| tree.od(&q, k, s, Some(0)))
+            .collect();
+        for threads in [1usize, 3] {
+            let mut ev = tree.evaluator(&q, k, Some(0));
+            prop_assert_eq!(ev.od_batch(&subspaces, threads), expected.clone());
+        }
+        // Single-od streaming agrees too (the X-tree has no cache to
+        // switch onto).
+        let mut ev = tree.evaluator(&q, k, Some(0));
+        for (i, &s) in subspaces.iter().enumerate() {
+            prop_assert_eq!(ev.od(s), expected[i]);
         }
     }
 

@@ -15,7 +15,7 @@ USAGE:
   hos-serve (--data FILE [--header] | --n 2000 --d 6) [--seed 0]
             [--model FILE] [--data-dir DIR]
             [--k 5] [--threshold T | --quantile 0.95]
-            [--engine linear|xtree|vafile|hnsw] [--metric l1|l2|linf]
+            [--engine linear|xtree|hnsw] [--metric l1|l2|linf]
             [--ef N] [--recall-target 0.95]
             [--threads 1] [--shards 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0]
@@ -51,12 +51,46 @@ A fresh --data-dir is initialised from the data flags. The tuning
 flags must match the ones the store was created with (a mismatch is
 a typed startup error, not silent divergence).";
 
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["header", "help", "fixed-window"];
+
+/// Flags that take one value: exactly the ones HELP documents.
+const VALUE_FLAGS: &[&str] = &[
+    "data",
+    "n",
+    "d",
+    "seed",
+    "model",
+    "data-dir",
+    "k",
+    "threshold",
+    "quantile",
+    "engine",
+    "metric",
+    "ef",
+    "recall-target",
+    "threads",
+    "shards",
+    "samples",
+    "addr",
+    "workers",
+    "batch-window-ms",
+    "batch-max",
+    "queue-cap",
+    "query-weight",
+    "scan-weight",
+    "sync-every",
+    "snapshot-every",
+];
+
 struct Flags {
     map: Vec<(String, String)>,
     switches: Vec<String>,
 }
 
 impl Flags {
+    /// Parses `--name value` pairs and bare switches. A misspelt or
+    /// repeated flag is an error, never silently ignored or overridden.
     fn parse(argv: &[String]) -> Result<Flags, String> {
         let mut map = Vec::new();
         let mut switches = Vec::new();
@@ -66,15 +100,20 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
-            if name == "header" || name == "help" || name == "fixed-window" {
+            if map.iter().any(|(n, _)| n == name) || switches.iter().any(|s| s == name) {
+                return Err(format!("flag --{name} given twice"));
+            }
+            if SWITCHES.contains(&name) {
                 switches.push(name.to_string());
                 i += 1;
-            } else {
+            } else if VALUE_FLAGS.contains(&name) {
                 let value = argv
                     .get(i + 1)
                     .ok_or_else(|| format!("--{name} needs a value"))?;
                 map.push((name.to_string(), value.clone()));
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{name} (see --help)"));
             }
         }
         Ok(Flags { map, switches })
@@ -364,5 +403,22 @@ fn main() {
     if let Err(e) = run(&argv) {
         eprintln!("hos-serve: {e}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_flags_are_the_documented_ones() {
+        for name in SWITCHES.iter().chain(VALUE_FLAGS).filter(|&&n| n != "help") {
+            let flag = format!("--{name}");
+            let documented = HELP.match_indices(&flag).any(|(at, _)| {
+                !HELP[at + flag.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            });
+            assert!(documented, "{flag} missing from HELP");
+        }
     }
 }

@@ -314,3 +314,50 @@ fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
         "missing drain summary in {rest:?}"
     );
 }
+
+/// The hos-serve BINARY refuses a misspelt flag, a repeated flag and a
+/// removed engine name with exit 2 and the offending name, instead of
+/// starting on defaults. Each case is killed after a deadline, so a
+/// binary that starts serving anyway fails rather than hangs.
+#[test]
+fn bad_flags_make_the_binary_exit_2() {
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "--enigne", "xtree", "--engine", "linear", "--engine", "xtree",
+            ],
+            "--enigne",
+        ),
+        (&["--engine", "linear", "--engine", "xtree"], "--engine"),
+        (&["--header", "--header"], "--header"),
+        (&["--engine", "vafile"], "linear|xtree|hnsw"),
+    ];
+    for (extra, needle) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))
+            .args(["--n", "300", "--d", "4", "--addr", "127.0.0.1:0"])
+            .args(*extra)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn hos-serve");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll hos-serve") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("hos-serve {extra:?} kept running");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(needle), "{extra:?}: {stderr}");
+    }
+}

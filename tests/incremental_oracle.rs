@@ -4,8 +4,8 @@
 //! For proptest-generated sequences of insert/remove/query operations,
 //! the incrementally-maintained engine must be indistinguishable from
 //! a **cold rebuild** over the surviving rows — across every engine
-//! kind (linear scan, X-tree, VA-file), every metric, and shard counts
-//! 1..=4:
+//! kind (linear scan, X-tree, HNSW at exhaustive width), every metric,
+//! and shard counts 1..=4:
 //!
 //! * **ODs bit-identical** (`assert_eq!` on `f64`, no epsilon): the
 //!   distances are computed by the same code over the same row bytes
@@ -247,7 +247,7 @@ proptest! {
         ops in arb_ops(),
         metric in arb_metric(),
     ) {
-        for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
             for shards in 1usize..=4 {
                 let mut inc = build_engine_sharded(
                     kind,
@@ -271,15 +271,15 @@ proptest! {
 }
 
 /// Deterministic, denser long-run variant: hundreds of ops drive the
-/// X-tree through several bounded re-bulk-loads, the VA-file through
-/// out-of-range mark widening, and the HNSW graph (at exhaustive
-/// width) through tombstone accumulation past its bounded-rebuild
-/// threshold; equivalence is checked at checkpoints.
+/// X-tree through several bounded re-bulk-loads and the HNSW graph
+/// (at exhaustive width) through tombstone accumulation past its
+/// bounded-rebuild threshold; equivalence is checked at checkpoints.
 #[test]
 fn long_streams_with_rebuilds_stay_equivalent() {
     // A deterministic pseudo-stream with values drifting out of the
-    // initial range (forces VA-file mark widening) and heavy removal
-    // pressure (forces X-tree re-bulk-loads).
+    // initial range (every insert lands outside the X-tree's build-time
+    // bounding boxes) and heavy removal pressure (forces X-tree
+    // re-bulk-loads).
     let initial: Vec<Vec<f64>> = (0..40)
         .map(|i| vec![(i % 5) as f64, (i % 7) as f64 * 0.5, (i % 3) as f64])
         .collect();
@@ -297,7 +297,7 @@ fn long_streams_with_rebuilds_stay_equivalent() {
             ]));
         }
     }
-    for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+    for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
         for shards in [1usize, 3] {
             for metric in [Metric::L2, Metric::LInf] {
                 let mut inc = build_engine_sharded(
@@ -346,7 +346,7 @@ fn miner_incremental_equals_refit_on_compacted_data() {
         sample_size: 0, // uniform priors: fit is dataset-order invariant
         ..HosMinerConfig::default()
     };
-    for engine in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+    for engine in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
         for shards in 1usize..=4 {
             let cfg = HosMinerConfig {
                 engine,
@@ -545,7 +545,7 @@ fn draining_every_engine_below_k_is_a_typed_error() {
     let rows: Vec<Vec<f64>> = (0..6)
         .map(|i| vec![i as f64, (i % 2) as f64, 0.0])
         .collect();
-    for kind in [Engine::Linear, Engine::XTree, Engine::VaFile, Engine::Hnsw] {
+    for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
         for shards in 1usize..=4 {
             let mut e = build_engine_sharded(
                 kind,

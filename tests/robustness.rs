@@ -4,7 +4,7 @@
 
 use hos_miner::core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_miner::data::{Dataset, Metric};
-use hos_miner::index::{Engine, KnnEngine, LinearScan, VaFile, VaFileConfig, XTree, XTreeConfig};
+use hos_miner::index::{Engine, KnnEngine, LinearScan, XTree, XTreeConfig};
 use hos_miner::Subspace;
 
 fn cfg_fixed(t: f64, k: usize) -> HosMinerConfig {
@@ -41,13 +41,11 @@ fn constant_columns() {
     let miner = HosMiner::fit(ds, cfg_fixed(50.0, 3)).unwrap();
     let out = miner.query_id(40).unwrap();
     assert_eq!(out.minimal, vec![Subspace::from_dims(&[1])]);
-    // Engines survive constant columns too.
+    // The X-tree survives constant columns too.
     let ds2 = miner.engine().dataset().clone();
-    for engine in [Engine::XTree, Engine::VaFile] {
-        let e = hos_miner::index::knn::build_engine(engine, ds2.clone(), Metric::L2);
-        let nn = e.knn(&[5.0, 0.0, 7.0], 3, Subspace::full(3), None);
-        assert_eq!(nn.len(), 3, "{engine}");
-    }
+    let e = hos_miner::index::knn::build_engine(Engine::XTree, ds2, Metric::L2);
+    let nn = e.knn(&[5.0, 0.0, 7.0], 3, Subspace::full(3), None);
+    assert_eq!(nn.len(), 3);
 }
 
 #[test]
@@ -109,14 +107,6 @@ fn huge_coordinate_magnitudes() {
             "xtree",
             Box::new(XTree::build(ds.clone(), Metric::L2, XTreeConfig::default())),
         ),
-        (
-            "vafile",
-            Box::new(VaFile::build(
-                ds.clone(),
-                Metric::L2,
-                VaFileConfig::default(),
-            )),
-        ),
     ] {
         let nn = e.knn(ds.row(0), 3, Subspace::full(2), Some(0));
         assert_eq!(nn.len(), 3, "{name}");
@@ -140,14 +130,11 @@ fn adversarial_engine_agreement_on_grid_data() {
     let ds = Dataset::from_rows(&rows).unwrap();
     let lin = LinearScan::new(ds.clone(), Metric::L1);
     let xt = XTree::build(ds.clone(), Metric::L1, XTreeConfig::default());
-    let va = VaFile::build(ds.clone(), Metric::L1, VaFileConfig::default());
     for q in [[0.0, 0.0, 0.0], [2.5, 2.5, 1.5], [5.0, 0.0, 2.0]] {
         for s in [Subspace::full(3), Subspace::from_dims(&[0, 2])] {
             let a: Vec<f64> = lin.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
             let b: Vec<f64> = xt.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
-            let c: Vec<f64> = va.knn(&q, 8, s, None).iter().map(|n| n.dist).collect();
             assert_eq!(a, b, "xtree vs linear at {q:?} {s}");
-            assert_eq!(a, c, "vafile vs linear at {q:?} {s}");
         }
     }
 }
