@@ -267,7 +267,7 @@ pub fn e4_sampling(dir: &Path) {
         q: 0.95,
         sample: 200,
     }
-    .resolve(&engine, k, 0)
+    .resolve(&engine, k, 0, 1)
     .expect("threshold");
     let outlier_ids = w.outlier_ids();
     let inlier_ids: Vec<usize> = (0..outlier_ids.len()).collect();

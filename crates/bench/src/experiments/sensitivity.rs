@@ -349,7 +349,7 @@ pub fn e12_frontier(dir: &Path) {
             q: 0.95,
             sample: 200,
         }
-        .resolve(&engine, 5, 0)
+        .resolve(&engine, 5, 0, 1)
         .expect("threshold");
         let qid = w.outlier_ids()[1];
         let q: Vec<f64> = w.dataset.row(qid).to_vec();

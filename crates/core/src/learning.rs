@@ -205,7 +205,7 @@ pub fn resolve_and_learn(
     seed: u64,
     threads: usize,
 ) -> Result<LearnedModel> {
-    let t = policy.resolve(engine, k, seed)?;
+    let t = policy.resolve(engine, k, seed, threads)?;
     learn(engine, k, t, sample_size, seed, threads)
 }
 

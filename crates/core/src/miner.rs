@@ -223,9 +223,10 @@ impl HosMiner {
             config.threads,
         );
         apply_search_width(engine.as_ref(), &config)?;
-        let threshold = config
-            .threshold
-            .resolve(engine.as_ref(), config.k, config.seed)?;
+        let threshold =
+            config
+                .threshold
+                .resolve(engine.as_ref(), config.k, config.seed, config.threads)?;
         let model = crate::learning::learn_with_smoothing(
             engine.as_ref(),
             config.k,
@@ -375,10 +376,12 @@ impl HosMiner {
     /// policy re-samples the live window).
     pub fn reestimate_threshold(&mut self) -> Result<f64> {
         self.ensure_enough_live(true)?;
-        let t =
-            self.config
-                .threshold
-                .resolve(self.engine.as_ref(), self.config.k, self.config.seed)?;
+        let t = self.config.threshold.resolve(
+            self.engine.as_ref(),
+            self.config.k,
+            self.config.seed,
+            self.config.threads,
+        )?;
         self.model.threshold = t;
         Ok(t)
     }
@@ -1025,5 +1028,76 @@ mod tests {
         assert_eq!(miner.config().k, 5);
         assert_eq!(miner.model().samples, 10);
         assert_eq!(miner.engine().dataset().dim(), 5);
+    }
+
+    /// The quantile threshold sampled by a miner with this config: the
+    /// live ids shuffled by `seed`, truncated to `sample`, each
+    /// member's full-space OD taken through its own per-point
+    /// `engine.od`.
+    fn per_point_threshold(miner: &HosMiner, q: f64, sample: usize) -> f64 {
+        use rand::rngs::StdRng;
+        use rand::{seq::SliceRandom, SeedableRng};
+        let engine = miner.engine();
+        let ds = engine.dataset();
+        let mut ids: Vec<PointId> = ds.live_ids().collect();
+        ids.shuffle(&mut StdRng::seed_from_u64(miner.config().seed));
+        ids.truncate(sample);
+        let ods: Vec<f64> = ids
+            .iter()
+            .map(|&id| engine.od(ds.row(id), miner.config().k, ds.full_space(), Some(id)))
+            .collect();
+        hos_data::stats::quantile(&ods, q).unwrap()
+    }
+
+    /// Fitting is independent of the worker count: the kernel-resolved
+    /// threshold keeps its bits and the saved model its bytes at 1, 2
+    /// and 4 threads, on exact engines sharded or not, and the
+    /// threshold is the quantile of per-point engine ODs over the same
+    /// sampled ids. HNSW keeps its own per-point ODs as the definition.
+    #[test]
+    fn fit_is_deterministic_across_thread_counts() {
+        use crate::model_io::ModelFile;
+        let (q, sample) = (0.95, 150);
+        for (engine, shards) in [
+            (Engine::Linear, 1),
+            (Engine::XTree, 1),
+            (Engine::Linear, 3),
+            (Engine::Hnsw, 1),
+        ] {
+            let fit = |threads: usize| {
+                let config = HosMinerConfig {
+                    k: 5,
+                    threshold: ThresholdPolicy::FullSpaceQuantile { q, sample },
+                    engine,
+                    shards,
+                    threads,
+                    sample_size: 6,
+                    seed: 3,
+                    ..HosMinerConfig::default()
+                };
+                HosMiner::fit(planted().0, config).unwrap()
+            };
+            let serial = fit(1);
+            let t = serial.threshold();
+            assert_eq!(
+                t.to_bits(),
+                per_point_threshold(&serial, q, sample).to_bits(),
+                "{engine} shards {shards}"
+            );
+            let text = ModelFile::from_miner(&serial).to_text();
+            for threads in [2, 4] {
+                let m = fit(threads);
+                assert_eq!(
+                    m.threshold().to_bits(),
+                    t.to_bits(),
+                    "{engine} shards {shards} threads {threads}"
+                );
+                assert_eq!(
+                    ModelFile::from_miner(&m).to_text(),
+                    text,
+                    "{engine} shards {shards} threads {threads}"
+                );
+            }
+        }
     }
 }

@@ -20,7 +20,8 @@ use crate::error::HosError;
 use crate::Result;
 use hos_data::stats;
 use hos_data::{Metric, Subspace};
-use hos_index::KnnEngine;
+use hos_index::batch::parallel_map;
+use hos_index::{full_space_ods, IndexError, KnnEngine};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -91,7 +92,28 @@ impl Default for ThresholdPolicy {
 
 impl ThresholdPolicy {
     /// Resolves the policy to a concrete threshold value.
-    pub fn resolve(&self, engine: &dyn KnnEngine, k: usize, seed: u64) -> Result<f64> {
+    ///
+    /// A quantile policy computes the sampled ODs on up to `threads`
+    /// workers. Exact engines (`search_width() == None`) run them
+    /// through the blocked kernel ([`hos_index::full_space_ods`]),
+    /// which equals per-point [`KnnEngine::od`] bit for bit; HNSW
+    /// engines keep per-point `od` calls, because their (possibly
+    /// over-estimating) ODs define their threshold. Either way the
+    /// threshold is the same at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`HosError::Index`] with [`IndexError::InsufficientPoints`] when
+    /// the live window holds `k` or fewer points, so a self-excluded
+    /// OD cannot sum `k` neighbours; [`HosError::Config`] for an
+    /// invalid policy or a degenerate (non-positive) threshold.
+    pub fn resolve(
+        &self,
+        engine: &dyn KnnEngine,
+        k: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Result<f64> {
         match *self {
             ThresholdPolicy::Fixed(t) => {
                 if !t.is_finite() || t <= 0.0 {
@@ -114,17 +136,28 @@ impl ThresholdPolicy {
                         "cannot derive a threshold from an empty dataset".into(),
                     ));
                 }
-                let full = ds.full_space();
+                let available = ds.live_len() - 1;
+                if available < k {
+                    return Err(IndexError::InsufficientPoints { available, k }.into());
+                }
                 // Live rows only: after streaming removals the
                 // tombstoned rows must not contribute sample ODs.
                 let mut ids: Vec<usize> = ds.live_ids().collect();
                 let mut rng = StdRng::seed_from_u64(seed);
                 ids.shuffle(&mut rng);
                 ids.truncate(sample);
-                let ods: Vec<f64> = ids
-                    .iter()
-                    .map(|&id| engine.od(ds.row(id), k, full, Some(id)))
-                    .collect();
+                let ods: Vec<f64> = if engine.search_width().is_none() {
+                    full_space_ods(ds, engine.metric(), k, &ids, threads)?
+                        .ods
+                        .into_iter()
+                        .map(|(_, od)| od)
+                        .collect()
+                } else {
+                    let full = ds.full_space();
+                    parallel_map(&ids, threads, |&id| {
+                        engine.od(ds.row(id), k, full, Some(id))
+                    })
+                };
                 let t = stats::quantile(&ods, q)?;
                 if t <= 0.0 {
                     return Err(HosError::Config(
@@ -175,10 +208,15 @@ mod tests {
     #[test]
     fn fixed_threshold_validation() {
         let e = engine();
-        assert_eq!(ThresholdPolicy::Fixed(2.5).resolve(&e, 3, 0).unwrap(), 2.5);
-        assert!(ThresholdPolicy::Fixed(0.0).resolve(&e, 3, 0).is_err());
-        assert!(ThresholdPolicy::Fixed(-1.0).resolve(&e, 3, 0).is_err());
-        assert!(ThresholdPolicy::Fixed(f64::NAN).resolve(&e, 3, 0).is_err());
+        assert_eq!(
+            ThresholdPolicy::Fixed(2.5).resolve(&e, 3, 0, 1).unwrap(),
+            2.5
+        );
+        assert!(ThresholdPolicy::Fixed(0.0).resolve(&e, 3, 0, 1).is_err());
+        assert!(ThresholdPolicy::Fixed(-1.0).resolve(&e, 3, 0, 1).is_err());
+        assert!(ThresholdPolicy::Fixed(f64::NAN)
+            .resolve(&e, 3, 0, 1)
+            .is_err());
     }
 
     #[test]
@@ -188,7 +226,7 @@ mod tests {
             q: 0.9,
             sample: 100,
         }
-        .resolve(&e, 3, 7)
+        .resolve(&e, 3, 7, 1)
         .unwrap();
         // The far point's full-space OD must exceed the threshold; the
         // cluster core must fall below it.
@@ -203,19 +241,66 @@ mod tests {
     fn quantile_threshold_validation() {
         let e = engine();
         assert!(ThresholdPolicy::FullSpaceQuantile { q: 1.5, sample: 10 }
-            .resolve(&e, 3, 0)
+            .resolve(&e, 3, 0, 1)
             .is_err());
         assert!(ThresholdPolicy::FullSpaceQuantile { q: 0.5, sample: 0 }
-            .resolve(&e, 3, 0)
+            .resolve(&e, 3, 0, 1)
             .is_err());
         let empty = LinearScan::new(Dataset::empty(), Metric::L2);
-        assert!(ThresholdPolicy::default().resolve(&empty, 3, 0).is_err());
+        assert!(ThresholdPolicy::default().resolve(&empty, 3, 0, 1).is_err());
     }
 
     #[test]
     fn quantile_threshold_is_deterministic_per_seed() {
         let e = engine();
         let p = ThresholdPolicy::FullSpaceQuantile { q: 0.8, sample: 20 };
-        assert_eq!(p.resolve(&e, 3, 5).unwrap(), p.resolve(&e, 3, 5).unwrap());
+        assert_eq!(
+            p.resolve(&e, 3, 5, 1).unwrap(),
+            p.resolve(&e, 3, 5, 1).unwrap()
+        );
+    }
+
+    /// A window of `k` or fewer live points cannot give any member a
+    /// self-excluded OD over `k` neighbours: the quantile policy is a
+    /// typed `InsufficientPoints` error on every engine, not a
+    /// threshold summed over `live - 1` neighbours.
+    #[test]
+    fn quantile_threshold_needs_more_than_k_live_points() {
+        use crate::learning::resolve_and_learn;
+        use hos_index::{build_engine_sharded, Engine};
+        let rows = vec![
+            vec![0.0, 0.0],
+            vec![3.0, 1.0],
+            vec![7.5, 2.0],
+            vec![1.0, 9.0],
+            vec![12.0, 4.0],
+        ];
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let policy = ThresholdPolicy::FullSpaceQuantile { q: 0.9, sample: 10 };
+        let short = |e: &HosError| {
+            matches!(
+                e,
+                HosError::Index(IndexError::InsufficientPoints { available: 4, k: 5 })
+            )
+        };
+        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+            for shards in [1, 2] {
+                let e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
+                for threads in [1, 2] {
+                    let got = policy.resolve(e.as_ref(), 5, 0, threads).unwrap_err();
+                    assert!(
+                        short(&got),
+                        "{kind} shards {shards} threads {threads}: {got}"
+                    );
+                    let got = resolve_and_learn(e.as_ref(), 5, policy, 2, 0, threads).unwrap_err();
+                    assert!(
+                        short(&got),
+                        "{kind} shards {shards} threads {threads}: {got}"
+                    );
+                }
+                // k = live - 1 is the boundary that still resolves.
+                assert!(policy.resolve(e.as_ref(), 4, 0, 1).unwrap() > 0.0);
+            }
+        }
     }
 }

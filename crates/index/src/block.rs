@@ -1,10 +1,11 @@
-//! Blocked all-points full-space OD kernel.
+//! Blocked full-space OD kernel over a list of member queries.
 //!
-//! Dataset-wide scans (`hos-core`'s `scan_outliers`, threshold
-//! quantile estimation) need the full-space OD of **every** live point
-//! — `n` independent queries that the per-query engines answer one at
-//! a time, re-striding the row-major matrix and allocating a neighbour
-//! list each. This kernel computes them together, in one of two modes:
+//! Dataset-wide scans (`hos-core`'s `scan_outliers`) need the
+//! full-space OD of **every** live point, and threshold quantile
+//! estimation that of a sample of members — many independent queries
+//! that the per-query engines answer one at a time, re-striding the
+//! row-major matrix and allocating a neighbour list each.
+//! [`full_space_ods`] computes them together, in one of two modes:
 //!
 //! * **Quantized admission** (`L1`/`L2`/`L∞` with sane magnitudes) —
 //!   the half-width companion columns
@@ -30,26 +31,31 @@
 //! Per `(query, point)` pair the fold is `accumulate(acc, |q_j - p_j|)`
 //! over dimensions in ascending order starting from `0.0` — precisely
 //! [`Metric::pre_dist_sub`] on the full space, the op sequence every
-//! engine's scan performs (and every engine is pinned bit-identical to
-//! `LinearScan`). Chunking lanes span points, never dimensions, so
-//! each pair's accumulator sequence is untouched; the quantized path
-//! only *skips* pairs that [`TopK::offer`]'s fast path would provably
-//! reject (`lb > bound()` strict — a pair *at* the bound still folds,
-//! because a smaller id ties into the heap). Selection and summation
+//! exact engine's scan performs (and every exact engine is pinned
+//! bit-identical to `LinearScan`). Chunking lanes span points, never
+//! dimensions, and thread chunks span queries, so each pair's
+//! accumulator sequence is untouched; the quantized path only *skips*
+//! pairs that [`TopK::offer`]'s fast path would provably reject
+//! (`lb > bound()` strict — a pair *at* the bound still folds, because
+//! a smaller id ties into the heap). Selection and summation
 //! go through the shared `(pre, id)` order, so the ODs equal per-point
-//! [`crate::knn::KnnEngine::od`] calls **bit for bit**; the tests here
-//! assert that with `assert_eq!` across metrics and tombstones.
+//! [`crate::knn::KnnEngine::od`] calls on the exact engines **bit for
+//! bit**; the tests here assert that with `assert_eq!` across metrics,
+//! tombstones, query subsets and thread counts. HNSW's ODs are not
+//! pinned here: its candidates may miss a true neighbour, so its ODs
+//! can only over-estimate these.
 //!
 //! # Errors and accounting
 //!
 //! Every ranked OD self-excludes, so fewer than `k` live candidates is
 //! [`IndexError::InsufficientPoints`] — the same typed error the
 //! checked per-point path (`try_od`) returns, instead of silently
-//! understating every OD. [`all_points_full_od_counted`] additionally
-//! reports `distance_evals` (exact pair folds) and `filtered`
-//! (quantized-bound rejects); they always satisfy
-//! `distance_evals + filtered == live * (live - 1)`.
+//! understating every OD. [`BlockedScan`] additionally reports
+//! `distance_evals` (exact pair folds) and `filtered` (quantized-bound
+//! rejects); they always satisfy
+//! `distance_evals + filtered == queries * (live - 1)`.
 
+use crate::batch::parallel_map;
 use crate::error::IndexError;
 use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, QuantizedColumns};
@@ -79,18 +85,18 @@ const QUANT_GUARD_PER_DIM: f64 = 1e-6;
 /// `1e15` fall back to the exact kernel.
 const QUANT_MAX_SCALE: f64 = 1e15;
 
-/// Result of [`all_points_full_od_counted`]: the ranked ODs plus the
-/// kernel's work accounting.
+/// Result of [`full_space_ods`] (and [`all_points_full_od_counted`]):
+/// the ODs plus the kernel's work accounting.
 #[derive(Clone, Debug)]
 pub struct BlockedScan {
-    /// `(id, full-space OD)` per live point, ascending id order.
+    /// `(id, full-space OD)` per query, in query order.
     pub ods: Vec<(PointId, f64)>,
     /// Exact `f64` pair folds performed (live pairs only; the exact
     /// fallback folds every live pair, the quantized path only the
     /// admission survivors).
     pub distance_evals: u64,
     /// Live pairs rejected by the quantized lower bound without an
-    /// exact fold. `distance_evals + filtered == live * (live - 1)`.
+    /// exact fold. `distance_evals + filtered == queries * (live - 1)`.
     pub filtered: u64,
 }
 
@@ -115,28 +121,88 @@ pub fn all_points_full_od(
 }
 
 /// [`all_points_full_od`] with work accounting — see [`BlockedScan`].
+/// Single-threaded: [`full_space_ods`] over every live id.
 pub fn all_points_full_od_counted(
     ds: &Dataset,
     metric: Metric,
     k: usize,
 ) -> Result<BlockedScan, IndexError> {
+    let live: Vec<PointId> = ds.live_ids().collect();
+    full_space_ods(ds, metric, k, &live, 1)
+}
+
+/// Full-space OD of each live member in `queries` (any order, each
+/// self-excluded) against the live dataset, as `(id, od)` pairs in
+/// query order — bit-identical to
+/// `engine.od(ds.row(q), k, full, Some(q))` on any exact engine.
+///
+/// The transposed columns are built once and shared; the queries split
+/// into `threads` contiguous chunks on
+/// [`crate::batch::parallel_map`], each chunk with its own accumulator
+/// rows and [`TopK`]. Every per-query computation is independent of
+/// the chunking, so the result is the same at any thread count.
+///
+/// # Errors
+///
+/// [`IndexError::InsufficientPoints`] when fewer than `k` live
+/// candidates remain after self-exclusion (`available = live - 1`);
+/// [`IndexError::OutOfBounds`] / [`IndexError::DeadPoint`] for a query
+/// id that is not a live member.
+pub fn full_space_ods(
+    ds: &Dataset,
+    metric: Metric,
+    k: usize,
+    queries: &[PointId],
+    threads: usize,
+) -> Result<BlockedScan, IndexError> {
     let available = ds.live_len().saturating_sub(1);
     if available < k {
         return Err(IndexError::InsufficientPoints { available, k });
     }
-    let live: Vec<PointId> = ds.live_ids().collect();
-    if live.is_empty() {
+    for &q in queries {
+        if q >= ds.len() {
+            return Err(IndexError::OutOfBounds {
+                id: q,
+                len: ds.len(),
+            });
+        }
+        if !ds.is_live(q) {
+            return Err(IndexError::DeadPoint(q));
+        }
+    }
+    if queries.is_empty() {
         return Ok(BlockedScan {
             ods: Vec::new(),
             distance_evals: 0,
             filtered: 0,
         });
     }
-    if quantized_admissible(metric, ds) {
-        Ok(scan_quantized(ds, metric, k, &live))
+    let chunks: Vec<&[PointId]> = queries
+        .chunks(queries.len().div_ceil(threads.max(1)))
+        .collect();
+    let parts = if quantized_admissible(metric, ds) {
+        let qcols = ds.to_column_major_f32();
+        let dead: Vec<PointId> = (0..ds.len()).filter(|&i| !ds.is_live(i)).collect();
+        parallel_map(&chunks, threads, |chunk| {
+            scan_quantized(ds, metric, k, &qcols, &dead, chunk)
+        })
     } else {
-        Ok(scan_exact(ds, metric, k, &live))
+        let cols = ds.to_column_major();
+        parallel_map(&chunks, threads, |chunk| {
+            scan_exact(ds, metric, k, &cols, chunk)
+        })
+    };
+    let mut scan = BlockedScan {
+        ods: Vec::with_capacity(queries.len()),
+        distance_evals: 0,
+        filtered: 0,
+    };
+    for part in parts {
+        scan.ods.extend(part.ods);
+        scan.distance_evals += part.distance_evals;
+        scan.filtered += part.filtered;
     }
+    Ok(scan)
 }
 
 /// Whether the quantized admission path is sound for this metric and
@@ -175,15 +241,21 @@ fn quant_guard(d: usize) -> f64 {
     (1.0 - d as f64 * QUANT_GUARD_PER_DIM).max(0.0)
 }
 
-/// Exact blocked kernel: every live pair is folded.
-fn scan_exact(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> BlockedScan {
+/// Exact blocked kernel over one chunk of queries, reading the shared
+/// column-major transpose `cols`: every live pair is folded.
+fn scan_exact(
+    ds: &Dataset,
+    metric: Metric,
+    k: usize,
+    cols: &[f64],
+    queries: &[PointId],
+) -> BlockedScan {
     let n = ds.len();
     let d = ds.dim();
-    let cols = ds.to_column_major();
-    let mut ods = Vec::with_capacity(live.len());
-    let mut acc = vec![0.0f64; BLOCK * n];
+    let mut ods = Vec::with_capacity(queries.len());
+    let mut acc = vec![0.0f64; BLOCK.min(queries.len()) * n];
     let mut top = TopK::new(k);
-    for block in live.chunks(BLOCK) {
+    for block in queries.chunks(BLOCK) {
         let acc = &mut acc[..block.len() * n];
         acc.fill(0.0);
         // Ascending dimensions, exactly the pre_dist_sub fold order.
@@ -206,10 +278,9 @@ fn scan_exact(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> Block
             ods.push((q, od));
         }
     }
-    let live_n = live.len() as u64;
     BlockedScan {
         ods,
-        distance_evals: live_n * (live_n - 1),
+        distance_evals: queries.len() as u64 * (ds.live_len() as u64 - 1),
         filtered: 0,
     }
 }
@@ -275,9 +346,10 @@ fn fold_exact_column(metric: Metric, row: &mut [f64], col: &[f64], qv: f64) {
 /// one rejected chunk retires 16 candidates on a single compare.
 const SWEEP_LANES: usize = 16;
 
-/// Quantized-admission kernel: half-width lower bounds for the whole
-/// block, then per query an exact scalar fold only for candidates the
-/// bound cannot reject.
+/// Quantized-admission kernel over one chunk of queries, reading the
+/// shared `f32` companion columns `qcols` and the tombstoned ids
+/// `dead_ids`: per query, half-width lower bounds for every row, then
+/// an exact scalar fold only for candidates the bound cannot reject.
 ///
 /// The per-query sweep never branches on liveness: tombstoned slots
 /// and the query's own slot are overwritten with `+inf` lower bounds,
@@ -285,13 +357,19 @@ const SWEEP_LANES: usize = 16;
 /// chunked min-tree over the bound row — one compare retires a whole
 /// chunk once the top-k bound has tightened. `filtered` is then the
 /// arithmetic complement `live - 1 - evals` per query.
-fn scan_quantized(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> BlockedScan {
+fn scan_quantized(
+    ds: &Dataset,
+    metric: Metric,
+    k: usize,
+    qcols: &QuantizedColumns,
+    dead_ids: &[PointId],
+    queries: &[PointId],
+) -> BlockedScan {
     let n = ds.len();
     let d = ds.dim();
-    let qcols = ds.to_column_major_f32();
     let guard = quant_guard(d);
-    let dead_ids: Vec<PointId> = (0..n).filter(|&i| !ds.is_live(i)).collect();
-    let mut ods = Vec::with_capacity(live.len());
+    let candidates = ds.live_len() as u64 - 1;
+    let mut ods = Vec::with_capacity(queries.len());
     let mut acc = vec![0.0f32; n];
     let mut top = TopK::new(k);
     let mut evals = 0u64;
@@ -301,10 +379,10 @@ fn scan_quantized(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> B
     // (the exact path's f64 accumulator block is re-streamed once per
     // dimension instead), and the f32 columns are small enough to stay
     // cache-resident across queries.
-    for &q in live {
+    for &q in queries {
         let row = &mut acc[..];
-        fold_quantized_rows(metric, &qcols, n, d, &[q], row);
-        for &i in &dead_ids {
+        fold_quantized_rows(metric, qcols, n, d, &[q], row);
+        for &i in dead_ids {
             row[i] = f32::INFINITY;
         }
         row[q] = f32::INFINITY;
@@ -370,7 +448,7 @@ fn scan_quantized(ds: &Dataset, metric: Metric, k: usize, live: &[PointId]) -> B
         let od: f64 = top.sorted().iter().map(|c| metric.finish(c.pre)).sum();
         ods.push((q, od));
         evals += q_evals;
-        filtered += (live.len() - 1) as u64 - q_evals;
+        filtered += candidates - q_evals;
     }
     BlockedScan {
         ods,
@@ -462,6 +540,7 @@ mod tests {
     use crate::sharded::build_engine_sharded;
     use hos_data::Subspace;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn dataset(n: usize, d: usize, seed: u64) -> Dataset {
@@ -602,6 +681,138 @@ mod tests {
             // Counting never changes the answer.
             assert_eq!(scan.ods, all_points_full_od(&ds, metric, 4).unwrap());
         }
+    }
+
+    /// The single-threaded all-points entry point is the `(&live, 1)`
+    /// call. Its answers and accounting are pinned to fixed values, so
+    /// any change to what scans rank and report shows here
+    /// (`fingerprint` folds every `(id, od)` bit pattern in order).
+    #[test]
+    fn all_points_counted_is_the_live_single_thread_call() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let flat: Vec<f64> = (0..90 * 3)
+            .map(|i| {
+                let base = if (i / 3) < 45 { 0.0 } else { 1000.0 };
+                base + rng.gen_range(0..100) as f64 * 0.01
+            })
+            .collect();
+        let mut ds = Dataset::from_flat(flat, 3).unwrap();
+        ds.remove_row(7).unwrap();
+        let live: Vec<PointId> = ds.live_ids().collect();
+        let pinned = [
+            (Metric::L1, 2536, 5296, 0xad5f_2879_6938_3277u64),
+            (Metric::L2, 2515, 5317, 0x9062_29c7_4055_d347),
+            (Metric::LInf, 2576, 5256, 0x688f_37cb_ebc3_21d5),
+            (Metric::Lp(3.0), 7832, 0, 0x8224_e8ff_c37e_2a5b),
+        ];
+        for (metric, evals, filtered, fingerprint) in pinned {
+            let scan = all_points_full_od_counted(&ds, metric, 4).unwrap();
+            let got = scan.ods.iter().fold(0u64, |h, &(i, od)| {
+                h.rotate_left(5) ^ od.to_bits() ^ i as u64
+            });
+            assert_eq!(
+                (scan.distance_evals, scan.filtered, got),
+                (evals, filtered, fingerprint),
+                "{metric:?}"
+            );
+            let direct = full_space_ods(&ds, metric, 4, &live, 1).unwrap();
+            assert_eq!(scan.ods, direct.ods, "{metric:?}");
+        }
+    }
+
+    /// Any subset of live ids, in any order and at any thread count:
+    /// the ODs equal per-point engine queries bit for bit, come back in
+    /// query order, and the accounting covers every (query, live
+    /// candidate) pair — identically at every thread count, since each
+    /// query's admission is independent of how the list is chunked.
+    #[test]
+    fn subset_queries_bit_identical_to_engine_ods_at_any_thread_count() {
+        let tombstones = [3usize, 20, 41, 58, 74];
+        let mut grid = dataset(75, 4, 6);
+        // Column 0 scaled past QUANT_MAX_SCALE: L2 must fall back to
+        // the exact kernel.
+        let mut huge = Dataset::from_rows(
+            &(0..75)
+                .map(|i| {
+                    let mut r = grid.row(i).to_vec();
+                    r[0] *= 1e16;
+                    r
+                })
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for &id in &tombstones {
+            grid.remove_row(id).unwrap();
+            huge.remove_row(id).unwrap();
+        }
+        assert!(quantized_lower_bounds(&huge, Metric::L2, 0).is_none());
+        let cases = [
+            (&grid, Metric::L1),
+            (&grid, Metric::L2),
+            (&grid, Metric::LInf),
+            (&grid, Metric::Lp(3.0)),
+            (&huge, Metric::L2),
+        ];
+        let k = 5;
+        let mut rng = StdRng::seed_from_u64(17);
+        for (ds, metric) in cases {
+            let full = Subspace::full(4);
+            let live = ds.live_len() as u64;
+            let engines = [
+                build_engine(Engine::Linear, ds.clone(), metric),
+                build_engine(Engine::XTree, ds.clone(), metric),
+                build_engine_sharded(Engine::Linear, ds.clone(), metric, 3, 2),
+            ];
+            for size in [31usize, 32, 33, 70] {
+                let mut ids: Vec<PointId> = ds.live_ids().collect();
+                ids.shuffle(&mut rng);
+                ids.truncate(size);
+                let serial = full_space_ods(ds, metric, k, &ids, 1).unwrap();
+                for threads in [1usize, 2, 3, 7] {
+                    let scan = full_space_ods(ds, metric, k, &ids, threads).unwrap();
+                    let order: Vec<PointId> = scan.ods.iter().map(|&(i, _)| i).collect();
+                    assert_eq!(order, ids, "{metric:?} size {size} threads {threads}");
+                    for &(i, od) in &scan.ods {
+                        for engine in &engines {
+                            let want = engine.od(ds.row(i), k, full, Some(i));
+                            assert_eq!(
+                                od.to_bits(),
+                                want.to_bits(),
+                                "{metric:?} size {size} threads {threads} point {i}"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        scan.distance_evals + scan.filtered,
+                        size as u64 * (live - 1),
+                        "{metric:?} size {size} threads {threads}"
+                    );
+                    assert_eq!(
+                        (scan.distance_evals, scan.filtered),
+                        (serial.distance_evals, serial.filtered),
+                        "{metric:?} size {size} threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Query ids must be live members; an empty list is no work.
+    #[test]
+    fn subset_queries_reject_non_members() {
+        let mut ds = dataset(20, 2, 8);
+        ds.remove_row(4).unwrap();
+        assert_eq!(
+            full_space_ods(&ds, Metric::L2, 3, &[1, 4], 2).unwrap_err(),
+            IndexError::DeadPoint(4)
+        );
+        assert_eq!(
+            full_space_ods(&ds, Metric::L2, 3, &[20], 1).unwrap_err(),
+            IndexError::OutOfBounds { id: 20, len: 20 }
+        );
+        let none = full_space_ods(&ds, Metric::L2, 3, &[], 4).unwrap();
+        assert!(none.ods.is_empty());
+        assert_eq!((none.distance_evals, none.filtered), (0, 0));
     }
 
     /// The public bound API: conservative against the exact pre-fold

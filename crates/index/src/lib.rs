@@ -28,8 +28,9 @@
 //!   [`evaluator::OdEvaluator`] per `(engine, query)` pair builds the
 //!   context on its first OD call and owns the walker traversal; every
 //!   search layer streams subspaces at it.
-//! * [`block`] — the blocked all-points full-space OD kernel behind
-//!   dataset-wide scans: SoA layout, reused selection heaps, and a
+//! * [`block`] — the blocked full-space OD kernel behind dataset-wide
+//!   scans and threshold resolution, fanned over threads by query
+//!   chunk: SoA layout, reused selection heaps, and a
 //!   quantized `f32` admission filter that rejects provably-losing
 //!   pairs before any exact fold — bit-identical to per-point engine
 //!   queries, with typed errors and eval/filter accounting.
@@ -65,7 +66,8 @@ pub mod walker;
 pub mod xtree;
 
 pub use block::{
-    all_points_full_od, all_points_full_od_counted, quantized_lower_bounds, BlockedScan,
+    all_points_full_od, all_points_full_od_counted, full_space_ods, quantized_lower_bounds,
+    BlockedScan,
 };
 pub use context::QueryContext;
 pub use error::IndexError;
