@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::stream::{StreamEvent, StreamState};
-use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
+use hos_core::{HosMiner, HosMinerConfig, QueryOutcome, QuerySpec, ThresholdPolicy};
 use hos_data::csv::{read_csv_path, write_csv_path, CsvOptions};
 use hos_data::normalize::{normalize, NormKind, Normalizer};
 use hos_data::synth::planted::{generate, PlantedSpec};
@@ -398,16 +398,6 @@ fn cmd_query(args: &Args) -> CmdResult {
         }
     };
     let raw = load(args)?;
-    // Bounds-check batch ids as soon as the dataset size is known,
-    // still ahead of the expensive fit.
-    if let Some(ids) = &batch_ids {
-        if let Some(&bad) = ids.iter().find(|&&id| id >= raw.len()) {
-            return Err(format!(
-                "point id {bad} out of bounds for dataset of {} points",
-                raw.len()
-            ));
-        }
-    }
     let (ds, norm) = parse_normalizer(args, &raw)?;
     let miner = build_miner(args, ds)?;
     if let Some(ids) = batch_ids {
@@ -453,9 +443,11 @@ fn cmd_query(args: &Args) -> CmdResult {
 }
 
 /// Multi-query front-end: `query --ids 3,17,256` runs every search in
-/// one batch, parallelised across the miner's configured threads.
+/// one [`HosMiner::query_each`] batch, parallelised across the miner's
+/// configured threads. Nothing prints unless every id is valid: the
+/// first invalid id fails the command with the error `--id` gives.
 fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult {
-    let outcomes = miner.query_ids(ids).map_err(|e| e.to_string())?;
+    let outcomes = query_members(miner, ids)?;
     let mut outliers = 0usize;
     for (id, out) in ids.iter().zip(&outcomes) {
         println!("--- point #{id} ---");
@@ -478,6 +470,17 @@ fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult 
         outcomes.iter().map(|o| o.stats.od_evals).sum::<u64>()
     );
     Ok(())
+}
+
+/// Answers member queries through [`HosMiner::query_each`], failing
+/// with the first error in input order.
+fn query_members(miner: &HosMiner, ids: &[usize]) -> Result<Vec<QueryOutcome>, String> {
+    let specs: Vec<QuerySpec> = ids.iter().map(|&id| QuerySpec::Member(id)).collect();
+    miner
+        .query_each(&specs)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_scan(args: &Args) -> CmdResult {
@@ -790,7 +793,7 @@ fn cmd_bench(args: &Args) -> CmdResult {
     let n = miner.engine().dataset().len();
     let ids: Vec<usize> = (0..n_queries).map(|i| i * n / n_queries).collect();
     let query_start = std::time::Instant::now();
-    let outcomes = miner.query_ids(&ids).map_err(|e| e.to_string())?;
+    let outcomes = query_members(&miner, &ids)?;
     let query_seconds = query_start.elapsed().as_secs_f64();
 
     let od_evals: u64 = outcomes.iter().map(|o| o.stats.od_evals).sum();
@@ -1245,9 +1248,7 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
                             } else {
                                 let id = (c * 97 + i * 13) % n;
                                 (
-                                    hos_serve::ApiRequest::Query(vec![
-                                        hos_core::QuerySpec::Member(id),
-                                    ]),
+                                    hos_serve::ApiRequest::Query(vec![QuerySpec::Member(id)]),
                                     false,
                                 )
                             };
@@ -1393,9 +1394,7 @@ fn cmd_probe(args: &Args) -> CmdResult {
         .ok_or_else(|| format!("{addr}: stats reply lacks version"))?;
     let mut queried = 0usize;
     if live > 0 {
-        let reply = walk(&hos_serve::ApiRequest::Query(vec![
-            hos_core::QuerySpec::Member(0),
-        ]))?;
+        let reply = walk(&hos_serve::ApiRequest::Query(vec![QuerySpec::Member(0)]))?;
         queried = reply
             .get("results")
             .and_then(|r| r.as_array().map(<[hos_serve::Json]>::len))

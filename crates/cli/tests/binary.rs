@@ -171,6 +171,41 @@ fn batch_query_reports_each_point_and_totals() {
 }
 
 #[test]
+fn ids_flag_fails_on_any_invalid_id_like_id_flag() {
+    let csv = tmp("ids_invalid.csv");
+    let csv_s = csv.to_str().unwrap();
+    assert!(
+        run(&["generate", "--out", csv_s, "--n", "120", "--d", "4", "--seed", "9"])
+            .status
+            .success()
+    );
+    let single = run(&["query", "--data", csv_s, "--id", "5000", "--samples", "0"]);
+    assert!(!single.status.success());
+    let want = String::from_utf8_lossy(&single.stderr).into_owned();
+    assert!(want.contains("point id 5000 out of bounds"), "{want}");
+    // The invalid id first, in the middle, last, and ahead of a second
+    // invalid one: the command fails with `--id`'s message for the
+    // first invalid id and prints no outcome.
+    for ids in ["5000,0,1", "0,5000,1", "0,1,5000", "0,5000,7000"] {
+        let out = run(&[
+            "query",
+            "--data",
+            csv_s,
+            "--ids",
+            ids,
+            "--samples",
+            "0",
+            "--threads",
+            "2",
+        ]);
+        assert!(!out.status.success(), "--ids {ids} succeeded");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "--ids {ids}");
+        assert!(out.stdout.is_empty(), "--ids {ids} printed output");
+    }
+    std::fs::remove_file(csv).ok();
+}
+
+#[test]
 fn threads_flag_on_query_fit_and_bench() {
     let csv = tmp("threads.csv");
     let csv_s = csv.to_str().unwrap();

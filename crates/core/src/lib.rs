@@ -14,15 +14,13 @@
 //! * [`search`] — the dynamic subspace search of §3.3: evaluate the
 //!   lattice level with the highest Total Saving Factor, prune up and
 //!   down after every evaluation, repeat until the lattice closes.
-//! * [`batch`] — the parallel multi-query front-end: many independent
-//!   dynamic searches fanned out across threads, bit-reproducibly.
 //! * [`learning`] — the sampling-based learning process of §3.2.
 //! * [`filter`] — the result-refinement filter of §3.4 (keep only
 //!   minimal outlying subspaces).
 //! * [`miner`] — the `HosMiner` facade tying indexing, learning,
-//!   search and filtering together.
+//!   search and filtering together; `HosMiner::query_each` fans many
+//!   independent queries out across threads, bit-reproducibly.
 
-pub mod batch;
 pub mod error;
 pub mod explain;
 pub mod filter;
@@ -35,7 +33,6 @@ pub mod priors;
 pub mod scan;
 pub mod search;
 
-pub use batch::{batch_search, BatchQuery};
 pub use error::HosError;
 pub use explain::{explain, Explanation};
 pub use filter::minimal_subspaces;

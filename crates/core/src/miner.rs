@@ -5,7 +5,6 @@
 //! learning — and `query_*` runs the dynamic subspace search followed
 //! by the refinement filter.
 
-use crate::batch::{batch_search, BatchQuery};
 use crate::error::HosError;
 use crate::filter::minimal_subspaces;
 use crate::learning::LearnedModel;
@@ -13,6 +12,7 @@ use crate::od::ThresholdPolicy;
 use crate::search::{dynamic_search, ScoredSubspace, SearchOutcome, SearchStats};
 use crate::Result;
 use hos_data::{Dataset, Metric, PointId, Subspace};
+use hos_index::batch::parallel_map;
 use hos_index::{build_engine_sharded, Engine, IndexError, KnnEngine};
 
 /// Configuration of a HOS-Miner instance.
@@ -80,6 +80,43 @@ impl Default for HosMinerConfig {
 /// large enough for a stable mean recall, small enough that fitting
 /// stays cheap (each probe is `sample` queries per ladder step).
 const RECALL_CALIBRATION_SAMPLE: usize = 16;
+
+/// The invariants of every miner, checked by both [`HosMiner::fit`]
+/// and [`HosMiner::from_parts`] before any index is built: a failure
+/// here is a typed `Config` error, never a panic on the first query or
+/// an unsound prune.
+fn validate_config(dataset: &Dataset, config: &HosMinerConfig) -> Result<()> {
+    if config.k == 0 {
+        return Err(HosError::Config("k must be positive".into()));
+    }
+    if dataset.is_empty() {
+        return Err(HosError::Config("dataset must be non-empty".into()));
+    }
+    if dataset.len() <= config.k {
+        return Err(HosError::Config(format!(
+            "dataset has {} points; need more than k = {} for self-excluded k-NN",
+            dataset.len(),
+            config.k
+        )));
+    }
+    if !config.metric.is_projection_monotone() {
+        return Err(HosError::Config(format!(
+            "metric {:?} is not projection monotone; pruning would be unsound",
+            config.metric
+        )));
+    }
+    let d = dataset.dim();
+    if d > hos_lattice::lattice::MAX_LATTICE_DIM {
+        return Err(HosError::Config(format!(
+            "dimensionality {d} exceeds the dynamic-search limit {}",
+            hos_lattice::lattice::MAX_LATTICE_DIM
+        )));
+    }
+    if config.shards == 0 {
+        return Err(HosError::Config("shards must be positive".into()));
+    }
+    Ok(())
+}
 
 /// Applies the config's search-width knobs to a freshly built engine:
 /// `ef` first (the starting width), then recall calibration when a
@@ -186,35 +223,7 @@ impl HosMiner {
     /// Builds the index, resolves the threshold and runs the learning
     /// process over `dataset`.
     pub fn fit(dataset: Dataset, config: HosMinerConfig) -> Result<Self> {
-        if config.k == 0 {
-            return Err(HosError::Config("k must be positive".into()));
-        }
-        if dataset.is_empty() {
-            return Err(HosError::Config("dataset must be non-empty".into()));
-        }
-        if dataset.len() <= config.k {
-            return Err(HosError::Config(format!(
-                "dataset has {} points; need more than k = {} for self-excluded k-NN",
-                dataset.len(),
-                config.k
-            )));
-        }
-        if !config.metric.is_projection_monotone() {
-            return Err(HosError::Config(format!(
-                "metric {:?} is not projection monotone; pruning would be unsound",
-                config.metric
-            )));
-        }
-        let d = dataset.dim();
-        if d > hos_lattice::lattice::MAX_LATTICE_DIM {
-            return Err(HosError::Config(format!(
-                "dimensionality {d} exceeds the dynamic-search limit {}",
-                hos_lattice::lattice::MAX_LATTICE_DIM
-            )));
-        }
-        if config.shards == 0 {
-            return Err(HosError::Config("shards must be positive".into()));
-        }
+        validate_config(&dataset, &config)?;
         let engine = build_engine_sharded(
             config.engine,
             dataset,
@@ -252,16 +261,7 @@ impl HosMiner {
         config: HosMinerConfig,
         model: LearnedModel,
     ) -> Result<Self> {
-        if config.k == 0 {
-            return Err(HosError::Config("k must be positive".into()));
-        }
-        if dataset.is_empty() || dataset.len() <= config.k {
-            return Err(HosError::Config(format!(
-                "dataset has {} points; need more than k = {}",
-                dataset.len(),
-                config.k
-            )));
-        }
+        validate_config(&dataset, &config)?;
         if model.priors.dim() != dataset.dim() {
             return Err(HosError::Config(format!(
                 "priors cover {} dimensions, dataset has {}",
@@ -274,9 +274,6 @@ impl HosMiner {
                 "threshold {} must be positive and finite",
                 model.threshold
             )));
-        }
-        if config.shards == 0 {
-            return Err(HosError::Config("shards must be positive".into()));
         }
         let engine = build_engine_sharded(
             config.engine,
@@ -294,9 +291,9 @@ impl HosMiner {
     }
 
     /// Sets the worker-thread count for subsequent queries (per-level
-    /// OD batches, the batch front-ends, and the engine's own
-    /// intra-query fan-out when it has one — the sharded engine
-    /// does). Used by callers that assemble a miner from a saved
+    /// OD batches, the [`HosMiner::query_each`] fan-out, and the
+    /// engine's own intra-query fan-out when it has one — the sharded
+    /// engine does). Used by callers that assemble a miner from a saved
     /// model, where the persisted file carries no machine-specific
     /// parallelism setting.
     pub fn set_threads(&mut self, threads: usize) {
@@ -404,189 +401,89 @@ impl HosMiner {
         Ok(())
     }
 
-    /// Validates a member-query id: in bounds and live.
-    fn ensure_member(&self, id: PointId) -> Result<()> {
+    /// The one query validator behind [`HosMiner::query_id`],
+    /// [`HosMiner::query_point`] and [`HosMiner::query_each`]: a member
+    /// must be in bounds and live, a point must have the dataset's
+    /// arity and finite coordinates, and enough live candidates must
+    /// remain for `k`. Returns the query coordinates and the id to
+    /// exclude from its own neighbourhoods.
+    fn validate<'a>(&'a self, spec: &'a QuerySpec) -> Result<(&'a [f64], Option<PointId>)> {
         let ds = self.engine.dataset();
-        if id >= ds.len() {
-            return Err(HosError::Query(format!(
-                "point id {id} out of bounds for dataset of {} points",
-                ds.len()
-            )));
-        }
-        if !ds.is_live(id) {
-            return Err(HosError::Index(IndexError::DeadPoint(id)));
-        }
-        Ok(())
+        let (point, exclude) = match spec {
+            QuerySpec::Member(id) => {
+                let id = *id;
+                if id >= ds.len() {
+                    return Err(HosError::Query(format!(
+                        "point id {id} out of bounds for dataset of {} points",
+                        ds.len()
+                    )));
+                }
+                if !ds.is_live(id) {
+                    return Err(HosError::Index(IndexError::DeadPoint(id)));
+                }
+                (ds.row(id), Some(id))
+            }
+            QuerySpec::Point(p) => {
+                if p.len() != ds.dim() {
+                    return Err(HosError::Query(format!(
+                        "query has {} coordinates, dataset has {} dimensions",
+                        p.len(),
+                        ds.dim()
+                    )));
+                }
+                if p.iter().any(|v| !v.is_finite()) {
+                    return Err(HosError::Query("query contains non-finite values".into()));
+                }
+                (p.as_slice(), None)
+            }
+        };
+        self.ensure_enough_live(exclude.is_some())?;
+        Ok((point, exclude))
+    }
+
+    /// Validates `spec`, then runs its dynamic search (with `threads`
+    /// workers per lattice level) and the refinement filter.
+    fn run(&self, spec: &QuerySpec, threads: usize) -> Result<QueryOutcome> {
+        let (point, exclude) = self.validate(spec)?;
+        Ok(QueryOutcome::from_search(dynamic_search(
+            self.engine.as_ref(),
+            point,
+            exclude,
+            self.config.k,
+            self.model.threshold,
+            &self.model.priors,
+            threads,
+        )))
     }
 
     /// Finds the outlying subspaces of an arbitrary query point.
     pub fn query_point(&self, query: &[f64]) -> Result<QueryOutcome> {
-        let d = self.engine.dataset().dim();
-        if query.len() != d {
-            return Err(HosError::Query(format!(
-                "query has {} coordinates, dataset has {d} dimensions",
-                query.len()
-            )));
-        }
-        if query.iter().any(|v| !v.is_finite()) {
-            return Err(HosError::Query("query contains non-finite values".into()));
-        }
-        self.ensure_enough_live(false)?;
-        Ok(QueryOutcome::from_search(dynamic_search(
-            self.engine.as_ref(),
-            query,
-            None,
-            self.config.k,
-            self.model.threshold,
-            &self.model.priors,
-            self.config.threads,
-        )))
+        self.run(&QuerySpec::Point(query.to_vec()), self.config.threads)
     }
 
     /// Finds the outlying subspaces of dataset member `id` (excluded
     /// from its own neighbourhoods).
     pub fn query_id(&self, id: PointId) -> Result<QueryOutcome> {
-        self.ensure_member(id)?;
-        self.ensure_enough_live(true)?;
-        let row: Vec<f64> = self.engine.dataset().row(id).to_vec();
-        Ok(QueryOutcome::from_search(dynamic_search(
-            self.engine.as_ref(),
-            &row,
-            Some(id),
-            self.config.k,
-            self.model.threshold,
-            &self.model.priors,
-            self.config.threads,
-        )))
+        self.run(&QuerySpec::Member(id), self.config.threads)
     }
 
-    /// Finds the outlying subspaces of many dataset members at once,
-    /// fanned out across `config.threads` workers. Results are in
-    /// input order and identical to calling [`HosMiner::query_id`]
-    /// per id (up to wall-clock stats); all ids are validated before
-    /// any search runs.
-    pub fn query_ids(&self, ids: &[PointId]) -> Result<Vec<QueryOutcome>> {
-        for &id in ids {
-            self.ensure_member(id)?;
-        }
-        if !ids.is_empty() {
-            self.ensure_enough_live(true)?;
-        }
-        let ds = self.engine.dataset();
-        let queries: Vec<BatchQuery<'_>> = ids
-            .iter()
-            .map(|&id| BatchQuery {
-                point: ds.row(id),
-                exclude: Some(id),
-            })
-            .collect();
-        Ok(self.run_batch(&queries))
-    }
-
-    /// Finds the outlying subspaces of many arbitrary query points at
-    /// once, fanned out across `config.threads` workers. Results are
-    /// in input order; all points are validated before any search
-    /// runs.
-    pub fn query_points(&self, points: &[Vec<f64>]) -> Result<Vec<QueryOutcome>> {
-        let d = self.engine.dataset().dim();
-        for (i, p) in points.iter().enumerate() {
-            if p.len() != d {
-                return Err(HosError::Query(format!(
-                    "query {i} has {} coordinates, dataset has {d} dimensions",
-                    p.len()
-                )));
-            }
-            if p.iter().any(|v| !v.is_finite()) {
-                return Err(HosError::Query(format!(
-                    "query {i} contains non-finite values"
-                )));
-            }
-        }
-        if !points.is_empty() {
-            self.ensure_enough_live(false)?;
-        }
-        let queries: Vec<BatchQuery<'_>> = points
-            .iter()
-            .map(|p| BatchQuery {
-                point: p,
-                exclude: None,
-            })
-            .collect();
-        Ok(self.run_batch(&queries))
-    }
-
-    /// Evaluates a **mixed** batch of member/point queries with
-    /// per-item error reporting: every spec is validated
-    /// independently, the valid ones run through one
-    /// [`batch_search`] fan-out (across `config.threads` pooled
-    /// workers), and each slot gets either its outcome or the same
-    /// typed error the corresponding [`HosMiner::query_id`] /
-    /// [`HosMiner::query_point`] call would return.
+    /// Answers many member/point queries at once with per-item error
+    /// reporting: the specs are fanned out across `config.threads`
+    /// pooled workers, each validated and searched on its own (with
+    /// per-level parallelism off, so cross-query parallelism does not
+    /// oversubscribe the cores), and each slot gets either its outcome
+    /// or the same typed error the corresponding
+    /// [`HosMiner::query_id`] / [`HosMiner::query_point`] call would
+    /// return. Results are in input order.
     ///
-    /// This is the serving seam: an admission batcher coalesces
-    /// concurrent requests into one `query_each` call, and because
+    /// This is the one batch path: the CLI's `query --ids` and the
+    /// serving layer's admission batcher both call it. Because
     /// `dynamic_search` is deterministic and the fan-out preserves
-    /// input order, every outcome is **bit-identical** to running
-    /// that query alone — one slow or invalid request can neither
-    /// change nor fail its batch-mates.
+    /// input order, every outcome is **bit-identical** to running that
+    /// query alone at any thread count — one slow or invalid request
+    /// can neither change nor fail its batch-mates.
     pub fn query_each(&self, specs: &[QuerySpec]) -> Vec<Result<QueryOutcome>> {
-        let ds = self.engine.dataset();
-        let d = ds.dim();
-        let validated: Vec<Result<()>> = specs
-            .iter()
-            .map(|spec| match spec {
-                QuerySpec::Member(id) => {
-                    self.ensure_member(*id)?;
-                    self.ensure_enough_live(true)
-                }
-                QuerySpec::Point(p) => {
-                    if p.len() != d {
-                        return Err(HosError::Query(format!(
-                            "query has {} coordinates, dataset has {d} dimensions",
-                            p.len()
-                        )));
-                    }
-                    if p.iter().any(|v| !v.is_finite()) {
-                        return Err(HosError::Query("query contains non-finite values".into()));
-                    }
-                    self.ensure_enough_live(false)
-                }
-            })
-            .collect();
-        let queries: Vec<BatchQuery<'_>> = specs
-            .iter()
-            .zip(&validated)
-            .filter(|(_, v)| v.is_ok())
-            .map(|(spec, _)| match spec {
-                QuerySpec::Member(id) => BatchQuery {
-                    point: ds.row(*id),
-                    exclude: Some(*id),
-                },
-                QuerySpec::Point(p) => BatchQuery {
-                    point: p,
-                    exclude: None,
-                },
-            })
-            .collect();
-        let mut outcomes = self.run_batch(&queries).into_iter();
-        validated
-            .into_iter()
-            .map(|v| v.map(|()| outcomes.next().expect("one outcome per valid spec")))
-            .collect()
-    }
-
-    fn run_batch(&self, queries: &[BatchQuery<'_>]) -> Vec<QueryOutcome> {
-        batch_search(
-            self.engine.as_ref(),
-            queries,
-            self.config.k,
-            self.model.threshold,
-            &self.model.priors,
-            self.config.threads,
-        )
-        .into_iter()
-        .map(QueryOutcome::from_search)
-        .collect()
+        parallel_map(specs, self.config.threads, |spec| self.run(spec, 1))
     }
 }
 
@@ -776,34 +673,42 @@ mod tests {
     }
 
     #[test]
-    fn query_ids_matches_individual_queries() {
+    fn query_each_members_match_individual_queries() {
         let (miner, truth) = fitted(Engine::Linear);
         let ids: Vec<PointId> = truth.iter().map(|(id, _)| *id).chain(0..6).collect();
-        let batch = miner.query_ids(&ids).unwrap();
+        let specs: Vec<QuerySpec> = ids.iter().map(|&id| QuerySpec::Member(id)).collect();
+        let batch = miner.query_each(&specs);
         assert_eq!(batch.len(), ids.len());
         for (&id, got) in ids.iter().zip(&batch) {
+            let got = got.as_ref().unwrap();
             let solo = miner.query_id(id).unwrap();
             assert_eq!(got.outlying, solo.outlying, "point {id}");
             assert_eq!(got.minimal, solo.minimal, "point {id}");
             assert_eq!(got.stats.od_evals, solo.stats.od_evals, "point {id}");
         }
-        assert!(miner.query_ids(&[0, 10_000]).is_err());
-        assert!(miner.query_ids(&[]).unwrap().is_empty());
+        let mixed = miner.query_each(&[QuerySpec::Member(0), QuerySpec::Member(10_000)]);
+        assert!(mixed[0].is_ok() && mixed[1].is_err());
+        assert!(miner.query_each(&[]).is_empty());
     }
 
     #[test]
-    fn query_points_matches_individual_queries() {
+    fn query_each_points_match_individual_queries() {
         let (miner, _) = fitted(Engine::Linear);
-        let points = vec![vec![1e4; 5], vec![0.0; 5]];
-        let batch = miner.query_points(&points).unwrap();
+        let points = [vec![1e4; 5], vec![0.0; 5]];
+        let specs: Vec<QuerySpec> = points.iter().cloned().map(QuerySpec::Point).collect();
+        let batch = miner.query_each(&specs);
         for (p, got) in points.iter().zip(&batch) {
+            let got = got.as_ref().unwrap();
             let solo = miner.query_point(p).unwrap();
             assert_eq!(got.outlying, solo.outlying);
             assert_eq!(got.minimal, solo.minimal);
         }
-        // Validation happens before any search.
-        assert!(miner.query_points(&[vec![0.0; 5], vec![1.0]]).is_err());
-        assert!(miner.query_points(&[vec![f64::NAN; 5]]).is_err());
+        let bad = miner.query_each(&[
+            QuerySpec::Point(vec![0.0; 5]),
+            QuerySpec::Point(vec![1.0]),
+            QuerySpec::Point(vec![f64::NAN; 5]),
+        ]);
+        assert!(bad[0].is_ok() && bad[1].is_err() && bad[2].is_err());
     }
 
     #[test]
@@ -943,10 +848,12 @@ mod tests {
                 k: 4
             }))
         ));
-        assert!(matches!(
-            miner.query_ids(&[7, 8]),
-            Err(HosError::Index(IndexError::InsufficientPoints { .. }))
-        ));
+        for result in miner.query_each(&[QuerySpec::Member(7), QuerySpec::Member(8)]) {
+            assert!(matches!(
+                result,
+                Err(HosError::Index(IndexError::InsufficientPoints { .. }))
+            ));
+        }
         // An external point still has 4 candidates — exactly k — so it
         // remains answerable…
         assert!(miner.query_point(&[0.0, 0.0]).is_ok());
@@ -960,8 +867,8 @@ mod tests {
             }))
         ));
         assert!(matches!(
-            miner.query_points(&[vec![0.0, 0.0]]),
-            Err(HosError::Index(IndexError::InsufficientPoints { .. }))
+            &miner.query_each(&[QuerySpec::Point(vec![0.0, 0.0])])[..],
+            [Err(HosError::Index(IndexError::InsufficientPoints { .. }))]
         ));
         assert!(matches!(
             miner.reestimate_threshold(),

@@ -332,6 +332,38 @@ mod tests {
         assert!(m.into_miner(other).is_err());
     }
 
+    /// `from_parts` holds the invariants `fit` does: a model file that
+    /// parses must still be refused at load time when its metric would
+    /// prune unsoundly or its dataset is too wide for the lattice.
+    #[test]
+    fn loaded_models_keep_the_fit_invariants() {
+        let text = |metric: &str, d: usize| {
+            ModelFile {
+                k: 2,
+                metric: Metric::L2,
+                engine: Engine::Linear,
+                threshold: 1.0,
+                priors: Priors::uniform(d),
+                samples: 0,
+            }
+            .to_text()
+            .replace("metric L2", &format!("metric {metric}"))
+        };
+        let cases = [
+            ("L0.5", 3, "not projection monotone"),
+            ("LNaN", 3, "not projection monotone"),
+            ("L2", 27, "exceeds the dynamic-search limit 26"),
+        ];
+        for (metric, d, want) in cases {
+            let model = ModelFile::from_text(&text(metric, d)).unwrap();
+            match model.into_miner(uniform(20, d, 0.0, 1.0, 1).unwrap()) {
+                Err(HosError::Config(msg)) => assert!(msg.contains(want), "{metric} d={d}: {msg}"),
+                Err(e) => panic!("{metric} d={d}: expected a config error, got {e}"),
+                Ok(_) => panic!("{metric} d={d}: loaded"),
+            }
+        }
+    }
+
     #[test]
     fn metric_names_roundtrip() {
         for metric in [Metric::L1, Metric::L2, Metric::LInf, Metric::Lp(3.0)] {

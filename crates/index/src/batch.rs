@@ -1,60 +1,14 @@
-//! Multi-threaded batch OD evaluation.
+//! Order-preserving fan-out over the persistent [`crate::pool`].
 //!
-//! The dynamic subspace search evaluates OD for a whole *level* of the
-//! lattice at a time (all unpruned subspaces with the same
-//! dimensionality), which parallelises embarrassingly: each subspace's
-//! k-NN query is independent. The subspace list is split into
-//! `threads` chunks executed on the persistent [`crate::pool`] worker
-//! pool — threads are spawned once per process and reused across
-//! every call, so a resident server pays no spawn/join latency per
+//! Every parallel region in the system — per-level OD batches in the
+//! evaluator, per-shard walks, threshold resolution and
+//! `HosMiner::query_each` across queries — splits its items into
+//! `threads` static chunks and runs them on the pooled workers:
+//! threads are spawned once per process and reused across every
+//! call, so a resident server pays no spawn/join latency per
 //! admission batch.
 
-use crate::context::QueryContext;
-use crate::knn::KnnEngine;
 use crate::pool::run_scoped;
-use hos_data::{PointId, Subspace};
-
-/// Evaluates `OD(query, s)` for every subspace in `subspaces`,
-/// returning results in input order.
-///
-/// A thin convenience wrapper over the [`crate::evaluator`] seam: one
-/// throwaway [`crate::evaluator::OdEvaluator`] evaluates the batch, so
-/// context handling lives in exactly one place. When the engine
-/// provides a [`QueryContext`] (linear scan does), the pre-distance
-/// matrix is computed once and every subspace OD becomes a walk over
-/// cached columns; otherwise each OD is an independent engine query.
-/// Callers that evaluate several batches for the *same* query point —
-/// level-by-level searches do — should hold one
-/// [`KnnEngine::evaluator`] and call `od_batch` on it per level
-/// instead, so one build serves every batch.
-///
-/// `threads == 1` (or a single subspace) short-circuits to a serial
-/// loop, where thread spawn overhead would dominate small batches.
-pub fn batch_od(
-    engine: &dyn KnnEngine,
-    query: &[f64],
-    k: usize,
-    subspaces: &[Subspace],
-    exclude: Option<PointId>,
-    threads: usize,
-) -> Vec<f64> {
-    engine
-        .evaluator(query, k, exclude)
-        .od_batch(subspaces, threads)
-}
-
-/// [`batch_od`] over an already-built [`QueryContext`]: every OD is a
-/// subset-combine over cached columns. Results are in input order and
-/// identical to the uncached path bit for bit.
-pub fn batch_od_with_context(
-    ctx: &QueryContext<'_>,
-    k: usize,
-    subspaces: &[Subspace],
-    exclude: Option<PointId>,
-    threads: usize,
-) -> Vec<f64> {
-    parallel_map(subspaces, threads, |&s| ctx.od(k, s, exclude))
-}
 
 /// Applies `f` to every item, fanned out across up to `threads`
 /// pooled workers with static chunking; results are in input order.
@@ -62,9 +16,7 @@ pub fn batch_od_with_context(
 /// where even pool hand-off overhead would dominate small batches.
 /// The chunk boundaries are identical to the serial iteration order
 /// and every chunk writes its own disjoint output slice, so results
-/// are **bit-identical** to the serial path for any thread count. The
-/// shared scatter behind [`batch_od`], [`batch_od_with_context`] and
-/// `hos-core`'s `batch_search`.
+/// are **bit-identical** to the serial path for any thread count.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -139,8 +91,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::KnnEngine;
     use crate::linear::LinearScan;
-    use hos_data::{Dataset, Metric};
+    use hos_data::{Dataset, Metric, PointId, Subspace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -154,11 +107,26 @@ mod tests {
         (LinearScan::new(ds, Metric::L2), q, subspaces)
     }
 
+    /// One evaluator's `od_batch` for `query` — the per-level batch
+    /// every search layer runs.
+    fn od_batch(
+        engine: &LinearScan,
+        query: &[f64],
+        k: usize,
+        subspaces: &[Subspace],
+        exclude: Option<PointId>,
+        threads: usize,
+    ) -> Vec<f64> {
+        engine
+            .evaluator(query, k, exclude)
+            .od_batch(subspaces, threads)
+    }
+
     #[test]
     fn parallel_matches_serial() {
         let (engine, q, subspaces) = setup();
-        let serial = batch_od(&engine, &q, 5, &subspaces, Some(17), 1);
-        let parallel = batch_od(&engine, &q, 5, &subspaces, Some(17), 4);
+        let serial = od_batch(&engine, &q, 5, &subspaces, Some(17), 1);
+        let parallel = od_batch(&engine, &q, 5, &subspaces, Some(17), 4);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert!((a - b).abs() < 1e-12);
@@ -168,13 +136,13 @@ mod tests {
     #[test]
     fn empty_input() {
         let (engine, q, _) = setup();
-        assert!(batch_od(&engine, &q, 5, &[], None, 4).is_empty());
+        assert!(od_batch(&engine, &q, 5, &[], None, 4).is_empty());
     }
 
     #[test]
     fn more_threads_than_work() {
         let (engine, q, subspaces) = setup();
-        let r = batch_od(&engine, &q, 3, &subspaces[..2], None, 64);
+        let r = od_batch(&engine, &q, 3, &subspaces[..2], None, 64);
         assert_eq!(r.len(), 2);
         assert!(r.iter().all(|v| *v > 0.0));
     }
@@ -182,13 +150,13 @@ mod tests {
     #[test]
     fn zero_threads_treated_as_one() {
         let (engine, q, subspaces) = setup();
-        let r = batch_od(&engine, &q, 3, &subspaces[..3], None, 0);
+        let r = od_batch(&engine, &q, 3, &subspaces[..3], None, 0);
         assert_eq!(r.len(), 3);
     }
 
     #[test]
     fn cached_batch_identical_to_per_subspace_engine_queries() {
-        // batch_od takes the QueryContext fast path for LinearScan;
+        // od_batch takes the QueryContext fast path for LinearScan;
         // it must agree bit for bit with one engine.od call per
         // subspace (the uncached reference), serial and parallel.
         let (engine, q, subspaces) = setup();
@@ -197,11 +165,11 @@ mod tests {
             .map(|&s| engine.od(&q, 5, s, Some(17)))
             .collect();
         for threads in [1, 4] {
-            let cached = batch_od(&engine, &q, 5, &subspaces, Some(17), threads);
+            let cached = od_batch(&engine, &q, 5, &subspaces, Some(17), threads);
             assert_eq!(cached, reference, "threads={threads}");
         }
         let ctx = engine.query_context(&q).expect("linear scan caches");
-        let direct = batch_od_with_context(&ctx, 5, &subspaces, Some(17), 2);
+        let direct = parallel_map(&subspaces, 2, |&s| ctx.od(5, s, Some(17)));
         assert_eq!(direct, reference);
     }
 
@@ -240,7 +208,7 @@ mod tests {
     fn cached_batch_counts_distance_evals() {
         let (engine, q, subspaces) = setup();
         let before = engine.distance_evals();
-        batch_od(&engine, &q, 5, &subspaces[..4], Some(17), 1);
+        od_batch(&engine, &q, 5, &subspaces[..4], Some(17), 1);
         // 4 subspace ODs over 499 non-excluded points each.
         assert_eq!(engine.distance_evals() - before, 4 * 499);
     }

@@ -12,7 +12,7 @@
 //!   ([`hos_data::Dataset::to_column_major_f32`]) are streamed once
 //!   per `(block, dim)` to build a conservative *lower bound* on every
 //!   pre-distance; per query, a candidate whose bound already exceeds
-//!   the top-k admission bound ([`TopK::bound`]) is rejected without
+//!   the top-k admission bound (`TopK::bound`) is rejected without
 //!   ever touching the exact `f64` data, and only the survivors run
 //!   the exact ascending-dimension fold. See `DESIGN.md` §9 for the
 //!   conservativeness proof; [`quantized_lower_bounds`] exposes the
@@ -20,9 +20,9 @@
 //! * **Exact fallback** (`Lp`, or magnitudes past the overflow
 //!   guards) — the original blocked layout: the matrix is transposed
 //!   once into column-major form ([`hos_data::Dataset::to_column_major`]),
-//!   queries are processed in blocks of [`BLOCK`], and for each
+//!   queries are processed in blocks of `BLOCK`, and for each
 //!   dimension (ascending) each query folds the whole column into its
-//!   accumulator row. The inner loops are chunked [`LANES`] wide over
+//!   accumulator row. The inner loops are chunked `LANES` wide over
 //!   *points* (each point's own dimension fold stays sequential), so
 //!   they auto-vectorize without changing any per-pair op sequence.
 //!
@@ -35,7 +35,7 @@
 //! bit-identical to `LinearScan`). Chunking lanes span points, never
 //! dimensions, and thread chunks span queries, so each pair's
 //! accumulator sequence is untouched; the quantized path only *skips*
-//! pairs that [`TopK::offer`]'s fast path would provably reject
+//! pairs that `TopK::offer`'s fast path would provably reject
 //! (`lb > bound()` strict — a pair *at* the bound still folds, because
 //! a smaller id ties into the heap). Selection and summation
 //! go through the shared `(pre, id)` order, so the ODs equal per-point
@@ -139,7 +139,7 @@ pub fn all_points_full_od_counted(
 /// The transposed columns are built once and shared; the queries split
 /// into `threads` contiguous chunks on
 /// [`crate::batch::parallel_map`], each chunk with its own accumulator
-/// rows and [`TopK`]. Every per-query computation is independent of
+/// rows and `TopK`. Every per-query computation is independent of
 /// the chunking, so the result is the same at any thread count.
 ///
 /// # Errors
@@ -220,7 +220,7 @@ fn quantized_admissible(metric: Metric, ds: &Dataset) -> bool {
 /// point `q` to every *physical* row (tombstoned slots included
 /// positionally; callers filter), computed exactly as the quantized
 /// admission path computes them — or `None` when that path is
-/// inadmissible ([`quantized_admissible`]) and the kernel runs exact.
+/// inadmissible (`quantized_admissible`) and the kernel runs exact.
 ///
 /// Guarantee (pinned by the property tests): for every row `i`,
 /// `bounds[i] <= metric.pre_dist_sub(ds.row(q), ds.row(i), full)`.
@@ -286,7 +286,7 @@ fn scan_exact(
 }
 
 /// Folds one exact `f64` column into a block-row of accumulators:
-/// `row[i] = accumulate(row[i], |qv - col[i]|)`. Chunked [`LANES`]
+/// `row[i] = accumulate(row[i], |qv - col[i]|)`. Chunked `LANES`
 /// wide over points — each slot's own dimension sequence is untouched,
 /// so this is bit-identical to the scalar loop in any chunk order.
 #[inline]

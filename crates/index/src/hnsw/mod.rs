@@ -3,7 +3,7 @@
 //! Every other engine in this crate is exact-scan-shaped — even the
 //! blocked kernel pays `O(n)` per lattice node. [`HnswEngine`] breaks
 //! that: a vendored, dependency-free hierarchical navigable-small-world
-//! graph ([`graph`]) generates a *candidate pool* of `ef` points in
+//! graph (`graph`) generates a *candidate pool* of `ef` points in
 //! sub-linear time, and an exact re-rank stage re-selects the top-`k`
 //! from that pool with the same f64 arithmetic and the same
 //! `(pre-distance, id)` tie-break as [`crate::linear::LinearScan`].
@@ -16,7 +16,7 @@
 //! distances come from [`Metric::pre_dist_sub`] over the raw rows (or
 //! the cached [`QueryContext`] fold on the evaluator path, bit-identical
 //! by the context equivalence tests), the re-rank uses the shared
-//! [`TopK`] `(pre, id)` order, and ODs sum finished distances in the
+//! `TopK` `(pre, id)` order, and ODs sum finished distances in the
 //! same ascending order as every exact engine. The graph is built once
 //! in the **full space**; queries navigate it with distances projected
 //! onto the queried subspace, so one graph serves all `2^d - 1`
@@ -24,7 +24,7 @@
 //!
 //! # The exactness escape hatch
 //!
-//! Each query first consults [`HnswEngine::plan`]: when `ef >= live`
+//! Each query first consults `HnswEngine::plan`: when `ef >= live`
 //! (the pool would cover everything — including the `ef = n` contract
 //! pinned in `tests/properties.rs`), when `k >= ef` (a pool barely
 //! wider than `k` has hopeless recall), or when the filtered pool
@@ -45,7 +45,6 @@
 //!
 //! [`Metric::pre_dist_sub`]: hos_data::Metric::pre_dist_sub
 //! [`QueryContext`]: crate::context::QueryContext
-//! [`TopK`]: crate::topk::TopK
 
 mod graph;
 
@@ -139,7 +138,7 @@ impl HnswEngine {
 
     /// Projection factor (`d / |s|`) at which a subspace query stops
     /// using the graph and goes straight to the exact scan — see
-    /// [`Self::plan`]. At or past this mismatch the full-space links
+    /// `Self::plan`. At or past this mismatch the full-space links
     /// predict projected proximity too poorly for any affordable beam.
     pub const EXACT_PROJECTION_FACTOR: usize = 4;
 

@@ -26,8 +26,8 @@
 //! ([`in_worker`] short-circuits): with every worker potentially
 //! blocked waiting for sub-jobs that no free worker can run, nested
 //! fan-out would deadlock the pool. Serial nesting matches the
-//! system's existing discipline — `batch_search` workers already run
-//! their per-level batches with `threads = 1` to avoid
+//! system's existing discipline — `HosMiner::query_each` workers
+//! already run their per-level batches with `threads = 1` to avoid
 //! oversubscription.
 //!
 //! ## Panics

@@ -16,7 +16,7 @@
 //! (a shard holds a subset of the points, so at most `k - 1` shard
 //! members can beat `p`). The union of per-shard top-`k` lists
 //! therefore contains the global top-`k`, and re-selecting `k` from
-//! the union — with the same [`crate::topk::TopK`] `(distance, id)`
+//! the union — with the same `crate::topk::TopK` `(distance, id)`
 //! tie-break used everywhere else — yields exactly the global list.
 //! Per-point distances are computed by the same code over the same
 //! row bytes whichever shard a point lands in, and OD sums the merged
@@ -521,7 +521,7 @@ impl ShardedOdEvaluator<'_> {
 ///
 /// Every global id has exactly one owning shard: its contiguous base
 /// range, or the shard an insert was routed to (tracked in
-/// [`Shard::extra`]).
+/// `Shard::extra`).
 ///
 /// * **Insert** — routed to the **least-loaded** shard by live row
 ///   count (ties to the lowest shard index, for determinism), so

@@ -17,7 +17,7 @@
 //! * [`PrefixStack::ascend`]`()` pops — the parent accumulator is
 //!   still on the stack, untouched;
 //! * [`PrefixStack::od`]`(k)` runs bounded top-k selection over the
-//!   current `n`-vector, with [`crate::topk::TopK`]'s cached
+//!   current `n`-vector, with `crate::topk::TopK`'s cached
 //!   kth-distance bound rejecting non-candidates before any heap
 //!   operation.
 //!

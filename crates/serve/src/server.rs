@@ -19,7 +19,7 @@
 //!
 //! | source                      | status | kind                  |
 //! |-----------------------------|--------|-----------------------|
-//! | malformed HTTP              | per [`HttpError::status`] | per [`HttpError::kind`] |
+//! | malformed HTTP              | per [`tinyhttp::HttpError::status`] | per [`tinyhttp::HttpError::kind`] |
 //! | malformed hosbin frame      | per `BinError::status`    | per `BinError::kind`    |
 //! | malformed JSON body         | 400    | `bad_json`            |
 //! | missing/invalid fields      | 400    | `bad_request`         |

@@ -15,9 +15,9 @@
 //!   bounded admission queue; one batcher thread collects a window
 //!   (first arrival opens it, it closes after `batch_window` or at
 //!   `batch_max` specs) and drives the whole window through ONE
-//!   [`HosMiner::query_each`] call — the same `batch_search` fan-out
-//!   the CLI uses, so every answer is bit-identical to running that
-//!   query alone. In **adaptive** mode (DESIGN.md §13) the batcher
+//!   [`HosMiner::query_each`] call — the same fan-out the CLI's
+//!   `query --ids` uses, so every answer is bit-identical to running
+//!   that query alone. In **adaptive** mode (DESIGN.md §13) the batcher
 //!   additionally holds a non-full window open for one expected
 //!   inter-arrival gap when the EWMA cost model says the wait is
 //!   cheaper than executing now — and closes immediately otherwise.
@@ -316,7 +316,7 @@ impl SharedState {
         self.scan_gate.ready.notify_all();
     }
 
-    /// Takes one scan permit, waiting at most [`SCAN_GATE_WAIT`]:
+    /// Takes one scan permit, waiting at most `SCAN_GATE_WAIT`:
     /// the per-endpoint weight cap that keeps a burst of scans from
     /// occupying every worker thread. Timeout is typed backpressure
     /// (429), drain a typed 503. The permit releases on drop.
@@ -654,7 +654,7 @@ impl SharedState {
     }
 }
 
-/// RAII scan permit: releases its [`ScanGate`] slot on drop.
+/// RAII scan permit: releases its `ScanGate` slot on drop.
 pub struct ScanPermit<'a> {
     state: &'a SharedState,
 }

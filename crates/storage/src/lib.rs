@@ -14,9 +14,10 @@
 //! * [`snapshot`] — periodic compacted column-major snapshots of the
 //!   live dataset (the layout [`hos_data::Dataset::to_column_major`]
 //!   already defines), written atomically (temp + rename) with the
-//!   fitted model embedded, and read back through an mmap (unix) or a
-//!   chunked-read fallback so opening a snapshot does not copy the
-//!   matrix onto the heap until rows are materialised.
+//!   fitted model embedded. Opening one reads the file onto the heap
+//!   and checks its CRC; the matrix is decoded into a dataset only
+//!   when recovery asks for it. The padding that 8-byte-aligns the
+//!   matrix stays in the format only so existing snapshots still open.
 //! * [`store`] — the orchestration: open a directory, recover
 //!   (latest valid snapshot + WAL tail replay, skipping records the
 //!   snapshot already covers), append, and rotate the WAL under a new
@@ -28,7 +29,6 @@
 //! never crashed — pinned by `tests/crash_oracle.rs` and the CLI-level
 //! SIGKILL test.
 
-pub mod mmap;
 pub mod recover;
 pub mod snapshot;
 pub mod store;

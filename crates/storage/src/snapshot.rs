@@ -22,23 +22,25 @@
 //! u32 crc32 of every preceding byte
 //! ```
 //!
-//! The data section starts 8-byte aligned so an mmap of the file can
-//! expose the matrix as `&[f64]` without copying (little-endian
-//! targets). Snapshots are written to a temp file, fsynced, and
-//! renamed into place — a crash mid-write leaves only a `.tmp` that
-//! recovery ignores.
+//! The padding before the matrix is part of the version-1 layout and
+//! stays so that existing data directories still open; readers skip
+//! it. Snapshots are written to a temp file, fsynced, and renamed into
+//! place — a crash mid-write leaves only a `.tmp` that recovery
+//! ignores. [`Snapshot::open`] reads the whole file onto the heap and
+//! checks its CRC before parsing any field.
 
-use crate::mmap::{f64_decode, f64_view, ByteSource};
 use crate::wal::sync_dir;
 use crate::{crc32_feed, Result, StorageError, CRC32_INIT};
 use hos_data::Dataset;
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"HOSSNAP1";
 const VERSION: u32 = 1;
+/// Magic, version and the seven `u64` counters that precede the
+/// variable-length fields.
+const FIXED_HEADER: usize = 8 + 4 + 7 * 8;
 /// Sanity cap for variable-length header fields.
 const MAX_FIELD: u32 = 16 << 20;
 
@@ -167,9 +169,8 @@ pub fn write_snapshot(dir: &Path, c: &SnapshotContents<'_>) -> Result<PathBuf> {
         w.put(&[0u8])?;
     }
 
-    // Pad so the matrix starts on an 8-byte file offset (mmap'd base
-    // addresses are page-aligned, so file alignment is all that is
-    // needed for the zero-copy f64 view).
+    // Pad so the matrix starts on an 8-byte file offset: the
+    // version-1 layout fixes it, so every reader expects it.
     let pad = (8 - (w.written % 8) as usize) % 8;
     w.put(&[0u8; 7][..pad])?;
 
@@ -196,25 +197,23 @@ pub fn write_snapshot(dir: &Path, c: &SnapshotContents<'_>) -> Result<PathBuf> {
     Ok(path)
 }
 
-/// An opened, validated snapshot. The matrix stays in the byte source
-/// (mmap where possible) until materialised.
+/// An opened, validated snapshot: the file's bytes on the heap, with
+/// the matrix decoded only when a dataset is materialised.
 pub struct Snapshot {
-    source: ByteSource,
+    bytes: Vec<u8>,
     meta: SnapshotMeta,
     /// Byte offset of the column-major matrix within the file.
     data_offset: usize,
 }
 
 impl Snapshot {
-    /// Opens and fully validates a snapshot file (header, bounds,
-    /// checksum over the entire file). Validation reads every byte
-    /// once, sequentially — for an mmap this is a streaming page-in,
-    /// after which queries touch only the pages they need.
+    /// Reads and fully validates a snapshot file (header, bounds,
+    /// checksum over the entire file). Any malformed file is a typed
+    /// error, never a panic.
     pub fn open(path: &Path) -> Result<Snapshot> {
-        let source = ByteSource::open(path)?;
-        let bytes = source.bytes();
+        let bytes = std::fs::read(path)?;
         let bad = |msg: &str| StorageError::BadHeader(format!("{}: {msg}", path.display()));
-        if bytes.len() < 64 + 4 || &bytes[..8] != MAGIC {
+        if bytes.len() < FIXED_HEADER + 4 || &bytes[..8] != MAGIC {
             return Err(bad("not a hos-storage snapshot"));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
@@ -267,6 +266,7 @@ impl Snapshot {
             .map_err(|_| bad("snapshot meta is not utf-8"))?;
         let model_s = String::from_utf8(blob_at(&mut off)?.to_vec())
             .map_err(|_| bad("snapshot model is not utf-8"))?;
+        let names_off = off;
         let names_s = String::from_utf8(blob_at(&mut off)?.to_vec())
             .map_err(|_| bad("snapshot names are not utf-8"))?;
 
@@ -295,7 +295,7 @@ impl Snapshot {
             .checked_mul(d)
             .and_then(|nd| nd.checked_mul(8))
             .ok_or_else(|| corrupt("snapshot matrix size", off))?;
-        if off + data_len != body.len() {
+        if off.checked_add(data_len) != Some(body.len()) {
             return Err(corrupt("snapshot matrix bounds", off));
         }
 
@@ -304,7 +304,7 @@ impl Snapshot {
         } else {
             let ns: Vec<String> = names_s.split('\n').map(str::to_string).collect();
             if ns.len() != d {
-                return Err(corrupt("snapshot names arity", 0));
+                return Err(corrupt("snapshot names arity", names_off));
             }
             Some(ns)
         };
@@ -327,7 +327,7 @@ impl Snapshot {
             dead,
         };
         Ok(Snapshot {
-            source,
+            bytes,
             meta,
             data_offset: off,
         })
@@ -335,32 +335,6 @@ impl Snapshot {
 
     pub fn meta(&self) -> &SnapshotMeta {
         &self.meta
-    }
-
-    /// Whether the matrix bytes are served from an mmap.
-    pub fn is_mapped(&self) -> bool {
-        self.source.is_mapped()
-    }
-
-    fn data_bytes(&self) -> &[u8] {
-        let end = self.source.bytes().len() - 4;
-        &self.source.bytes()[self.data_offset..end]
-    }
-
-    /// The whole matrix as `&[f64]` without copying, when alignment
-    /// and endianness allow (always on mmap'd little-endian unix).
-    pub fn raw_columns(&self) -> Option<&[f64]> {
-        f64_view(self.data_bytes())
-    }
-
-    /// One column (dimension `j`), zero-copy where possible.
-    pub fn column(&self, j: usize) -> Cow<'_, [f64]> {
-        assert!(j < self.meta.d, "column {j} out of range");
-        let n = self.meta.n;
-        match self.raw_columns() {
-            Some(all) => Cow::Borrowed(&all[j * n..(j + 1) * n]),
-            None => Cow::Owned(f64_decode(&self.data_bytes()[j * n * 8..(j + 1) * n * 8])),
-        }
     }
 
     /// Materialises the dataset exactly as it was written: row-major
@@ -385,12 +359,12 @@ impl Snapshot {
     /// dataset.
     pub fn to_dataset_all_live(&self) -> Result<Dataset> {
         let (n, d) = (self.meta.n, self.meta.d);
+        let matrix = &self.bytes[self.data_offset..self.bytes.len() - 4];
         let mut flat = vec![0.0f64; n * d];
-        for j in 0..d {
-            let col = self.column(j);
-            for (i, v) in col.iter().enumerate() {
-                flat[i * d + j] = *v;
-            }
+        // Value `c` of the column-major matrix is row `c % n` of
+        // column `c / n`.
+        for (c, v) in matrix.chunks_exact(8).enumerate() {
+            flat[(c % n) * d + c / n] = f64::from_le_bytes(v.try_into().unwrap());
         }
         let mut ds = Dataset::from_flat(flat, d)?;
         if let Some(names) = &self.meta.names {
@@ -485,9 +459,78 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The version-1 bytes, spelled out field by field: existing data
+    /// directories hold files in exactly this layout, padding included.
     #[test]
-    fn columns_match_to_column_major() {
-        let dir = temp_dir("cols");
+    fn version_1_layout_is_pinned() {
+        let dir = temp_dir("layout");
+        let ds = Dataset::from_flat(vec![1.5, -2.0, 0.25, 8.0], 2).unwrap();
+        let path = write_snapshot(
+            &dir,
+            &SnapshotContents {
+                seq: 5,
+                base: 1,
+                oldest: 2,
+                rows_consumed: 3,
+                search_width: 4,
+                dataset: &ds,
+                model: None,
+                meta: "m",
+            },
+        )
+        .unwrap();
+        let mut want = b"HOSSNAP1".to_vec();
+        want.extend(1u32.to_le_bytes());
+        for v in [5u64, 1, 2, 3, 4, 2, 2] {
+            want.extend(v.to_le_bytes());
+        }
+        want.extend(1u32.to_le_bytes());
+        want.push(b'm');
+        want.extend(0u32.to_le_bytes()); // no model
+        want.extend(0u32.to_le_bytes()); // no names
+        want.push(0); // no tombstones
+        assert_eq!(want.len(), 82);
+        want.extend([0u8; 6]); // pad to offset 88
+        for v in [1.5f64, 0.25, -2.0, 8.0] {
+            want.extend(v.to_le_bytes());
+        }
+        want.extend(crate::crc32(&want).to_le_bytes());
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        let back = Snapshot::open(&path).unwrap().to_dataset().unwrap();
+        assert_eq!(back, ds);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Seals `body` with its CRC, writes it to `path` and opens it.
+    fn open_sealed(path: &Path, mut body: Vec<u8>) -> Result<Snapshot> {
+        let crc = crate::crc32(&body);
+        body.extend(crc.to_le_bytes());
+        std::fs::write(path, &body).unwrap();
+        Snapshot::open(path)
+    }
+
+    #[test]
+    fn short_header_with_valid_crc_is_bad_header() {
+        let dir = temp_dir("short");
+        let path = dir.join(snap_file_name(0));
+        for len in 12..FIXED_HEADER {
+            let mut body = MAGIC.to_vec();
+            body.extend(VERSION.to_le_bytes());
+            body.resize(len, 0);
+            match open_sealed(&path, body) {
+                Err(StorageError::BadHeader(_)) => {}
+                other => panic!(
+                    "body of {len} bytes: expected BadHeader, ok={}",
+                    other.is_ok()
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn names_arity_error_reports_the_field_offset() {
+        let dir = temp_dir("arity");
         let ds = sample_dataset();
         let path = write_snapshot(
             &dir,
@@ -503,24 +546,19 @@ mod tests {
             },
         )
         .unwrap();
-        let snap = Snapshot::open(&path).unwrap();
-        let want = ds.to_column_major();
-        let n = ds.len();
-        for j in 0..ds.dim() {
-            let col = snap.column(j);
-            let got: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
-            let exp: Vec<u64> = want[j * n..(j + 1) * n]
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, exp, "column {j}");
-        }
-        // On unix the source should be mapped and the matrix 8-aligned,
-        // giving the zero-copy view.
-        #[cfg(unix)]
-        {
-            assert!(snap.is_mapped());
-            assert!(snap.raw_columns().is_some());
+        let mut body = std::fs::read(&path).unwrap();
+        body.truncate(body.len() - 4);
+        // Names "x\ny\nz" start after the empty meta and model blobs;
+        // renaming 'z' to '\n' gives four names for three columns.
+        let names_off = FIXED_HEADER + 4 + 4;
+        assert_eq!(&body[names_off + 4..names_off + 9], b"x\ny\nz");
+        body[names_off + 8] = b'\n';
+        match open_sealed(&path, body) {
+            Err(StorageError::Corrupt { what, offset }) => {
+                assert_eq!(what, "snapshot names arity");
+                assert_eq!(offset, names_off as u64);
+            }
+            other => panic!("expected Corrupt, ok={}", other.is_ok()),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -607,5 +645,58 @@ mod tests {
         assert_eq!(snap.meta().n, 0);
         assert_eq!(snap.to_dataset().unwrap(), ds);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    /// The valid snapshot the byte soup is cut from, written once.
+    fn soup_seed() -> &'static [u8] {
+        static SEED: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        SEED.get_or_init(|| {
+            let dir = temp_dir("soup-seed");
+            let contents = SnapshotContents {
+                seq: 3,
+                base: 0,
+                oldest: 0,
+                rows_consumed: 0,
+                search_width: 0,
+                dataset: &sample_dataset(),
+                model: Some("model"),
+                meta: "m",
+            };
+            let bytes = std::fs::read(write_snapshot(&dir, &contents).unwrap()).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Byte soup with a correct trailing CRC: a prefix of a valid
+        /// snapshot, random tail bytes and a few flipped bytes, sealed
+        /// with the right checksum, opens to `Ok` or a typed error —
+        /// never a panic.
+        #[test]
+        fn byte_soup_with_valid_crc_never_panics(
+            keep in 0usize..640,
+            tail in prop::collection::vec(0u8..=255, 0..96),
+            flips in prop::collection::vec((0usize..1024, 1u8..=255), 0..4),
+        ) {
+            let mut body = soup_seed().to_vec();
+            body.truncate(keep.min(body.len() - 4));
+            body.extend(tail);
+            for (at, x) in flips {
+                if !body.is_empty() {
+                    let i = at % body.len();
+                    body[i] ^= x;
+                }
+            }
+            let path = std::env::temp_dir().join(format!("hos-snap-soup-{}", std::process::id()));
+            if let Ok(snap) = open_sealed(&path, body) {
+                let _ = snap.to_dataset();
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

@@ -33,7 +33,15 @@ fn readme_quickstart() -> Result<(), Box<dyn std::error::Error>> {
 
     // README "Batch queries" section: the batch API answers like the
     // single-query API, in input order.
-    let outcomes = miner.query_ids(&[200, 7, 57])?;
+    use hos_miner::core::QuerySpec;
+    let specs = [
+        QuerySpec::Member(200),
+        QuerySpec::Member(7),
+        QuerySpec::Point(vec![0.5, 0.5]),
+    ];
+    let outcomes = miner.query_each(&specs);
+    assert_eq!(outcomes.len(), 3);
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
     assert_eq!(outcomes[0].minimal, vec![Subspace::from_dims(&[0, 1])]);
     assert!(!outcomes[1].is_outlier());
     Ok(())
