@@ -6,8 +6,8 @@
 //! * `resolve_t1` / `resolve_t2` — the default threshold policy (the
 //!   0.95-quantile of 200 sampled full-space ODs) on one and two
 //!   workers.
-//! * `learn_t2` — the learning phase (20 sampled searches, the
-//!   served default) on two workers.
+//! * `learn_t1` / `learn_t2` — the learning phase (20 sampled
+//!   searches, the served default) on one and two workers.
 //!
 //! ```sh
 //! cargo bench -p hos-bench --bench fit
@@ -53,11 +53,15 @@ fn bench_fit_phases(c: &mut Criterion) {
                 b.iter(|| black_box(policy.resolve(engine.as_ref(), K, 0, threads).unwrap()));
             });
         }
-        group.bench_function("learn_t2", |b| {
-            b.iter(|| {
-                black_box(learn_with_smoothing(engine.as_ref(), K, t, 20, 1, 2, 1.0).unwrap())
+        for threads in [1usize, 2] {
+            group.bench_function(format!("learn_t{threads}"), |b| {
+                b.iter(|| {
+                    black_box(
+                        learn_with_smoothing(engine.as_ref(), K, t, 20, 1, threads, 1.0).unwrap(),
+                    )
+                });
             });
-        });
+        }
         group.finish();
     }
 }

@@ -33,7 +33,8 @@ use crate::priors::Priors;
 use crate::search::{dynamic_search, SearchStats};
 use crate::Result;
 use crate::{error::HosError, od::ThresholdPolicy};
-use hos_index::KnnEngine;
+use hos_index::batch::parallel_map;
+use hos_index::{IndexError, KnnEngine};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -46,7 +47,9 @@ pub struct LearnedModel {
     pub samples: usize,
     /// The threshold the searches used.
     pub threshold: f64,
-    /// Accumulated cost of the learning searches.
+    /// Accumulated cost of the learning searches. `seconds` is the sum
+    /// of the searches' own durations, not the wall time of a learning
+    /// phase whose searches ran in parallel.
     pub total_stats: SearchStats,
 }
 
@@ -107,9 +110,18 @@ pub fn learn_with_smoothing(
 ///   ablation in experiment E4).
 /// * `threshold` — the already-resolved global `T` (see
 ///   [`ThresholdPolicy`]).
+/// * `threads` — workers the sample searches are fanned over, one
+///   search per worker at a time. Every search and the sample-order
+///   fold are independent of it, so the priors keep every bit at any
+///   thread count.
 /// * `alpha` — Laplace smoothing pseudo-count toward the uniform
 ///   prior; `0` gives the unsmoothed average (see module docs).
 /// * `mode` — see [`FractionMode`].
+///
+/// # Errors
+/// [`HosError::Index`] with [`IndexError::InsufficientPoints`] when
+/// `sample_size > 0` and fewer than `k` live points remain besides a
+/// sample, so no sample could have a full `k`-neighbourhood.
 #[allow(clippy::too_many_arguments)]
 pub fn learn_full(
     engine: &dyn KnnEngine,
@@ -144,16 +156,25 @@ pub fn learn_full(
         });
     }
 
+    let available = ds.live_len().saturating_sub(1);
+    if available < k {
+        return Err(IndexError::InsufficientPoints { available, k }.into());
+    }
+
     let mut ids: Vec<usize> = ds.live_ids().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     ids.shuffle(&mut rng);
     ids.truncate(sample_size);
 
+    // Each sample search runs on one worker and depends only on its
+    // point, so fanning the samples changes no outcome; the fold below
+    // runs in sample order, so no sum changes either.
+    let outcomes = parallel_map(&ids, threads, |&id| {
+        dynamic_search(engine, ds.row(id), Some(id), k, threshold, &uniform, 1)
+    });
     let mut sum_up = vec![0.0f64; d + 1];
     let mut total_stats = SearchStats::default();
-    for &id in &ids {
-        let row: Vec<f64> = ds.row(id).to_vec();
-        let out = dynamic_search(engine, &row, Some(id), k, threshold, &uniform, threads);
+    for out in &outcomes {
         match mode {
             FractionMode::EvaluatedOnly => {
                 for (m, &(evaluated, outlying)) in out.level_eval_stats.iter().enumerate() {
@@ -320,6 +341,114 @@ mod tests {
         assert!(learn(&e, 0, 2.0, 4, 0, 1).is_err());
         let empty = LinearScan::new(Dataset::empty(), Metric::L2);
         assert!(learn(&empty, 3, 2.0, 4, 0, 1).is_err());
+    }
+
+    #[test]
+    fn learning_on_too_few_live_points_is_a_typed_error() {
+        // Three live rows leave two neighbours per sample: no k = 3 or
+        // k = 5 neighbourhood exists, so learning must refuse instead
+        // of averaging fractions over short neighbourhoods.
+        let rows = [
+            vec![0.0, 0.0, 0.0],
+            vec![1.0, 2.0, 0.5],
+            vec![3.0, 0.5, 9.0],
+        ];
+        let e = LinearScan::new(Dataset::from_rows(&rows).unwrap(), Metric::L2);
+        for k in [3, 5] {
+            let err = learn(&e, k, 1.0, 3, 0, 1).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    HosError::Index(IndexError::InsufficientPoints { available: 2, k: got })
+                        if got == k
+                ),
+                "k = {k}: {err:?}"
+            );
+        }
+        // k = 2 fits exactly, and S = 0 never searches.
+        assert!(learn(&e, 2, 1.0, 3, 0, 1).is_ok());
+        assert_eq!(learn(&e, 5, 1.0, 0, 0, 1).unwrap().samples, 0);
+        // Tombstones count: 6 rows with 4 retired leave 2 live.
+        let mut ds = Dataset::from_rows(&[rows.to_vec(), rows.to_vec()].concat()).unwrap();
+        for id in 0..4 {
+            ds.remove_row(id).unwrap();
+        }
+        let e = LinearScan::new(ds.clone(), Metric::L2);
+        assert!(matches!(
+            learn(&e, 2, 1.0, 3, 0, 1),
+            Err(HosError::Index(IndexError::InsufficientPoints {
+                available: 1,
+                k: 2
+            }))
+        ));
+        // The same data through a fit with a fixed threshold, which
+        // resolves without looking at the data.
+        let config = crate::miner::HosMinerConfig {
+            k: 2,
+            threshold: ThresholdPolicy::Fixed(1.0),
+            sample_size: 3,
+            ..Default::default()
+        };
+        assert!(matches!(
+            crate::miner::HosMiner::fit(ds, config),
+            Err(HosError::Index(IndexError::InsufficientPoints {
+                available: 1,
+                k: 2
+            }))
+        ));
+    }
+
+    #[test]
+    fn learned_priors_bit_identical_across_thread_counts() {
+        use hos_index::{build_engine_sharded, Engine};
+        let ds = clustered_engine(21).dataset().clone();
+        let engines = [
+            (
+                "linear",
+                build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 1, 1),
+            ),
+            (
+                "xtree",
+                build_engine_sharded(Engine::XTree, ds.clone(), Metric::L2, 1, 1),
+            ),
+            (
+                "linear x2",
+                build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 2, 2),
+            ),
+            (
+                "hnsw",
+                build_engine_sharded(Engine::Hnsw, ds, Metric::L2, 1, 1),
+            ),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (name, e) in &engines {
+            // S = 7 splits unevenly over 2, 3 and 4 workers.
+            for samples in [20, 7] {
+                for mode in [FractionMode::EvaluatedOnly, FractionMode::WholeLevel] {
+                    let run = |threads| {
+                        learn_full(e.as_ref(), 3, 0.6, samples, 9, threads, 1.0, mode).unwrap()
+                    };
+                    let base = run(1);
+                    assert_eq!(base.samples, samples);
+                    for threads in 2..=4 {
+                        let m = run(threads);
+                        let at = format!("{name} S={samples} {mode:?} threads={threads}");
+                        assert_eq!(bits(m.priors.up_all()), bits(base.priors.up_all()), "{at}");
+                        assert_eq!(
+                            bits(m.priors.down_all()),
+                            bits(base.priors.down_all()),
+                            "{at}"
+                        );
+                        assert_eq!(m.samples, base.samples, "{at}");
+                        let (a, b) = (m.total_stats, base.total_stats);
+                        assert_eq!(a.od_evals, b.od_evals, "{at}");
+                        assert_eq!(a.pruned_outlier, b.pruned_outlier, "{at}");
+                        assert_eq!(a.pruned_non_outlier, b.pruned_non_outlier, "{at}");
+                        assert_eq!(a.rounds, b.rounds, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

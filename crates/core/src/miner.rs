@@ -295,7 +295,9 @@ impl HosMiner {
     /// engine's own intra-query fan-out when it has one — the sharded
     /// engine does). Used by callers that assemble a miner from a saved
     /// model, where the persisted file carries no machine-specific
-    /// parallelism setting.
+    /// parallelism setting. At [`HosMiner::fit`] the configured count
+    /// also fans the threshold resolve and the learning samples (one
+    /// sample search per worker); neither changes a bit of the model.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads.max(1);
         self.engine.set_threads(self.config.threads);

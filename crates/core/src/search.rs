@@ -487,6 +487,119 @@ mod tests {
         assert_eq!(out.subspaces(), vec![Subspace::from_dims(&[0])]);
     }
 
+    /// Everything a search reports except its wall time, with every
+    /// float as bits.
+    type Fingerprint = (
+        Vec<(Subspace, Option<u64>)>,
+        SearchStats,
+        Vec<u64>,
+        Vec<(u64, u64)>,
+    );
+
+    fn fingerprint(out: &SearchOutcome) -> Fingerprint {
+        (
+            out.outlying
+                .iter()
+                .map(|s| (s.subspace, s.od.map(f64::to_bits)))
+                .collect(),
+            SearchStats {
+                seconds: 0.0,
+                ..out.stats
+            },
+            out.level_outlier_fraction
+                .iter()
+                .map(|f| f.to_bits())
+                .collect(),
+            out.level_eval_stats.clone(),
+        )
+    }
+
+    #[test]
+    fn reused_scratch_never_leaks_between_searches() {
+        // Back-to-back searches on one thread reuse its spare context
+        // and prefix-stack buffers. Each search below must report
+        // exactly what the same search reports when it runs first on a
+        // fresh thread, whose spare slot is empty — through growth,
+        // tombstones and a second engine of another shape.
+        use hos_index::IncrementalEngine;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const K: usize = 4;
+        fn engine(n: usize, d: usize, seed: u64) -> LinearScan {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let flat: Vec<f64> = (0..n * d).map(|_| rng.gen_range(0.0..10.0)).collect();
+            LinearScan::new(Dataset::from_flat(flat, d).unwrap(), Metric::L2)
+        }
+        fn grow(e: &mut LinearScan) {
+            for i in 0..30 {
+                let row: Vec<f64> = (0..5).map(|j| ((i * 7 + j * 3) % 11) as f64).collect();
+                e.insert(&row).unwrap();
+            }
+        }
+        fn retire(e: &mut LinearScan) {
+            for id in [0, 9, 100, 239, 250] {
+                e.remove(id).unwrap();
+            }
+        }
+        /// The engine after `step` of the mutation sequence.
+        fn state(step: usize) -> LinearScan {
+            if step == 3 {
+                return engine(170, 6, 2);
+            }
+            let mut e = engine(240, 5, 1);
+            if step >= 1 {
+                grow(&mut e);
+            }
+            if step >= 2 {
+                retire(&mut e);
+            }
+            e
+        }
+        /// One displaced point and one member.
+        fn search(e: &LinearScan, member: PointId) -> [Fingerprint; 2] {
+            let d = e.dataset().dim();
+            let mut displaced = e.dataset().row(member).to_vec();
+            displaced[1] += 60.0;
+            let priors = Priors::uniform(d);
+            let t = 0.6 * e.od(&displaced, K, Subspace::full(d), None);
+            [
+                dynamic_search(e, &displaced, None, K, t, &priors, 1),
+                dynamic_search(e, e.dataset().row(member), Some(member), K, t, &priors, 1),
+            ]
+            .map(|out| fingerprint(&out))
+        }
+        const MEMBER: [PointId; 4] = [3, 260, 261, 5];
+
+        let reused = std::thread::spawn(|| {
+            let mut e = state(0);
+            let mut got = vec![search(&e, MEMBER[0])];
+            grow(&mut e);
+            got.push(search(&e, MEMBER[1]));
+            retire(&mut e);
+            got.push(search(&e, MEMBER[2]));
+            got.push(search(&state(3), MEMBER[3]));
+            got
+        })
+        .join()
+        .unwrap();
+
+        for (step, got) in reused.iter().enumerate() {
+            let fresh = std::thread::spawn(move || search(&state(step), MEMBER[step]))
+                .join()
+                .unwrap();
+            assert_eq!(got, &fresh, "step {step}");
+            assert!(
+                fresh.iter().all(|f| f.1.nodes_visited > 0),
+                "step {step} ran on the cached walker"
+            );
+        }
+        assert!(
+            !reused[0][0].0.is_empty(),
+            "the displaced point is outlying"
+        );
+    }
+
     #[test]
     #[should_panic]
     fn zero_k_panics() {

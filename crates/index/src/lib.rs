@@ -50,6 +50,9 @@
 //!   region: threads spawn once per process and are reused across
 //!   calls (and shared between the CLI and `hos-serve`), so parallel
 //!   batches pay queue hand-off instead of thread spawn + join.
+//! * `scratch` — one spare context buffer and one spare prefix-stack
+//!   buffer set per thread, so back-to-back searches on a thread reuse
+//!   memory that is already faulted in instead of allocating afresh.
 
 pub mod batch;
 pub mod block;
@@ -60,6 +63,7 @@ pub mod hnsw;
 pub mod knn;
 pub mod linear;
 pub mod pool;
+mod scratch;
 pub mod sharded;
 mod topk;
 pub mod walker;

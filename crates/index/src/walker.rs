@@ -69,8 +69,9 @@ use hos_data::{PointId, Subspace};
 /// without self-reference.
 pub struct PrefixStack {
     /// `levels[i]` = per-point pre-distance accumulator over
-    /// `path[0..=i]`. Buffers are allocated on first use at each depth
-    /// and never shrunk.
+    /// `path[0..=i]`. Buffers are allocated (or sized from the
+    /// thread's spare slot) on first use at each depth and never
+    /// shrunk.
     levels: Vec<Vec<f64>>,
     /// The dimensions of the current subspace, strictly ascending.
     path: Vec<usize>,
@@ -102,6 +103,35 @@ pub struct PrefixStack {
     ctx_uid: u64,
 }
 
+/// Ensures the accumulator for `depth` exists and holds `n` slots, and
+/// hands it out with its parent for folding. Shared by the standalone
+/// and fused materialisation paths. A buffer taken from the thread's
+/// spare slot arrives empty and is sized here; every slot is then
+/// overwritten by the fold before anything reads it.
+fn level_buffers(
+    levels: &mut Vec<Vec<f64>>,
+    depth: usize,
+    n: usize,
+) -> (Option<&[f64]>, &mut Vec<f64>) {
+    debug_assert!(depth > 0);
+    if levels.len() < depth {
+        levels.push(vec![0.0f64; n]);
+    }
+    let (parents, rest) = levels.split_at_mut(depth - 1);
+    let child = &mut rest[0];
+    if child.len() != n {
+        child.clear();
+        child.resize(n, 0.0);
+    }
+    (parents.last().map(|v| v.as_slice()), child)
+}
+
+impl Drop for PrefixStack {
+    fn drop(&mut self) {
+        crate::scratch::give_levels(std::mem::take(&mut self.levels));
+    }
+}
+
 impl Default for PrefixStack {
     fn default() -> Self {
         Self::new()
@@ -109,9 +139,13 @@ impl Default for PrefixStack {
 }
 
 impl PrefixStack {
+    /// An empty stack. Its accumulators come from this thread's spare
+    /// slot when an earlier stack parked some there, and go back to it
+    /// on drop (capacity only: path, visit count and context id start
+    /// fresh; DESIGN.md §3).
     pub fn new() -> Self {
         PrefixStack {
-            levels: Vec::new(),
+            levels: crate::scratch::take_levels(),
             path: Vec::new(),
             dims: Vec::new(),
             seed_ids: Vec::new(),
@@ -171,24 +205,6 @@ impl PrefixStack {
         self.pending = true;
     }
 
-    /// Ensures the level buffer for the current top exists and is
-    /// sized, and hands it out with its parent for folding. Shared by
-    /// the standalone and fused materialisation paths.
-    fn top_buffers(&mut self, n: usize) -> (Option<&[f64]>, &mut Vec<f64>) {
-        let depth = self.path.len();
-        debug_assert!(depth > 0 && self.pending);
-        if self.levels.len() < depth {
-            self.levels.push(vec![0.0f64; n]);
-        }
-        let (parents, rest) = self.levels.split_at_mut(depth - 1);
-        let child = &mut rest[0];
-        if child.len() != n {
-            child.clear();
-            child.resize(n, 0.0);
-        }
-        (parents.last().map(|v| v.as_slice()), child)
-    }
-
     /// Runs the deferred column fold of the current top standalone —
     /// one chunked `O(n)` pass ([`QueryContext::fold_column_into`]:
     /// 4-lane fixed-width body the vectorizer handles, dispatched on
@@ -197,7 +213,7 @@ impl PrefixStack {
     /// unchanged).
     fn materialize(&mut self, ctx: &QueryContext<'_>) {
         let dim = *self.path.last().expect("materialize at the root");
-        let (parent, child) = self.top_buffers(ctx.len());
+        let (parent, child) = level_buffers(&mut self.levels, self.path.len(), ctx.len());
         ctx.fold_column_into(dim, parent, child);
         self.pending = false;
         self.visits += 1;
@@ -291,24 +307,14 @@ impl PrefixStack {
             // `fold_select_acc` resets it after reading the seeds.)
             self.seed_ids.clear();
             self.seed_ids.extend(self.top.ids());
-            let top = &mut self.top;
-            // Split borrows: buffers from levels, heap from self.
-            if self.levels.len() < depth {
-                self.levels.push(vec![0.0f64; ctx.len()]);
-            }
-            let (parents, rest) = self.levels.split_at_mut(depth - 1);
-            let child = &mut rest[0];
-            if child.len() != ctx.len() {
-                child.clear();
-                child.resize(ctx.len(), 0.0);
-            }
+            let (parent, child) = level_buffers(&mut self.levels, depth, ctx.len());
             ctx.fold_select_acc(
                 dim,
-                parents.last().map(|v| v.as_slice()),
+                parent,
                 child,
                 k,
                 exclude,
-                top,
+                &mut self.top,
                 &self.seed_ids,
             );
             self.pending = false;
