@@ -6,9 +6,8 @@
 //! in recall at that point? Three groups:
 //!
 //! * `hnsw_vs_linear_knn` — one full-space k-NN query per engine
-//!   across the n sweep; the per-n pair locates the crossover (the
-//!   `hnsw_crossover_n` kernel key tracks the same break-even through
-//!   `bench compare`).
+//!   across the n sweep; the per-n pair locates the crossover, the
+//!   smallest n at which the graph beats the exact scan.
 //! * `hnsw_ef_sweep` — query latency as `ef` widens at the largest n:
 //!   the recall/latency dial the calibration routine climbs.
 //! * `hnsw_build` — graph construction per n, the cost the query-side

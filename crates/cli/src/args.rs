@@ -12,7 +12,7 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["header", "verbose", "reestimate", "strict", "kernel"];
+const SWITCHES: &[&str] = &["header", "verbose", "reestimate"];
 
 impl Args {
     /// Parses `--name value` pairs, bare `--switch` flags and

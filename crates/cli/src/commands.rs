@@ -34,18 +34,12 @@ USAGE:
   hos-miner stream   [--data FILE]  (no --data: rows from stdin)
                      [--window 500] [--every 200] [--top 3] [--reestimate]
                      [--wal DIR] [--sync-every 64] [... tuning flags]
-  hos-miner bench    (--data FILE | --n 5000 --d 8) [--queries 16]
-                     [--threads 1] [--shards 1] [--summary FILE]
-                     [--kernel] [... tuning flags]
   hos-miner bench serve (--data FILE | --n 20000 --d 8)
                      [--clients 8] [--requests 25] [--threads CORES]
                      [--min-speedup 0.5] [--min-bin-speedup 0.5]
                      [--pipeline 4] [--summary FILE]
                      [... tuning flags]
   hos-miner probe    [--addr 127.0.0.1:7878]
-  hos-miner bench compare [--baseline BENCH_BASELINE.json]
-                     [--summary BENCH_SUMMARY.json]
-                     [--tolerance 0.5] [--strict] [--keys a,b,...]
   hos-miner help
 
 With --model, the threshold and learned priors come from a file written
@@ -63,29 +57,20 @@ approximate. --ef sets its candidate-pool width (wider = higher
 recall, slower); --recall-target T instead calibrates the width until
 a sampled recall@k reaches T. Both are machine-tuning knobs (like
 --threads) and are not persisted in models; exact engines ignore them.
-`bench` fits a miner and times a batch of member queries end to end
-(reporting queries/s) — point it at a real CSV or let it generate a
-synthetic workload with --n/--d. Every run writes a machine-readable
-summary (default BENCH_SUMMARY.json; --summary - disables). With
---kernel it also times the fixed deterministic kernel workloads (the
-blocked all-points scan, the full-lattice prefix walker, the hnsw
-query batch, and the storage tier's snapshot write + WAL replay) and
-adds their millisecond keys to the summary. `bench serve` drives an
-in-process hos-serve instance with concurrent clients under a 90/10
-read/write mix across four arms — unbatched, batched with a fixed
-window, batched with the adaptive window, and the hosbin binary
-protocol with a pipelined client (--pipeline frames in flight) — and
-merges serve_qps / serve_adaptive_qps / serve_bin_qps (plus their
-p99_ms keys) into the summary; --min-speedup sets a floor on the
+`bench serve` drives an in-process hos-serve instance with concurrent
+clients under a 90/10 read/write mix across four arms — unbatched,
+batched with a fixed window, batched with the adaptive window, and the
+hosbin binary protocol with a pipelined client (--pipeline frames in
+flight) — and writes serve_qps / serve_adaptive_qps / serve_bin_qps
+(plus their p99_ms keys) to a summary (default BENCH_SUMMARY.json;
+--summary - disables); --min-speedup sets a floor on the
 batched/unbatched throughput ratio and --min-bin-speedup one on the
-hosbin/batched-JSON ratio, enforced on any core count.
+hosbin/batched-JSON ratio, enforced on any core count. The served
+system is timed by `python3 perfbench/run.py` and the kernels by
+`cargo bench -p hos-bench`.
 `probe` opens a hosbin connection to a running hos-serve, walks
 healthz / stats / a member query over framed binary and prints
 `hosbin probe: ok` — a deploy smoke check for the binary protocol.
-`bench compare` diffs a summary
-against a committed baseline snapshot within --tolerance: a
-non-blocking report unless --strict; --keys restricts the comparison
-to a comma-separated key list (each then required in both files).
 `stream` consumes rows one at a time (CSV file or stdin), maintains a
 sliding window of the last --window rows with incremental engine
 updates (no refits), and reports the window's top outlying points
@@ -100,8 +85,18 @@ seeds such a directory from a one-shot fit, and `hos-serve --data-dir`
 serves one durably.
 Subspaces are printed 1-based, e.g. [1,3] = first and third columns.";
 
+/// Why `bench` without `serve` fails: its timings moved to the served
+/// benchmark and the criterion benches.
+const BENCH_MOVED: &str = "`hos-miner bench` only runs `bench serve` now: time the served \
+     system with `python3 perfbench/run.py` and the kernels with `cargo bench -p hos-bench`";
+
 /// Dispatches an argv to a subcommand.
 pub fn dispatch(argv: &[String]) -> CmdResult {
+    // Checked before parsing, since the retired harness's switches no
+    // longer parse.
+    if argv.first().is_some_and(|a| a == "bench") && argv.get(1).is_none_or(|a| a != "serve") {
+        return Err(BENCH_MOVED.into());
+    }
     let args = Args::parse(argv)?;
     match args.positional().first().map(String::as_str) {
         Some("generate") => cmd_generate(&args),
@@ -110,7 +105,7 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
         Some("query") => cmd_query(&args),
         Some("scan") => cmd_scan(&args),
         Some("stream") => cmd_stream(&args),
-        Some("bench") => cmd_bench(&args),
+        Some("bench") => cmd_bench_serve(&args),
         Some("probe") => cmd_probe(&args),
         Some("help") | None => {
             println!("{HELP}");
@@ -740,300 +735,6 @@ fn cmd_stream(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// End-to-end throughput measurement: fit a miner, run a batch of
-/// member queries, report wall time and queries/s. The knob the
-/// scaling story cares about: the same workload re-run with
-/// `--threads`/`--shards` varied shows exactly what each buys, with
-/// results guaranteed identical.
-///
-/// Every run also writes a machine-readable summary (default
-/// `BENCH_SUMMARY.json`, overridable with `--summary PATH`, disabled
-/// with `--summary -`): the workload config plus fit/query timings,
-/// one JSON field per line so the `bench compare` parser — and any
-/// CI script — can read it without a JSON library. `bench compare`
-/// diffs a summary against a committed baseline with a tolerance.
-fn cmd_bench(args: &Args) -> CmdResult {
-    match args.positional().get(1).map(String::as_str) {
-        Some("compare") => return cmd_bench_compare(args),
-        Some("serve") => return cmd_bench_serve(args),
-        _ => {}
-    }
-    let ds = if args.get("data").is_some() {
-        load(args)?
-    } else {
-        let n = args.get_or("n", 5000usize)?;
-        let d = args.get_or("d", 8usize)?;
-        let spec = PlantedSpec {
-            n_background: n,
-            d,
-            n_clusters: 3,
-            cluster_sigma: 1.0,
-            extent: 100.0,
-            targets: vec![
-                Subspace::from_dims(&[0, 1]),
-                Subspace::from_dims(&[d.saturating_sub(1)]),
-            ],
-            shift_sigmas: 12.0,
-            seed: args.get_or("seed", 0u64)?,
-        };
-        generate(&spec).map_err(|e| e.to_string())?.dataset
-    };
-    // Same preprocessing as fit/query/scan: the timed workload must be
-    // the one the user actually serves.
-    let (ds, _) = parse_normalizer(args, &ds)?;
-    let n_queries = args.get_or("queries", 16usize)?.max(1).min(ds.len());
-    let threads = args.get_or("threads", 1usize)?;
-    let shards = args.get_or("shards", 1usize)?;
-
-    let fit_start = std::time::Instant::now();
-    let miner = build_miner(args, ds)?;
-    let fit_seconds = fit_start.elapsed().as_secs_f64();
-
-    // Evenly spread member queries across the dataset, deterministic.
-    let n = miner.engine().dataset().len();
-    let ids: Vec<usize> = (0..n_queries).map(|i| i * n / n_queries).collect();
-    let query_start = std::time::Instant::now();
-    let outcomes = query_members(&miner, &ids)?;
-    let query_seconds = query_start.elapsed().as_secs_f64();
-
-    let od_evals: u64 = outcomes.iter().map(|o| o.stats.od_evals).sum();
-    let outliers = outcomes.iter().filter(|o| o.is_outlier()).count();
-    println!(
-        "bench: {} points x {} dims, k={}, engine={}, threads={threads}, shards={shards}",
-        n,
-        miner.engine().dataset().dim(),
-        miner.config().k,
-        miner.config().engine,
-    );
-    println!(
-        "fit:   {:.3} s (threshold T = {})",
-        fit_seconds,
-        fmt_f64(miner.threshold())
-    );
-    let queries_per_s = ids.len() as f64 / query_seconds.max(1e-12);
-    println!(
-        "query: {} queries in {:.3} s  ->  {:.1} queries/s  ({} OD evals, {} outliers)",
-        ids.len(),
-        query_seconds,
-        queries_per_s,
-        od_evals,
-        outliers
-    );
-
-    let mut kernel_fields = String::new();
-    if args.switch("kernel") {
-        for (key, val) in kernel_benchmarks() {
-            // Non-`_ms` keys are counts (e.g. the crossover n), not
-            // durations.
-            if key.ends_with("_ms") {
-                println!("kernel: {key} = {val:.3} ms");
-            } else {
-                println!("kernel: {key} = {val:.0}");
-            }
-            kernel_fields.push_str(&format!(",\n    \"{key}\": {val:.3}"));
-        }
-    }
-
-    let summary_path = args.get("summary").unwrap_or("BENCH_SUMMARY.json");
-    if summary_path != "-" {
-        let summary = format!(
-            "{{\n  \"config\": {{\n    \"n\": {},\n    \"d\": {},\n    \"k\": {},\n    \
-             \"engine\": \"{}\",\n    \"metric\": \"{}\",\n    \"threads\": {},\n    \
-             \"shards\": {},\n    \"queries\": {}\n  }},\n  \"results\": {{\n    \
-             \"fit_seconds\": {:.6},\n    \"query_seconds\": {:.6},\n    \
-             \"queries_per_s\": {:.3},\n    \"od_evals\": {},\n    \"outliers\": {}{}\n  }}\n}}\n",
-            n,
-            miner.engine().dataset().dim(),
-            miner.config().k,
-            miner.config().engine,
-            miner.config().metric.name(),
-            threads,
-            shards,
-            ids.len(),
-            fit_seconds,
-            query_seconds,
-            queries_per_s,
-            od_evals,
-            outliers,
-            kernel_fields
-        );
-        std::fs::write(summary_path, summary)
-            .map_err(|e| format!("writing {summary_path}: {e}"))?;
-        println!("wrote {summary_path}");
-    }
-    Ok(())
-}
-
-/// Deterministic data for the kernel workloads: a fixed LCG, no
-/// dependence on the bench flags, so the timings are comparable across
-/// runs and machines (same work, always).
-fn kernel_dataset(n: usize, d: usize, seed: u64) -> Dataset {
-    let mut state = seed;
-    let flat: Vec<f64> = (0..n * d)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) % 10000) as f64 / 100.0
-        })
-        .collect();
-    Dataset::from_flat(flat, d).expect("finite synthetic data")
-}
-
-/// The fixed kernel micro-workloads behind `bench --kernel`, as
-/// `(summary key, best-of-iters milliseconds)`:
-///
-/// * `blocked_scan_ms` — the blocked all-points full-space OD kernel
-///   (quantized admission path) on n=2002, d=8, k=5, L2;
-/// * `full_lattice_d{10,12}_ms` — the prefix-stack walker evaluating
-///   all `2^d - 1` subspace ODs of one query (k=10);
-/// * `hnsw_knn_ms` — 32 full-space hnsw k-NN queries (default `ef`)
-///   at the largest sweep size (n=8000, d=8, k=5, L2), graph build
-///   excluded;
-/// * `hnsw_crossover_n` — the smallest sweep n where that hnsw query
-///   batch beats the exact linear scan on the same batch (the
-///   approximate-first break-even point; `16000` = beyond the sweep);
-/// * `snapshot_ms` / `wal_replay_ms` — the storage tier: writing a
-///   columnar snapshot of a 4000x8 dataset (encode + fsync + WAL
-///   rotation), and recovering a 2000-op WAL tail via `Store::open`.
-///
-/// Best-of rather than mean: the workloads are deterministic, so the
-/// minimum is the cleanest estimate of the kernel's cost.
-fn kernel_benchmarks() -> Vec<(&'static str, f64)> {
-    let mut out = Vec::new();
-    {
-        let ds = kernel_dataset(2002, 8, 0x243F6A8885A308D3);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let scan = hos_index::all_points_full_od(&ds, Metric::L2, 5).expect("enough points");
-            let ms = t.elapsed().as_secs_f64() * 1000.0;
-            assert!(!scan.is_empty());
-            best = best.min(ms);
-        }
-        out.push(("blocked_scan_ms", best));
-    }
-    for (key, d) in [
-        ("full_lattice_d10_ms", 10usize),
-        ("full_lattice_d12_ms", 12),
-    ] {
-        let ds = kernel_dataset(2000, d, 0x9E3779B97F4A7C15);
-        let query: Vec<f64> = ds.row(17).to_vec();
-        let ctx = hos_index::QueryContext::build(&ds, Metric::L2, &query);
-        let mut ordered: Vec<Subspace> = Subspace::all_nonempty(d).collect();
-        ordered.sort_by(|a, b| a.walk_cmp(*b));
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let mut w = ctx.walker();
-            let mut sink = 0.0;
-            for &s in &ordered {
-                w.seek(s);
-                sink += w.od(10, Some(17));
-            }
-            let ms = t.elapsed().as_secs_f64() * 1000.0;
-            assert!(sink.is_finite());
-            best = best.min(ms);
-        }
-        out.push((key, best));
-    }
-    {
-        // Approximate-vs-exact crossover sweep: same query batch
-        // through HnswEngine (graph candidates + exact re-rank) and
-        // LinearScan, per dataset size. Build time is excluded — the
-        // key measures steady-state query cost, which is what the
-        // crossover argument is about.
-        let (d, k, queries) = (8usize, 5usize, 32usize);
-        let sizes = [1000usize, 2000, 4000, 8000];
-        let mut crossover = (2 * sizes[sizes.len() - 1]) as f64;
-        let mut hnsw_ms = 0.0;
-        for &n in &sizes {
-            let ds = kernel_dataset(n, d, 0xB529_7A4D_4496_CF3D);
-            let qids: Vec<usize> = (0..queries).map(|i| i * n / queries).collect();
-            let hnsw = hos_index::HnswEngine::build(ds.clone(), Metric::L2, Default::default());
-            let linear = hos_index::LinearScan::new(ds.clone(), Metric::L2);
-            let s = ds.full_space();
-            let time_batch = |engine: &dyn hos_index::KnnEngine| {
-                let mut best = f64::INFINITY;
-                for _ in 0..3 {
-                    let t = std::time::Instant::now();
-                    let mut sink = 0usize;
-                    for &qid in &qids {
-                        sink += engine.knn(ds.row(qid), k, s, Some(qid)).len();
-                    }
-                    let ms = t.elapsed().as_secs_f64() * 1000.0;
-                    assert_eq!(sink, queries * k);
-                    best = best.min(ms);
-                }
-                best
-            };
-            let approx = time_batch(&hnsw);
-            let exact = time_batch(&linear);
-            if approx < exact && crossover > n as f64 {
-                crossover = n as f64;
-            }
-            hnsw_ms = approx;
-        }
-        out.push(("hnsw_knn_ms", hnsw_ms));
-        out.push(("hnsw_crossover_n", crossover));
-    }
-    {
-        // Storage-tier kernels: columnar snapshot encode + fsync of a
-        // 4000x8 dataset, and `Store::open` recovery of a 2000-op WAL
-        // tail over that snapshot (read, checksum, decode). Both are
-        // wall-clock including fsync, so they carry more machine noise
-        // than the pure CPU kernels above — they ride in the summary
-        // as optional, non-gating keys.
-        use hos_storage::store::SnapshotState;
-        let dir = std::env::temp_dir().join(format!("hos-bench-storage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ds = kernel_dataset(4000, 8, 0x1357_9BDF_2468_ACE0);
-        let sc = || hos_storage::StoreConfig {
-            sync_every: 64,
-            meta: "bench kernel".into(),
-        };
-        let (mut store, _) = hos_storage::Store::open(&dir, sc()).expect("bench store dir");
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            store
-                .snapshot(&SnapshotState {
-                    dataset: &ds,
-                    model: None,
-                    base: 0,
-                    oldest: 0,
-                    rows_consumed: ds.len() as u64,
-                    search_width: 0,
-                })
-                .expect("bench snapshot");
-            best = best.min(t.elapsed().as_secs_f64() * 1000.0);
-        }
-        out.push(("snapshot_ms", best));
-        for i in 0..2000u64 {
-            let op = if i % 2 == 0 {
-                hos_storage::Op::Insert(ds.row(i as usize % ds.len()).to_vec())
-            } else {
-                hos_storage::Op::Retire(i / 2)
-            };
-            store.append(&op).expect("bench append");
-        }
-        store.sync().expect("bench sync");
-        drop(store);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            let (s, rec) = hos_storage::Store::open(&dir, sc()).expect("bench reopen");
-            let ms = t.elapsed().as_secs_f64() * 1000.0;
-            assert_eq!(rec.ops.len(), 2000, "bench wal tail intact");
-            drop(s);
-            best = best.min(ms);
-        }
-        out.push(("wal_replay_ms", best));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    out
-}
-
 /// `bench serve`: sustained-load benchmark of the resident query
 /// server under a 90/10 read/write mix, across four arms that all
 /// answer bit-identically (pinned by the serve concurrency and
@@ -1155,8 +856,11 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
                             );
                             if path == "/insert" {
                                 let text = String::from_utf8_lossy(&resp);
-                                if let Some(id) = summary_number(&text, "id") {
-                                    inserted.push(id as usize);
+                                if let Some(id) = hos_serve::Json::parse(&text)
+                                    .ok()
+                                    .and_then(|j| j.get("id").and_then(hos_serve::Json::as_usize))
+                                {
+                                    inserted.push(id);
                                 }
                             }
                         }
@@ -1329,30 +1033,21 @@ fn cmd_bench_serve(args: &Args) -> CmdResult {
         }
     }
 
-    // Merge the serve keys into the bench summary so `bench compare`
-    // sees one file; standalone summaries (no prior `bench` run) still
-    // carry enough structure for the optional-key path.
     let summary_path = args.get("summary").unwrap_or("BENCH_SUMMARY.json");
     if summary_path != "-" {
-        let serve_fields = format!(
-            "\"serve_qps\": {serve_qps:.3},\n    \"serve_p99_ms\": {serve_p99:.3},\n    \
+        let summary = format!(
+            "{{\n  \"config\": {{\n    \"n\": {n},\n    \"d\": {dim},\n    \
+             \"serve_clients\": {clients}\n  }},\n  \"results\": {{\n    \
+             \"fit_seconds\": {fit_seconds:.6},\n    \
+             \"serve_qps\": {serve_qps:.3},\n    \"serve_p99_ms\": {serve_p99:.3},\n    \
              \"serve_unbatched_qps\": {unbatched_qps:.3},\n    \"serve_speedup\": {speedup:.3},\n    \
              \"serve_adaptive_qps\": {adaptive_qps:.3},\n    \
              \"serve_adaptive_p99_ms\": {adaptive_p99:.3},\n    \
              \"serve_bin_qps\": {bin_qps:.3},\n    \"serve_bin_p99_ms\": {bin_p99:.3},\n    \
-             \"serve_bin_speedup\": {bin_speedup:.3}"
+             \"serve_bin_speedup\": {bin_speedup:.3}\n  }}\n}}\n"
         );
-        let merged = match std::fs::read_to_string(summary_path) {
-            Ok(text) if text.contains("\n  }\n}") && !text.contains("\"serve_qps\"") => {
-                text.replacen("\n  }\n}", &format!(",\n    {serve_fields}\n  }}\n}}"), 1)
-            }
-            _ => format!(
-                "{{\n  \"config\": {{\n    \"n\": {n},\n    \"d\": {dim},\n    \
-                 \"serve_clients\": {clients}\n  }},\n  \"results\": {{\n    \
-                 \"fit_seconds\": {fit_seconds:.6},\n    {serve_fields}\n  }}\n}}\n"
-            ),
-        };
-        std::fs::write(summary_path, merged).map_err(|e| format!("writing {summary_path}: {e}"))?;
+        std::fs::write(summary_path, summary)
+            .map_err(|e| format!("writing {summary_path}: {e}"))?;
         println!("wrote {summary_path}");
     }
     Ok(())
@@ -1401,189 +1096,6 @@ fn cmd_probe(args: &Args) -> CmdResult {
             .ok_or_else(|| format!("{addr}: query reply lacks results"))?;
     }
     println!("hosbin probe: ok (live={live} version={version} queried={queried})");
-    Ok(())
-}
-
-/// One numeric field out of a bench summary: scans for `"key":` and
-/// parses the number that follows. Line-oriented and dependency-free,
-/// matching the exact shape `cmd_bench` writes.
-fn summary_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
-        .collect();
-    num.parse().ok()
-}
-
-/// One string field out of a bench summary.
-fn summary_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = text.find(&needle)? + needle.len();
-    text[start..].split('"').next().map(str::to_string)
-}
-
-/// `bench compare`: diffs the current `BENCH_SUMMARY.json` against a
-/// committed `BENCH_BASELINE.json` within `--tolerance` (a relative
-/// fraction, default 0.5 — generous because the baseline was captured
-/// on one particular machine). Reports per-metric ratios; exits
-/// successfully even on regressions — this is a *report*, wired into
-/// CI as a non-blocking step — unless `--strict` is passed.
-fn cmd_bench_compare(args: &Args) -> CmdResult {
-    let baseline_path = args.get("baseline").unwrap_or("BENCH_BASELINE.json");
-    let summary_path = args.get("summary").unwrap_or("BENCH_SUMMARY.json");
-    let tolerance = args.get_or("tolerance", 0.5f64)?;
-    if !(0.0..10.0).contains(&tolerance) {
-        return Err(format!("--tolerance {tolerance} out of range [0, 10)"));
-    }
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-    let current = std::fs::read_to_string(summary_path)
-        .map_err(|e| format!("reading summary {summary_path}: {e}"))?;
-
-    // Config drift makes the numbers incomparable; flag it loudly but
-    // still print the report (CI may intentionally scale the workload).
-    let mut config_drift = false;
-    for key in ["n", "d", "k", "threads", "shards", "queries"] {
-        let (b, c) = (
-            summary_number(&baseline, key),
-            summary_number(&current, key),
-        );
-        if b != c {
-            println!(
-                "note: config {key} differs (baseline {b:?}, current {c:?}) — ratios are indicative only"
-            );
-            config_drift = true;
-        }
-    }
-    if summary_string(&baseline, "engine") != summary_string(&current, "engine") {
-        println!("note: engines differ — ratios are indicative only");
-        config_drift = true;
-    }
-
-    // (key, higher_is_better, required): the kernel keys only exist in
-    // summaries written with `bench --kernel`, so by default a side
-    // lacking one is a note, not an error. Naming a key in --keys
-    // makes it required — a strict CI compare must never silently
-    // compare nothing.
-    let registry: [(&str, bool, bool); 15] = [
-        ("queries_per_s", true, true),
-        ("fit_seconds", false, true),
-        ("blocked_scan_ms", false, false),
-        ("full_lattice_d10_ms", false, false),
-        ("full_lattice_d12_ms", false, false),
-        // hnsw keys are optional for the same reason the kernel keys
-        // are: baselines recorded before the hnsw tier (or without
-        // --kernel) simply lack them, and that must read as a
-        // skip-with-note, not a REGRESSION.
-        ("hnsw_knn_ms", false, false),
-        ("hnsw_crossover_n", false, false),
-        // serve keys exist only in summaries touched by `bench
-        // serve`; older baselines skip-with-note.
-        ("serve_qps", true, false),
-        ("serve_p99_ms", false, false),
-        // adaptive-window and hosbin arms (bench serve since the
-        // binary protocol); older baselines skip-with-note.
-        ("serve_adaptive_qps", true, false),
-        ("serve_adaptive_p99_ms", false, false),
-        ("serve_bin_qps", true, false),
-        ("serve_bin_p99_ms", false, false),
-        // storage kernels (bench --kernel since the durable tier):
-        // wall-clock including fsync, so optional and non-gating.
-        ("snapshot_ms", false, false),
-        ("wal_replay_ms", false, false),
-    ];
-    let requested: Option<Vec<&str>> = args.get("keys").map(|s| s.split(',').collect());
-    if let Some(keys) = &requested {
-        for key in keys {
-            if !registry.iter().any(|(k, _, _)| k == key) {
-                return Err(format!(
-                    "--keys: unknown metric {key:?}; known: {}",
-                    registry.map(|(k, _, _)| k).join(", ")
-                ));
-            }
-        }
-    }
-
-    // Additive epsilon floor on both sides of the ratio: the metrics
-    // are seconds/milliseconds-scale, so anything this small is timer
-    // noise. Without the floor a zero-valued baseline entry (a fast
-    // machine flooring a tiny fit to 0.000000) turns the ratio into
-    // `inf` and every such compare into a fake REGRESSION.
-    const ABS_EPS: f64 = 1e-3;
-    let mut regressions = 0usize;
-    let mut t = Table::new(vec!["metric", "baseline", "current", "ratio", "verdict"]);
-    for (key, higher_is_better, required) in registry {
-        let explicit = requested.as_ref().is_some_and(|keys| keys.contains(&key));
-        if requested.is_some() && !explicit {
-            continue;
-        }
-        let required = required || explicit;
-        let (b, c) = (
-            summary_number(&baseline, key),
-            summary_number(&current, key),
-        );
-        let (b, c) = match (b, c) {
-            (Some(b), Some(c)) => (b, c),
-            (b, _) if required => {
-                let (path, side) = if b.is_none() {
-                    (baseline_path, "baseline")
-                } else {
-                    (summary_path, "summary")
-                };
-                return Err(format!("{side} {path} lacks {key}"));
-            }
-            _ => {
-                let how = if key.starts_with("serve_") {
-                    "bench serve"
-                } else {
-                    "bench --kernel"
-                };
-                println!("note: {key} missing on one side — skipped (run `{how}` to record it)");
-                continue;
-            }
-        };
-        let ratio = (c.abs() + ABS_EPS) / (b.abs() + ABS_EPS);
-        let regressed = if higher_is_better {
-            ratio < 1.0 - tolerance
-        } else {
-            ratio > 1.0 + tolerance
-        };
-        let improved = if higher_is_better {
-            ratio > 1.0 + tolerance
-        } else {
-            ratio < 1.0 - tolerance
-        };
-        let verdict = if regressed {
-            regressions += 1;
-            "REGRESSION"
-        } else if improved {
-            "improved"
-        } else {
-            "ok"
-        };
-        t.push(vec![
-            key.to_string(),
-            fmt_f64(b),
-            fmt_f64(c),
-            format!("{ratio:.2}x"),
-            verdict.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "bench compare: {} regression(s) beyond ±{:.0}% vs {baseline_path}{}",
-        regressions,
-        tolerance * 100.0,
-        if config_drift { " (config drift!)" } else { "" }
-    );
-    if regressions > 0 && args.switch("strict") {
-        return Err(format!(
-            "{regressions} bench metric(s) regressed beyond tolerance {tolerance}"
-        ));
-    }
     Ok(())
 }
 
@@ -1944,272 +1456,6 @@ mod tests {
         ])
         .unwrap();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bench_subcommand_synthetic_and_file() {
-        run(&[
-            "bench",
-            "--n",
-            "300",
-            "--d",
-            "4",
-            "--queries",
-            "4",
-            "--samples",
-            "0",
-            "--shards",
-            "2",
-            "--threads",
-            "2",
-            "--summary",
-            "-",
-        ])
-        .unwrap();
-        let path = tmp("bench.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "200", "--d", "4", "--seed", "3",
-        ])
-        .unwrap();
-        run(&[
-            "bench",
-            "--data",
-            &path,
-            "--queries",
-            "3",
-            "--samples",
-            "0",
-            "--summary",
-            "-",
-        ])
-        .unwrap();
-        // --normalize is honoured (and validated) like fit/query/scan.
-        run(&[
-            "bench",
-            "--data",
-            &path,
-            "--queries",
-            "3",
-            "--samples",
-            "0",
-            "--normalize",
-            "zscore",
-            "--summary",
-            "-",
-        ])
-        .unwrap();
-        assert!(run(&["bench", "--data", &path, "--normalize", "log"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bench_summary_and_compare_roundtrip() {
-        let baseline = tmp("bench_baseline.json");
-        let summary = tmp("bench_summary.json");
-        run(&[
-            "bench",
-            "--n",
-            "250",
-            "--d",
-            "4",
-            "--queries",
-            "8",
-            "--samples",
-            "0",
-            "--summary",
-            &baseline,
-        ])
-        .unwrap();
-        // The summary is machine-readable: config and results fields
-        // present with parseable numbers.
-        let text = std::fs::read_to_string(&baseline).unwrap();
-        for key in [
-            "\"n\":",
-            "\"queries\":",
-            "\"fit_seconds\":",
-            "\"queries_per_s\":",
-            "\"od_evals\":",
-        ] {
-            assert!(text.contains(key), "summary lacks {key}: {text}");
-        }
-        assert!(summary_number(&text, "queries_per_s").unwrap() > 0.0);
-        assert_eq!(summary_string(&text, "engine").as_deref(), Some("linear"));
-
-        // Same workload again: compare passes within any tolerance.
-        run(&[
-            "bench",
-            "--n",
-            "250",
-            "--d",
-            "4",
-            "--queries",
-            "8",
-            "--samples",
-            "0",
-            "--summary",
-            &summary,
-        ])
-        .unwrap();
-        run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--tolerance",
-            "5.0",
-        ])
-        .unwrap();
-
-        // A fabricated 100x regression: still Ok as a report, an
-        // error under --strict.
-        let slow = text.replace(
-            &format!(
-                "\"queries_per_s\": {:.3}",
-                summary_number(&text, "queries_per_s").unwrap()
-            ),
-            "\"queries_per_s\": 0.001",
-        );
-        assert!(slow.contains("0.001"), "fabrication failed: {slow}");
-        std::fs::write(&summary, slow).unwrap();
-        run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-        ])
-        .unwrap();
-        assert!(run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--strict",
-        ])
-        .is_err());
-
-        // Validation: missing files and bad tolerances are errors.
-        assert!(run(&["bench", "compare", "--baseline", "/nonexistent.json"]).is_err());
-        assert!(run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--tolerance",
-            "-1",
-        ])
-        .is_err());
-        std::fs::remove_file(&baseline).ok();
-        std::fs::remove_file(&summary).ok();
-    }
-
-    /// Regression for the compare divide-by-zero family: a baseline
-    /// whose `fit_seconds` floored to 0.000000 (tiny dataset, coarse
-    /// timer) used to make `ratio = c / b.max(1e-12)` explode to ~1e9x
-    /// and fail every --strict compare. The additive epsilon floor
-    /// keeps the ratio finite and ~1 when both sides are timer noise.
-    #[test]
-    fn bench_compare_zero_baseline_and_kernel_keys() {
-        let write = |path: &str, fit: &str, kernel: &str| {
-            std::fs::write(
-                path,
-                format!(
-                    "{{\n  \"results\": {{\n    \"fit_seconds\": {fit},\n    \
-                     \"queries_per_s\": 5000.000{kernel}\n  }}\n}}\n"
-                ),
-            )
-            .unwrap();
-        };
-        let baseline = tmp("cmp_zero_baseline.json");
-        let summary = tmp("cmp_zero_summary.json");
-
-        // Zero-valued baseline entry, non-zero (but still noise-scale)
-        // current: no inf/NaN ratio, no false regression even strict.
-        write(&baseline, "0.000000", "");
-        write(&summary, "0.000100", "");
-        run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--strict",
-        ])
-        .unwrap();
-
-        // Kernel keys absent from both sides: skipped with a note by
-        // default, an error once --keys names them.
-        run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--keys",
-            "queries_per_s",
-            "--strict",
-        ])
-        .unwrap();
-        assert!(run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--keys",
-            "blocked_scan_ms",
-        ])
-        .is_err());
-        assert!(run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--keys",
-            "no_such_metric",
-        ])
-        .is_err());
-
-        // Kernel keys present on both sides: compared, and a genuine
-        // kernel regression trips --strict while the matched core
-        // keys alone would pass.
-        write(&baseline, "0.010000", ",\n    \"blocked_scan_ms\": 12.000");
-        write(&summary, "0.010000", ",\n    \"blocked_scan_ms\": 40.000");
-        run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-        ])
-        .unwrap();
-        assert!(run(&[
-            "bench",
-            "compare",
-            "--baseline",
-            &baseline,
-            "--summary",
-            &summary,
-            "--keys",
-            "blocked_scan_ms",
-            "--strict",
-        ])
-        .is_err());
-        std::fs::remove_file(&baseline).ok();
-        std::fs::remove_file(&summary).ok();
     }
 
     #[test]

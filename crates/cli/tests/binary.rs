@@ -206,7 +206,7 @@ fn ids_flag_fails_on_any_invalid_id_like_id_flag() {
 }
 
 #[test]
-fn threads_flag_on_query_fit_and_bench() {
+fn threads_flag_on_query_and_fit() {
     let csv = tmp("threads.csv");
     let csv_s = csv.to_str().unwrap();
     let model = tmp("threads.model");
@@ -270,32 +270,12 @@ fn threads_flag_on_query_fit_and_bench() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // bench --threads.
-    let out = run(&[
-        "bench",
-        "--data",
-        csv_s,
-        "--queries",
-        "4",
-        "--samples",
-        "0",
-        "--threads",
-        "2",
-        "--summary",
-        "-",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("queries/s"));
     std::fs::remove_file(csv).ok();
     std::fs::remove_file(model).ok();
 }
 
 #[test]
-fn shards_flag_on_query_fit_and_bench() {
+fn shards_flag_on_query_and_fit() {
     let csv = tmp("shards.csv");
     let csv_s = csv.to_str().unwrap();
     let model = tmp("shards.model");
@@ -361,32 +341,6 @@ fn shards_flag_on_query_fit_and_bench() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // bench --shards (synthetic workload path).
-    let out = run(&[
-        "bench",
-        "--n",
-        "400",
-        "--d",
-        "5",
-        "--queries",
-        "4",
-        "--samples",
-        "0",
-        "--shards",
-        "4",
-        "--summary",
-        "-",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("shards=4"),
-        "bench must echo its config:\n{text}"
-    );
     // Invalid shard counts fail cleanly.
     let out = run(&["query", "--data", csv_s, "--id", "0", "--shards", "0"]);
     assert!(!out.status.success());
@@ -395,49 +349,21 @@ fn shards_flag_on_query_fit_and_bench() {
 }
 
 #[test]
-fn bench_summary_file_and_compare_via_binary() {
-    let baseline = tmp("bin_baseline.json");
-    let baseline_s = baseline.to_str().unwrap();
-    let out = run(&[
-        "bench",
-        "--n",
-        "300",
-        "--d",
-        "4",
-        "--queries",
-        "6",
-        "--samples",
-        "0",
-        "--summary",
-        baseline_s,
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&baseline).unwrap();
-    assert!(text.contains("\"queries_per_s\":"), "summary:\n{text}");
-    // Self-compare: zero regressions, exit 0, the verdict table prints.
-    let out = run(&[
-        "bench",
-        "compare",
-        "--baseline",
-        baseline_s,
-        "--summary",
-        baseline_s,
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("0 regression(s)"), "{report}");
-    // Missing baseline is a clean error.
-    let out = run(&["bench", "compare", "--baseline", "/nonexistent.json"]);
-    assert!(!out.status.success());
-    std::fs::remove_file(baseline).ok();
+fn retired_bench_modes_point_to_perfbench_and_criterion() {
+    for argv in [
+        &["bench"][..],
+        &["bench", "--kernel"],
+        &["bench", "--n", "300", "--d", "4"],
+        &["bench", "compare", "--strict"],
+    ] {
+        let out = run(argv);
+        assert!(!out.status.success(), "{argv:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("python3 perfbench/run.py") && err.contains("cargo bench -p hos-bench"),
+            "{argv:?}: {err}"
+        );
+    }
 }
 
 #[test]
