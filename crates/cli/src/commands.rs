@@ -1,16 +1,15 @@
 //! CLI subcommand implementations.
 
 use crate::args::Args;
-use crate::stream::{StreamEvent, StreamState};
-use hos_core::{HosMiner, HosMinerConfig, QueryOutcome, QuerySpec, ThresholdPolicy};
-use hos_data::csv::{read_csv_path, write_csv_path, CsvOptions};
-use hos_data::normalize::{normalize, NormKind, Normalizer};
-use hos_data::synth::planted::{generate, PlantedSpec};
-use hos_data::table::{fmt_f64, Table};
-use hos_data::{Dataset, Metric, Subspace};
-use hos_index::Engine;
+use crate::data::{cmd_generate, cmd_info};
+use crate::fit::cmd_fit;
+use crate::probe::cmd_probe;
+use crate::query::cmd_query;
+use crate::scan::cmd_scan;
+use crate::serve_bench::cmd_bench_serve;
+use crate::stream::cmd_stream;
 
-type CmdResult = Result<(), String>;
+pub type CmdResult = Result<(), String>;
 
 const HELP: &str = "\
 hos-miner — detect the outlying subspaces of high-dimensional data
@@ -117,998 +116,16 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
     }
 }
 
-fn load(args: &Args) -> Result<Dataset, String> {
-    let path = args.require("data")?;
-    let opts = CsvOptions {
-        delimiter: ',',
-        has_header: args.switch("header"),
-    };
-    read_csv_path(path, &opts).map_err(|e| format!("loading {path}: {e}"))
-}
-
-fn parse_metric(args: &Args) -> Result<Metric, String> {
-    match args.get("metric").unwrap_or("l2") {
-        "l1" => Ok(Metric::L1),
-        "l2" => Ok(Metric::L2),
-        "linf" => Ok(Metric::LInf),
-        other => Err(format!("unknown metric {other:?} (expected l1|l2|linf)")),
-    }
-}
-
-fn parse_normalizer(args: &Args, ds: &Dataset) -> Result<(Dataset, Option<Normalizer>), String> {
-    match args.get("normalize").unwrap_or("none") {
-        "none" => Ok((ds.clone(), None)),
-        "minmax" => {
-            let (z, n) = normalize(ds, NormKind::MinMax).map_err(|e| e.to_string())?;
-            Ok((z, Some(n)))
-        }
-        "zscore" => {
-            let (z, n) = normalize(ds, NormKind::ZScore).map_err(|e| e.to_string())?;
-            Ok((z, Some(n)))
-        }
-        other => Err(format!("unknown normalization {other:?}")),
-    }
-}
-
-/// Builds a miner either from a saved model (`--model`) or by fitting
-/// with the tuning flags.
-fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
-    if let Some(path) = args.get("model") {
-        let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
-        // Parallelism is machine-specific, not part of the fitted
-        // model: honour --threads and --shards here too, as the help
-        // promises.
-        let miner = model
-            .into_miner_with(
-                ds,
-                args.get_or("shards", 1usize)?,
-                args.get_or("threads", 1usize)?,
-            )
-            .map_err(|e| e.to_string())?;
-        // Search width is machine tuning like --threads, so the model
-        // file never carries it: honour the flags at load time too.
-        if let Some(ef) = args.get_opt::<usize>("ef")? {
-            if ef == 0 {
-                return Err("--ef must be positive".into());
-            }
-            miner.engine().set_search_width(ef);
-        }
-        if let Some(target) = args.get_opt::<f64>("recall-target")? {
-            if !(target.is_finite() && target > 0.0 && target <= 1.0) {
-                return Err(format!("--recall-target {target} must be in (0, 1]"));
-            }
-            hos_index::calibrate_search_width(
-                miner.engine(),
-                miner.config().k,
-                target,
-                16,
-                args.get_or("seed", 0u64)?.wrapping_add(2),
-            );
-        }
-        return Ok(miner);
-    }
-    fit_miner(args, ds)
-}
-
-/// Assembles a [`HosMinerConfig`] from the shared tuning flags.
-fn miner_config(args: &Args) -> Result<HosMinerConfig, String> {
-    let k = args.get_or("k", 5usize)?;
-    let threshold = match (
-        args.get_opt::<f64>("threshold")?,
-        args.get_opt::<f64>("quantile")?,
-    ) {
-        (Some(_), Some(_)) => {
-            return Err("--threshold and --quantile are mutually exclusive".into())
-        }
-        (Some(t), None) => ThresholdPolicy::Fixed(t),
-        (None, q) => ThresholdPolicy::FullSpaceQuantile {
-            q: q.unwrap_or(0.95),
-            sample: 200,
-        },
-    };
-    let engine: Engine = args
-        .get("engine")
-        .unwrap_or("linear")
-        .parse()
-        .map_err(|e: String| e)?;
-    Ok(HosMinerConfig {
-        k,
-        threshold,
-        metric: parse_metric(args)?,
-        engine,
-        sample_size: args.get_or("samples", 20usize)?,
-        prior_smoothing: args.get_or("smoothing", 1.0f64)?,
-        threads: args.get_or("threads", 1usize)?,
-        shards: args.get_or("shards", 1usize)?,
-        ef: args.get_opt("ef")?,
-        recall_target: args.get_opt("recall-target")?,
-        seed: args.get_or("seed", 0u64)?,
-    })
-}
-
-fn fit_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
-    HosMiner::fit(ds, miner_config(args)?).map_err(|e| e.to_string())
-}
-
-fn cmd_generate(args: &Args) -> CmdResult {
-    let out = args.require("out")?;
-    let n = args.get_or("n", 2000usize)?;
-    let d = args.get_or("d", 8usize)?;
-    let targets: Vec<Subspace> = match args.get("targets") {
-        None => vec![
-            Subspace::from_dims(&[0, 1]),
-            Subspace::from_dims(&[d.saturating_sub(1)]),
-        ],
-        Some(spec) => spec
-            .split(';')
-            .map(|s| s.parse::<Subspace>())
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let spec = PlantedSpec {
-        n_background: n,
-        d,
-        n_clusters: args.get_or("clusters", 3usize)?,
-        cluster_sigma: 1.0,
-        extent: 100.0,
-        targets,
-        shift_sigmas: args.get_or("shift", 12.0f64)?,
-        seed: args.get_or("seed", 0u64)?,
-    };
-    let w = generate(&spec).map_err(|e| e.to_string())?;
-    write_csv_path(&w.dataset, out, ',').map_err(|e| e.to_string())?;
-    println!("wrote {} points x {} dims to {out}", w.dataset.len(), d);
-    for o in &w.outliers {
-        println!(
-            "planted outlier: point #{} in subspace {}",
-            o.id, o.subspace
-        );
-    }
-    Ok(())
-}
-
-fn cmd_fit(args: &Args) -> CmdResult {
-    let out = args.require("save-model")?;
-    let raw = load(args)?;
-    let (ds, _) = parse_normalizer(args, &raw)?;
-    let miner = fit_miner(args, ds)?;
-    let model = hos_core::ModelFile::from_miner(&miner);
-    model.save(out).map_err(|e| e.to_string())?;
-    println!(
-        "fitted: k={}, metric={}, T={}, {} learning samples; model written to {out}",
-        model.k,
-        model.metric.name(),
-        fmt_f64(model.threshold),
-        model.samples
-    );
-    // --snapshot DIR also checkpoints the fitted state as a columnar
-    // snapshot store, the format `stream --wal` and `hos-serve
-    // --data-dir` recover from.
-    if let Some(dir) = args.get("snapshot") {
-        let config = miner_config(args)?;
-        let store_config = hos_storage::StoreConfig {
-            meta: hos_storage::config_fingerprint(&config, None),
-            ..Default::default()
-        };
-        let (mut store, _) = hos_storage::Store::open(std::path::Path::new(dir), store_config)
-            .map_err(|e| format!("opening snapshot dir {dir}: {e}"))?;
-        let model_text = model.to_text();
-        let n = miner.engine().dataset().len() as u64;
-        store
-            .snapshot(&hos_storage::store::SnapshotState {
-                dataset: miner.engine().dataset(),
-                model: Some(&model_text),
-                base: 0,
-                oldest: 0,
-                rows_consumed: n,
-                search_width: hos_storage::snapshot_search_width(&miner),
-            })
-            .map_err(|e| format!("writing snapshot: {e}"))?;
-        println!("snapshot written to {dir} at seq {}", store.last_seq());
-    }
-    println!("note: apply the same --normalize flag on query/scan as used here.");
-    Ok(())
-}
-
-fn cmd_info(args: &Args) -> CmdResult {
-    let ds = load(args)?;
-    println!("{} points, {} dimensions", ds.len(), ds.dim());
-    let mut t = Table::new(vec!["col", "name", "mean", "std", "min", "max"]);
-    for c in 0..ds.dim() {
-        let col = ds.column_vec(c);
-        let (mean, std, lo, hi) = hos_data::stats::column_summary(&col).ok_or("empty dataset")?;
-        let name = ds
-            .names()
-            .map(|n| n[c].clone())
-            .unwrap_or_else(|| format!("x{}", c + 1));
-        t.push(vec![
-            (c + 1).to_string(),
-            name,
-            fmt_f64(mean),
-            fmt_f64(std),
-            fmt_f64(lo),
-            fmt_f64(hi),
-        ]);
-    }
-    println!("{}", t.render());
-    Ok(())
-}
-
-fn print_outcome(out: &hos_core::QueryOutcome, threshold: f64) {
-    if out.minimal.is_empty() {
-        println!(
-            "not an outlier in any subspace (threshold T = {})",
-            fmt_f64(threshold)
-        );
-    } else {
-        println!("minimal outlying subspaces (T = {}):", fmt_f64(threshold));
-        let mut t = Table::new(vec!["subspace", "dims", "OD"]);
-        for s in &out.minimal {
-            let od = out
-                .outlying
-                .iter()
-                .find(|x| x.subspace == *s)
-                .and_then(|x| x.od)
-                .map(fmt_f64)
-                .unwrap_or_else(|| ">= T".to_string());
-            t.push(vec![s.to_string(), s.dim().to_string(), od]);
-        }
-        println!("{}", t.render());
-        println!(
-            "({} outlying subspaces total before refinement)",
-            out.outlying.len()
-        );
-    }
-    println!(
-        "search: {} OD evals, {} pruned-in, {} pruned-out, lattice {}, {} kernel folds, {:.1} ms",
-        out.stats.od_evals,
-        out.stats.pruned_outlier,
-        out.stats.pruned_non_outlier,
-        out.stats.lattice_size,
-        out.stats.nodes_visited,
-        out.stats.seconds * 1e3
-    );
-}
-
-fn cmd_query(args: &Args) -> CmdResult {
-    // Parse and validate the batch id list BEFORE the (expensive)
-    // fit: a typo in --ids must not cost a full learning phase.
-    let batch_ids = match args.get("ids") {
-        None => None,
-        Some(spec) => {
-            if args.get("id").is_some() || args.get("point").is_some() {
-                return Err("--ids is mutually exclusive with --id and --point".into());
-            }
-            let ids: Vec<usize> = spec
-                .split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad point id {v:?}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            if ids.is_empty() {
-                return Err("--ids needs at least one point id".into());
-            }
-            Some(ids)
-        }
-    };
-    let raw = load(args)?;
-    let (ds, norm) = parse_normalizer(args, &raw)?;
-    let miner = build_miner(args, ds)?;
-    if let Some(ids) = batch_ids {
-        return cmd_query_batch(&miner, &ids, args.switch("verbose"));
-    }
-    let (out, query, exclude) = match (args.get_opt::<usize>("id")?, args.get("point")) {
-        (Some(_), Some(_)) => return Err("--id and --point are mutually exclusive".into()),
-        (Some(id), None) => {
-            let out = miner.query_id(id).map_err(|e| e.to_string())?;
-            let query: Vec<f64> = miner
-                .engine()
-                .dataset()
-                .try_row(id)
-                .map_err(|e| e.to_string())?
-                .to_vec();
-            (out, query, Some(id))
-        }
-        (None, Some(spec)) => {
-            let raw_point: Vec<f64> = spec
-                .split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad coordinate {v:?}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let point = match &norm {
-                Some(n) => n.apply_row(&raw_point).map_err(|e| e.to_string())?,
-                None => raw_point,
-            };
-            let out = miner.query_point(&point).map_err(|e| e.to_string())?;
-            (out, point, None)
-        }
-        (None, None) => return Err("query needs --id or --point".into()),
-    };
-    print_outcome(&out, miner.threshold());
-    if args.switch("verbose") {
-        let ex = hos_core::explain(&miner, &query, exclude, &out).map_err(|e| e.to_string())?;
-        let names = miner.engine().dataset().names().map(|n| n.to_vec());
-        println!("{}", hos_core::explain::render(&ex, names.as_deref()));
-    }
-    Ok(())
-}
-
-/// Multi-query front-end: `query --ids 3,17,256` runs every search in
-/// one [`HosMiner::query_each`] batch, parallelised across the miner's
-/// configured threads. Nothing prints unless every id is valid: the
-/// first invalid id fails the command with the error `--id` gives.
-fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult {
-    let outcomes = query_members(miner, ids)?;
-    let mut outliers = 0usize;
-    for (id, out) in ids.iter().zip(&outcomes) {
-        println!("--- point #{id} ---");
-        print_outcome(out, miner.threshold());
-        if verbose {
-            let query: Vec<f64> = miner.engine().dataset().row(*id).to_vec();
-            let ex = hos_core::explain(miner, &query, Some(*id), out).map_err(|e| e.to_string())?;
-            let names = miner.engine().dataset().names().map(|n| n.to_vec());
-            println!("{}", hos_core::explain::render(&ex, names.as_deref()));
-        }
-        if out.is_outlier() {
-            outliers += 1;
-        }
-        println!();
-    }
-    println!(
-        "batch: {} queries, {} outlying in at least one subspace, {} total OD evals",
-        ids.len(),
-        outliers,
-        outcomes.iter().map(|o| o.stats.od_evals).sum::<u64>()
-    );
-    Ok(())
-}
-
-/// Answers member queries through [`HosMiner::query_each`], failing
-/// with the first error in input order.
-fn query_members(miner: &HosMiner, ids: &[usize]) -> Result<Vec<QueryOutcome>, String> {
-    let specs: Vec<QuerySpec> = ids.iter().map(|&id| QuerySpec::Member(id)).collect();
-    miner
-        .query_each(&specs)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())
-}
-
-fn cmd_scan(args: &Args) -> CmdResult {
-    let raw = load(args)?;
-    let (ds, _) = parse_normalizer(args, &raw)?;
-    let miner = build_miner(args, ds)?;
-    let top = args.get_or("top", 5usize)?;
-    let report = hos_core::scan_outliers(&miner, top).map_err(|e| e.to_string())?;
-    println!(
-        "top {top} points by full-space OD (threshold T = {}):\n",
-        fmt_f64(report.threshold)
-    );
-    if report.hits.is_empty() {
-        println!("no point reaches the threshold in any subspace.");
-    }
-    for hit in &report.hits {
-        println!(
-            "point #{}: full-space OD = {}",
-            hit.id,
-            fmt_f64(hit.full_od)
-        );
-        let minimal: Vec<String> = hit.outcome.minimal.iter().map(|s| s.to_string()).collect();
-        println!(
-            "  minimal outlying subspaces: {}  ({} OD evals)\n",
-            minimal.join(" "),
-            hit.outcome.stats.od_evals
-        );
-    }
-    println!(
-        "({} of {} points skipped without any subspace search: full-space OD < T)",
-        report.skipped,
-        report.skipped + report.truncated + report.hits.len()
-    );
-    Ok(())
-}
-
-/// Streaming front-end: consume rows one at a time, maintain a
-/// sliding window of the last `--window` rows through the incremental
-/// engine path (`HosMiner::insert_point` / `retire_point` — no refits
-/// on the steady-state path), and report the window's top outlying
-/// points every `--every` rows.
-///
-/// Memory is bounded: tombstones accumulate until they outnumber the
-/// live window 3:1, then the window is compacted into a fresh miner
-/// (the only non-incremental step, amortised over 3·W rows). Reported
-/// ids are absolute row numbers in the stream, stable across
-/// compactions.
-fn cmd_stream(args: &Args) -> CmdResult {
-    let window = args.get_or("window", 500usize)?;
-    let every = args.get_or("every", 200usize)?.max(1);
-    let top = args.get_or("top", 3usize)?;
-    let reestimate = args.switch("reestimate");
-    let config = miner_config(args)?;
-    if window <= config.k + 1 {
-        return Err(format!(
-            "--window {window} too small: need more than k + 1 = {} rows live",
-            config.k + 1
-        ));
-    }
-
-    let reader: Box<dyn std::io::BufRead> = match args.get("data") {
-        Some(path) => Box::new(std::io::BufReader::new(
-            std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?,
-        )),
-        None => Box::new(std::io::BufReader::new(std::io::stdin())),
-    };
-
-    // Durable mode (--wal DIR): every state transition is logged to a
-    // write-ahead log before it is applied, and a crashed run recovers
-    // by replaying the newest snapshot plus the WAL tail through the
-    // exact same `StreamState::apply`. Without --wal the state machine
-    // runs with a no-op logger and behaves as before.
-    let mut store: Option<hos_storage::Store> = None;
-    let mut state = StreamState::new(config, window, reestimate);
-    if let Some(dir) = args.get("wal") {
-        let store_config = hos_storage::StoreConfig {
-            sync_every: args.get_or("sync-every", 64usize)?,
-            meta: hos_storage::config_fingerprint(&config, Some(window)),
-        };
-        let (s, recovery) = hos_storage::Store::open(std::path::Path::new(dir), store_config)
-            .map_err(|e| format!("opening wal dir {dir}: {e}"))?;
-        if recovery.truncated_tail {
-            println!("(wal: torn final record truncated)");
-        }
-        let replayed = recovery.ops.len();
-        let snap_seq = recovery.snapshot.as_ref().map(|sn| sn.meta().seq);
-        state = StreamState::from_recovery(config, window, reestimate, &recovery)?;
-        if snap_seq.is_some() || replayed > 0 {
-            println!(
-                "recovered: snapshot seq {}, {replayed} wal ops replayed, resuming at row {}",
-                snap_seq.map_or_else(|| "none".into(), |q| q.to_string()),
-                state.rows_consumed
-            );
-        }
-        store = Some(s);
-    }
-    // A recovered run already consumed this many input rows; skip them.
-    let resume_skip = state.rows_consumed;
-
-    let mut seen = state.rows_consumed as usize;
-    let mut scans = 0usize;
-    let mut outlier_rows = 0usize;
-    let mut last_report = usize::MAX;
-    let mut skip_header = args.switch("header");
-    let mut data_rows = 0u64;
-
-    fn log_op(store: &mut Option<hos_storage::Store>, op: &hos_storage::Op) -> CmdResult {
-        if let Some(s) = store.as_mut() {
-            s.append(op).map(|_| ()).map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    }
-
-    fn report(
-        state: &mut StreamState,
-        store: &mut Option<hos_storage::Store>,
-        top: usize,
-        seen: usize,
-        scans: &mut usize,
-        outlier_rows: &mut usize,
-    ) -> CmdResult {
-        // --reestimate mutates the threshold, so in durable mode it is
-        // a logged op like any other transition.
-        if state.reestimate {
-            let op = hos_storage::Op::Reestimate;
-            log_op(store, &op)?;
-            state.apply(&op)?;
-        }
-        let base = state.base as usize;
-        let m = state.miner.as_mut().expect("report before fit");
-        let rep = hos_core::scan_outliers(m, top).map_err(|e| e.to_string())?;
-        *scans += 1;
-        println!(
-            "-- row {seen}: window {} live, T = {}",
-            m.live_len(),
-            fmt_f64(rep.threshold)
-        );
-        if rep.hits.is_empty() {
-            println!("   (no point above T in any subspace)");
-        }
-        for hit in &rep.hits {
-            *outlier_rows += 1;
-            let minimal: Vec<String> = hit.outcome.minimal.iter().map(|s| s.to_string()).collect();
-            println!(
-                "   outlier row #{}: full OD {}, minimal subspaces {}",
-                base + hit.id,
-                fmt_f64(hit.full_od),
-                minimal.join(" ")
-            );
-        }
-        Ok(())
-    }
-
-    for line in std::io::BufRead::lines(reader) {
-        let line = line.map_err(|e| format!("reading stream: {e}"))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        if skip_header {
-            skip_header = false;
-            continue;
-        }
-        data_rows += 1;
-        if data_rows <= resume_skip {
-            continue;
-        }
-        let row: Vec<f64> = trimmed
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("row {}: bad value {v:?}", seen + 1))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        seen += 1;
-
-        let events = state.consume_row(row, &mut |op| log_op(&mut store, op))?;
-        for ev in events {
-            match ev {
-                StreamEvent::Bootstrapped { threshold } => println!(
-                    "bootstrapped on first {window} rows: k={}, engine={}, T = {}",
-                    config.k,
-                    config.engine,
-                    fmt_f64(threshold)
-                ),
-                StreamEvent::Compacted { tombstones } => {
-                    println!(
-                        "(compacted {tombstones} tombstones at row {seen}; \
-                         window ids renumbered from {})",
-                        state.base
-                    );
-                    // Compaction is the snapshot cadence: the window
-                    // was just rewritten densely, so checkpoint it and
-                    // rotate the WAL before the next 3·W rows accrue.
-                    if let Some(s) = store.as_mut() {
-                        state.snapshot_into(s)?;
-                        println!("(snapshot written at seq {})", s.last_seq());
-                    }
-                }
-            }
-        }
-        if state.miner.is_some() && seen >= window && (seen - window).is_multiple_of(every) {
-            report(
-                &mut state,
-                &mut store,
-                top,
-                seen,
-                &mut scans,
-                &mut outlier_rows,
-            )?;
-            last_report = seen;
-        }
-    }
-
-    // A short stream never reached the window size: fit on what there
-    // is so the final report still happens. The fit is a logged
-    // transition like any other, so a durable short stream recovers
-    // identically too.
-    if state.miner.is_none() {
-        if state.bootstrap_len() <= config.k + 1 {
-            return Err(format!(
-                "stream ended after {} rows; need more than k + 1 = {} to fit",
-                state.bootstrap_len(),
-                config.k + 1
-            ));
-        }
-        let op = hos_storage::Op::Bootstrap;
-        log_op(&mut store, &op)?;
-        state.apply(&op)?;
-    }
-    // Final report unless the loop just emitted one at this exact row.
-    if last_report != seen {
-        report(
-            &mut state,
-            &mut store,
-            top,
-            seen,
-            &mut scans,
-            &mut outlier_rows,
-        )?;
-    }
-    if let Some(s) = store.as_mut() {
-        state.snapshot_into(s)?;
-        println!("(snapshot written at seq {})", s.last_seq());
-        println!("state digest: {:016x}", state.digest());
-    }
-    let m = state.miner.as_ref().expect("fitted above");
-    println!(
-        "stream: {seen} rows, window {} live, {} inserts, {} retires, \
-         {scans} scans, {outlier_rows} outlier reports, final T = {}",
-        m.live_len(),
-        state.inserts,
-        state.retires,
-        fmt_f64(m.threshold())
-    );
-    Ok(())
-}
-
-/// `bench serve`: sustained-load benchmark of the resident query
-/// server under a 90/10 read/write mix, across four arms that all
-/// answer bit-identically (pinned by the serve concurrency and
-/// protocol oracles) so each comparison isolates one mechanism:
-///
-/// * unbatched (`batch_max 1`) vs **fixed-window batched** — what
-///   cross-request batching buys (`serve_qps`, meaning unchanged
-///   from earlier baselines);
-/// * fixed vs **adaptive window** — what the arrival/cost model buys
-///   in tail latency (`serve_adaptive_*`);
-/// * batched JSON vs **hosbin** with a pipelined binary client —
-///   what the length-prefixed protocol and `--pipeline` in-flight
-///   frames buy (`serve_bin_*`).
-///
-/// The speedup gates (`--min-speedup`, `--min-bin-speedup`) are plain
-/// floors on the measured ratios, enforced on every machine. Each arm
-/// serves only a few hundred requests, so the ratios are noisy: on a
-/// two-core host batched/unbatched spans about 0.6–1.6× between
-/// identical runs. A gate that must pass on the hardware it runs on
-/// is a no-regression floor below that spread, not a speedup claim.
-fn cmd_bench_serve(args: &Args) -> CmdResult {
-    let ds = if args.get("data").is_some() {
-        load(args)?
-    } else {
-        // Default to a workload where one query costs real work (a
-        // full 20k x 8 OD scan minimum): dynamic batching buys
-        // throughput by fanning execution out across cores, so the
-        // benchmark must not be dominated by per-request socket
-        // overhead the way a toy dataset would be.
-        let n = args.get_or("n", 20_000usize)?;
-        let d = args.get_or("d", 8usize)?;
-        let spec = PlantedSpec {
-            n_background: n,
-            d,
-            n_clusters: 3,
-            cluster_sigma: 1.0,
-            extent: 100.0,
-            targets: vec![Subspace::from_dims(&[0, 1])],
-            shift_sigmas: 12.0,
-            seed: args.get_or("seed", 0u64)?,
-        };
-        generate(&spec).map_err(|e| e.to_string())?.dataset
-    };
-    let (ds, _) = parse_normalizer(args, &ds)?;
-    let clients = args.get_or("clients", 8usize)?.max(1);
-    let per_client = args.get_or("requests", 25usize)?.max(1);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Batching wins by turning a window of concurrent requests into
-    // one parallel fan-out — give the miner the machine's cores
-    // unless --threads says otherwise.
-    let threads = args.get_or("threads", cores)?;
-
-    let fit_start = std::time::Instant::now();
-    let mut miner = build_miner(args, ds)?;
-    miner.set_threads(threads);
-    let fit_seconds = fit_start.elapsed().as_secs_f64();
-    let n = miner.engine().dataset().len();
-    let dim = miner.engine().dataset().dim();
-    println!(
-        "bench serve: {n} points x {dim} dims, k={}, engine={}, threads={threads}, \
-         {clients} clients x {per_client} requests, 90/10 read/write",
-        miner.config().k,
-        miner.config().engine,
-    );
-
-    /// One sustained run against a fresh in-process server; returns
-    /// `(qps, p99_ms)`.
-    fn drive(
-        miner: hos_core::HosMiner,
-        batch_max: usize,
-        adaptive: bool,
-        clients: usize,
-        per_client: usize,
-        n: usize,
-        dim: usize,
-    ) -> Result<(f64, f64), String> {
-        let config = hos_serve::ServeConfig {
-            workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
-            batch_max,
-            adaptive_window: adaptive,
-            ..hos_serve::ServeConfig::default()
-        };
-        let server = hos_serve::Server::start(miner, &config).map_err(|e| e.to_string())?;
-        let addr = server.addr();
-        let start = std::time::Instant::now();
-        let latencies: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut lat = Vec::with_capacity(per_client);
-                        let mut inserted: Vec<usize> = Vec::new();
-                        for i in 0..per_client {
-                            // 90/10 read/write; writes alternate
-                            // insert / retire-own-insert so the live
-                            // set stays near its starting size.
-                            let (path, body) = if i % 10 == 9 {
-                                match inserted.pop() {
-                                    Some(id) => ("/retire", format!("{{\"id\":{id}}}")),
-                                    None => {
-                                        let v = ((c * 131 + i * 17) % 100) as f64;
-                                        let row: Vec<String> =
-                                            (0..dim).map(|j| format!("{}", v + j as f64)).collect();
-                                        ("/insert", format!("{{\"row\":[{}]}}", row.join(",")))
-                                    }
-                                }
-                            } else {
-                                ("/query", format!("{{\"id\":{}}}", (c * 97 + i * 13) % n))
-                            };
-                            let t = std::time::Instant::now();
-                            let (status, resp) =
-                                tinyhttp::client_request(addr, "POST", path, body.as_bytes())
-                                    .expect("server reachable");
-                            lat.push(t.elapsed().as_secs_f64() * 1000.0);
-                            assert!(
-                                status == 200,
-                                "unexpected status {status} on {path}: {}",
-                                String::from_utf8_lossy(&resp)
-                            );
-                            if path == "/insert" {
-                                let text = String::from_utf8_lossy(&resp);
-                                if let Some(id) = hos_serve::Json::parse(&text)
-                                    .ok()
-                                    .and_then(|j| j.get("id").and_then(hos_serve::Json::as_usize))
-                                {
-                                    inserted.push(id);
-                                }
-                            }
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        server.initiate_shutdown();
-        let report = server.join();
-        let total = latencies.len();
-        assert_eq!(report.http_requests as usize, total);
-        let mut sorted = latencies;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let p99 = sorted[((total as f64 * 0.99).ceil() as usize).clamp(1, total) - 1];
-        Ok((total as f64 / elapsed.max(1e-12), p99))
-    }
-
-    /// One sustained hosbin run: same workload mix, but framed binary
-    /// over one persistent connection per client with up to `pipeline`
-    /// requests in flight (replies come back in order, so latency is
-    /// measured send-to-matching-reply).
-    fn drive_bin(
-        miner: hos_core::HosMiner,
-        clients: usize,
-        per_client: usize,
-        n: usize,
-        dim: usize,
-        pipeline: usize,
-    ) -> Result<(f64, f64), String> {
-        use hos_serve::codec;
-        use std::collections::VecDeque;
-        type InFlight = VecDeque<(bool, std::time::Instant)>;
-
-        fn recv_one(
-            cli: &mut tinyhttp::bin::BinClient,
-            inflight: &mut InFlight,
-            lat: &mut Vec<f64>,
-            inserted: &mut Vec<usize>,
-        ) {
-            let (was_insert, sent) = inflight.pop_front().expect("reply for a sent frame");
-            let (op, resp) = cli.recv().expect("server reachable");
-            lat.push(sent.elapsed().as_secs_f64() * 1000.0);
-            let (status, json) = codec::bin_reply_to_json(op, resp).expect("decodable reply");
-            assert!(status == 200, "unexpected status {status}: {json:?}");
-            if was_insert {
-                if let Some(id) = json.get("id").and_then(hos_serve::Json::as_usize) {
-                    inserted.push(id);
-                }
-            }
-        }
-
-        let config = hos_serve::ServeConfig {
-            workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
-            batch_max: 64,
-            ..hos_serve::ServeConfig::default()
-        };
-        let server = hos_serve::Server::start(miner, &config).map_err(|e| e.to_string())?;
-        let addr = server.addr();
-        let start = std::time::Instant::now();
-        let latencies: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut cli =
-                            tinyhttp::bin::BinClient::connect(addr).expect("server reachable");
-                        let mut lat = Vec::with_capacity(per_client);
-                        let mut inserted: Vec<usize> = Vec::new();
-                        let mut body = Vec::new();
-                        let mut inflight: InFlight = VecDeque::with_capacity(pipeline);
-                        for i in 0..per_client {
-                            // Same 90/10 read/write mix as the HTTP arms.
-                            let (req, is_insert) = if i % 10 == 9 {
-                                match inserted.pop() {
-                                    Some(id) => (hos_serve::ApiRequest::Retire(id), false),
-                                    None => {
-                                        let v = ((c * 131 + i * 17) % 100) as f64;
-                                        let row: Vec<f64> =
-                                            (0..dim).map(|j| v + j as f64).collect();
-                                        (hos_serve::ApiRequest::Insert(row), true)
-                                    }
-                                }
-                            } else {
-                                let id = (c * 97 + i * 13) % n;
-                                (
-                                    hos_serve::ApiRequest::Query(vec![QuerySpec::Member(id)]),
-                                    false,
-                                )
-                            };
-                            let op = codec::encode_bin_request(&req, &mut body);
-                            inflight.push_back((is_insert, std::time::Instant::now()));
-                            cli.send(op, &body).expect("server reachable");
-                            while inflight.len() >= pipeline {
-                                recv_one(&mut cli, &mut inflight, &mut lat, &mut inserted);
-                            }
-                        }
-                        while !inflight.is_empty() {
-                            recv_one(&mut cli, &mut inflight, &mut lat, &mut inserted);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        server.initiate_shutdown();
-        let report = server.join();
-        let total = latencies.len();
-        assert_eq!(report.bin_requests as usize, total);
-        let mut sorted = latencies;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let p99 = sorted[((total as f64 * 0.99).ceil() as usize).clamp(1, total) - 1];
-        Ok((total as f64 / elapsed.max(1e-12), p99))
-    }
-
-    // The server consumes its miner; fit identical twins for the
-    // other arms (fitting is deterministic, so the workloads match).
-    let fit_twin = || -> Result<hos_core::HosMiner, String> {
-        let mut m = build_miner(args, miner.engine().dataset().clone())?;
-        m.set_threads(threads);
-        Ok(m)
-    };
-    let twin_unbatched = fit_twin()?;
-    let twin_fixed = fit_twin()?;
-    let twin_bin = fit_twin()?;
-    let pipeline = args.get_or("pipeline", 4usize)?.max(1);
-    let (unbatched_qps, unbatched_p99) =
-        drive(twin_unbatched, 1, false, clients, per_client, n, dim)?;
-    let (serve_qps, serve_p99) = drive(twin_fixed, 64, false, clients, per_client, n, dim)?;
-    let (adaptive_qps, adaptive_p99) = drive(miner, 64, true, clients, per_client, n, dim)?;
-    let (bin_qps, bin_p99) = drive_bin(twin_bin, clients, per_client, n, dim, pipeline)?;
-    let speedup = serve_qps / unbatched_qps.max(1e-12);
-    let bin_speedup = bin_qps / serve_qps.max(1e-12);
-    println!("serve unbatched: {unbatched_qps:.1} req/s, p99 {unbatched_p99:.2} ms  (batch_max 1)");
-    println!(
-        "serve batched:   {serve_qps:.1} req/s, p99 {serve_p99:.2} ms  (batch_max 64, fixed window)"
-    );
-    println!(
-        "serve adaptive:  {adaptive_qps:.1} req/s, p99 {adaptive_p99:.2} ms  \
-         (batch_max 64, adaptive window)"
-    );
-    println!(
-        "serve hosbin:    {bin_qps:.1} req/s, p99 {bin_p99:.2} ms  \
-         (binary protocol, pipeline {pipeline})"
-    );
-    println!("serve speedup:   {speedup:.2}x batched over unbatched");
-    println!("serve bin speedup: {bin_speedup:.2}x hosbin over batched JSON");
-    if let Some(min) = args.get_opt::<f64>("min-speedup")? {
-        if speedup < min {
-            return Err(format!(
-                "batched serve throughput only {speedup:.2}x unbatched (floor: {min}x)"
-            ));
-        }
-    }
-    if let Some(min) = args.get_opt::<f64>("min-bin-speedup")? {
-        if bin_speedup < min {
-            return Err(format!(
-                "hosbin throughput only {bin_speedup:.2}x batched JSON (floor: {min}x)"
-            ));
-        }
-    }
-
-    let summary_path = args.get("summary").unwrap_or("BENCH_SUMMARY.json");
-    if summary_path != "-" {
-        let summary = format!(
-            "{{\n  \"config\": {{\n    \"n\": {n},\n    \"d\": {dim},\n    \
-             \"serve_clients\": {clients}\n  }},\n  \"results\": {{\n    \
-             \"fit_seconds\": {fit_seconds:.6},\n    \
-             \"serve_qps\": {serve_qps:.3},\n    \"serve_p99_ms\": {serve_p99:.3},\n    \
-             \"serve_unbatched_qps\": {unbatched_qps:.3},\n    \"serve_speedup\": {speedup:.3},\n    \
-             \"serve_adaptive_qps\": {adaptive_qps:.3},\n    \
-             \"serve_adaptive_p99_ms\": {adaptive_p99:.3},\n    \
-             \"serve_bin_qps\": {bin_qps:.3},\n    \"serve_bin_p99_ms\": {bin_p99:.3},\n    \
-             \"serve_bin_speedup\": {bin_speedup:.3}\n  }}\n}}\n"
-        );
-        std::fs::write(summary_path, summary)
-            .map_err(|e| format!("writing {summary_path}: {e}"))?;
-        println!("wrote {summary_path}");
-    }
-    Ok(())
-}
-
-/// `probe`: open a hosbin connection to a running `hos-serve` and
-/// walk the read-only endpoints over framed binary — healthz, stats,
-/// and (when the store is non-empty) one member query. Every reply
-/// must decode; any error frame or framing fault is a hard failure.
-/// Prints `hosbin probe: ok` on success, the deploy smoke contract.
-fn cmd_probe(args: &Args) -> CmdResult {
-    use hos_serve::codec;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
-    let addr: std::net::SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("--addr: bad address {addr:?}"))?;
-    let mut cli =
-        tinyhttp::bin::BinClient::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-    let mut body = Vec::new();
-    let mut walk = |req: &hos_serve::ApiRequest| -> Result<hos_serve::Json, String> {
-        let op = codec::encode_bin_request(req, &mut body);
-        let (rop, resp) = cli.call(op, &body).map_err(|e| format!("{addr}: {e}"))?;
-        let (status, json) =
-            codec::bin_reply_to_json(rop, &resp).map_err(|e| format!("{addr}: bad reply: {e}"))?;
-        if status != 200 {
-            return Err(format!("{addr}: status {status}: {json:?}"));
-        }
-        Ok(json)
-    };
-    walk(&hos_serve::ApiRequest::Healthz)?;
-    let stats = walk(&hos_serve::ApiRequest::Stats)?;
-    let live = stats
-        .get("live")
-        .and_then(hos_serve::Json::as_usize)
-        .ok_or_else(|| format!("{addr}: stats reply lacks live"))?;
-    let version = stats
-        .get("version")
-        .and_then(hos_serve::Json::as_usize)
-        .ok_or_else(|| format!("{addr}: stats reply lacks version"))?;
-    let mut queried = 0usize;
-    if live > 0 {
-        let reply = walk(&hos_serve::ApiRequest::Query(vec![QuerySpec::Member(0)]))?;
-        queried = reply
-            .get("results")
-            .and_then(|r| r.as_array().map(<[hos_serve::Json]>::len))
-            .ok_or_else(|| format!("{addr}: query reply lacks results"))?;
-    }
-    println!("hosbin probe: ok (live={live} version={version} queried={queried})");
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn run(argv: &[&str]) -> CmdResult {
+    pub(crate) fn run(argv: &[&str]) -> CmdResult {
         let v: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         dispatch(&v)
     }
 
-    fn tmp(name: &str) -> String {
+    pub(crate) fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("hos_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
@@ -1165,356 +182,6 @@ mod tests {
         ])
         .unwrap();
         run(&["scan", "--data", &path, "--top", "3", "--samples", "5"]).unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batch_query_via_ids() {
-        let path = tmp("batch.csv");
-        run(&[
-            "generate",
-            "--out",
-            &path,
-            "--n",
-            "250",
-            "--d",
-            "5",
-            "--targets",
-            "[1,2];[4]",
-            "--seed",
-            "6",
-        ])
-        .unwrap();
-        // Planted outliers are rows 250 and 251; mix in inliers and
-        // fan out across threads.
-        run(&[
-            "query",
-            "--data",
-            &path,
-            "--ids",
-            "250,251,0,1,2",
-            "--samples",
-            "5",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
-        // --verbose renders per-point explanations in batch mode too.
-        run(&[
-            "query",
-            "--data",
-            &path,
-            "--ids",
-            "250,0",
-            "--samples",
-            "5",
-            "--verbose",
-        ])
-        .unwrap();
-        // Validation: bad ids, empty list, flag exclusivity.
-        assert!(run(&["query", "--data", &path, "--ids", "0,99999"]).is_err());
-        assert!(run(&["query", "--data", &path, "--ids", "0,oops"]).is_err());
-        assert!(run(&["query", "--data", &path, "--ids", "0", "--id", "1"]).is_err());
-        assert!(run(&[
-            "query",
-            "--data",
-            &path,
-            "--ids",
-            "0",
-            "--point",
-            "1,2,3,4,5"
-        ])
-        .is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn query_flag_validation() {
-        let path = tmp("valid.csv");
-        run(&["generate", "--out", &path, "--n", "100", "--d", "4"]).unwrap();
-        assert!(run(&["query", "--data", &path]).is_err());
-        assert!(run(&["query", "--data", &path, "--id", "0", "--point", "1,2,3,4"]).is_err());
-        assert!(run(&[
-            "query",
-            "--data",
-            &path,
-            "--id",
-            "0",
-            "--threshold",
-            "5",
-            "--quantile",
-            "0.9"
-        ])
-        .is_err());
-        assert!(run(&["query", "--data", &path, "--id", "0", "--metric", "cosine"]).is_err());
-        assert!(run(&["query", "--data", &path, "--point", "1,2,oops,4"]).is_err());
-        assert!(run(&["query", "--data", "/nonexistent.csv", "--id", "0"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn normalization_options() {
-        let path = tmp("norm.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "200", "--d", "4", "--seed", "9",
-        ])
-        .unwrap();
-        for mode in ["none", "minmax", "zscore"] {
-            run(&[
-                "query",
-                "--data",
-                &path,
-                "--id",
-                "0",
-                "--normalize",
-                mode,
-                "--samples",
-                "0",
-            ])
-            .unwrap();
-        }
-        assert!(run(&["query", "--data", &path, "--id", "0", "--normalize", "log"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fit_then_query_with_saved_model() {
-        let data = tmp("model_data.csv");
-        let model = tmp("fitted.model");
-        run(&[
-            "generate", "--out", &data, "--n", "300", "--d", "5", "--seed", "8",
-        ])
-        .unwrap();
-        run(&[
-            "fit",
-            "--data",
-            &data,
-            "--save-model",
-            &model,
-            "--k",
-            "4",
-            "--quantile",
-            "0.9",
-            "--samples",
-            "8",
-        ])
-        .unwrap();
-        run(&["query", "--data", &data, "--id", "300", "--model", &model]).unwrap();
-        run(&["scan", "--data", &data, "--top", "2", "--model", &model]).unwrap();
-        // A corrupt model file is an error, not a panic.
-        std::fs::write(&model, "garbage").unwrap();
-        assert!(run(&["query", "--data", &data, "--id", "0", "--model", &model]).is_err());
-        assert!(run(&["fit", "--data", &data]).is_err()); // missing --save-model
-        std::fs::remove_file(&data).ok();
-        std::fs::remove_file(&model).ok();
-    }
-
-    #[test]
-    fn shards_flag_accepted_and_validated() {
-        let path = tmp("shards.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "250", "--d", "5", "--seed", "7",
-        ])
-        .unwrap();
-        run(&[
-            "query",
-            "--data",
-            &path,
-            "--id",
-            "250",
-            "--samples",
-            "0",
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        run(&[
-            "scan",
-            "--data",
-            &path,
-            "--top",
-            "2",
-            "--samples",
-            "0",
-            "--shards",
-            "3",
-        ])
-        .unwrap();
-        // shards = 0 is a config error, not a panic.
-        assert!(run(&["query", "--data", &path, "--id", "0", "--shards", "0"]).is_err());
-        assert!(run(&["query", "--data", &path, "--id", "0", "--shards", "oops"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_subcommand_windows_and_reports() {
-        let path = tmp("stream.csv");
-        run(&[
-            "generate",
-            "--out",
-            &path,
-            "--n",
-            "400",
-            "--d",
-            "4",
-            "--targets",
-            "[1,2]",
-            "--seed",
-            "11",
-        ])
-        .unwrap();
-        // Window smaller than the stream: bootstraps, slides, reports.
-        run(&[
-            "stream",
-            "--data",
-            &path,
-            "--window",
-            "150",
-            "--every",
-            "100",
-            "--top",
-            "2",
-            "--samples",
-            "0",
-            "--quantile",
-            "0.95",
-        ])
-        .unwrap();
-        // Reestimation, sharded engine, alternative index.
-        run(&[
-            "stream",
-            "--data",
-            &path,
-            "--window",
-            "120",
-            "--every",
-            "150",
-            "--samples",
-            "0",
-            "--reestimate",
-            "--shards",
-            "3",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        run(&[
-            "stream",
-            "--data",
-            &path,
-            "--window",
-            "100",
-            "--every",
-            "200",
-            "--samples",
-            "0",
-            "--engine",
-            "xtree",
-        ])
-        .unwrap();
-        // Stream shorter than the window: fits on what arrived.
-        run(&[
-            "stream",
-            "--data",
-            &path,
-            "--window",
-            "5000",
-            "--samples",
-            "0",
-        ])
-        .unwrap();
-        // Validation: window must exceed k + 1; bad file is an error.
-        assert!(run(&["stream", "--data", &path, "--window", "5", "--k", "5"]).is_err());
-        assert!(run(&["stream", "--data", "/nonexistent.csv"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_compacts_long_runs_with_small_windows() {
-        // 400 rows over a 30-row window: > 3x tombstone ratio is hit
-        // repeatedly, so the compaction path (id renumbering, base
-        // offset, refit with pinned threshold) is exercised.
-        let path = tmp("stream_compact.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "400", "--d", "3", "--seed", "13",
-        ])
-        .unwrap();
-        run(&[
-            "stream",
-            "--data",
-            &path,
-            "--window",
-            "30",
-            "--every",
-            "120",
-            "--samples",
-            "0",
-            "--k",
-            "3",
-        ])
-        .unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn model_load_honours_shards_and_threads() {
-        let data = tmp("sharded_model.csv");
-        let model = tmp("sharded.model");
-        run(&[
-            "generate", "--out", &data, "--n", "250", "--d", "4", "--seed", "5",
-        ])
-        .unwrap();
-        run(&[
-            "fit",
-            "--data",
-            &data,
-            "--save-model",
-            &model,
-            "--quantile",
-            "0.9",
-            "--samples",
-            "5",
-        ])
-        .unwrap();
-        run(&[
-            "query",
-            "--data",
-            &data,
-            "--id",
-            "250",
-            "--model",
-            &model,
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        std::fs::remove_file(&data).ok();
-        std::fs::remove_file(&model).ok();
-    }
-
-    #[test]
-    fn xtree_engine_via_cli() {
-        let path = tmp("xtree.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "400", "--d", "5", "--seed", "2",
-        ])
-        .unwrap();
-        run(&[
-            "query",
-            "--data",
-            &path,
-            "--id",
-            "400",
-            "--engine",
-            "xtree",
-            "--samples",
-            "3",
-        ])
-        .unwrap();
         std::fs::remove_file(&path).ok();
     }
 }

@@ -13,7 +13,14 @@
 
 mod args;
 mod commands;
+mod data;
+mod fit;
+mod probe;
+mod query;
+mod scan;
+mod serve_bench;
 mod stream;
+mod tuning;
 
 use std::process::ExitCode;
 

@@ -10,7 +10,11 @@
 //! recovered process bit-identical to an uninterrupted twin — there is
 //! no second implementation to drift.
 
+use crate::args::Args;
+use crate::commands::CmdResult;
+use crate::tuning::miner_config;
 use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
+use hos_data::table::fmt_f64;
 use hos_data::Dataset;
 use hos_storage::store::SnapshotState;
 use hos_storage::{miner_from_snapshot, snapshot_search_width, Op, Recovery, Store};
@@ -262,9 +266,233 @@ impl StreamState {
     }
 }
 
+/// Streaming front-end: consume rows one at a time, maintain a
+/// sliding window of the last `--window` rows through the incremental
+/// engine path (`HosMiner::insert_point` / `retire_point` — no refits
+/// on the steady-state path), and report the window's top outlying
+/// points every `--every` rows.
+///
+/// Memory is bounded: tombstones accumulate until they outnumber the
+/// live window 3:1, then the window is compacted into a fresh miner
+/// (the only non-incremental step, amortised over 3·W rows). Reported
+/// ids are absolute row numbers in the stream, stable across
+/// compactions.
+pub fn cmd_stream(args: &Args) -> CmdResult {
+    let window = args.get_or("window", 500usize)?;
+    let every = args.get_or("every", 200usize)?.max(1);
+    let top = args.get_or("top", 3usize)?;
+    let reestimate = args.switch("reestimate");
+    let config = miner_config(args)?;
+    if window <= config.k + 1 {
+        return Err(format!(
+            "--window {window} too small: need more than k + 1 = {} rows live",
+            config.k + 1
+        ));
+    }
+
+    let reader: Box<dyn std::io::BufRead> = match args.get("data") {
+        Some(path) => Box::new(std::io::BufReader::new(
+            std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?,
+        )),
+        None => Box::new(std::io::BufReader::new(std::io::stdin())),
+    };
+
+    // Durable mode (--wal DIR): every state transition is logged to a
+    // write-ahead log before it is applied, and a crashed run recovers
+    // by replaying the newest snapshot plus the WAL tail through the
+    // exact same `StreamState::apply`. Without --wal the state machine
+    // runs with a no-op logger and behaves as before.
+    let mut store: Option<hos_storage::Store> = None;
+    let mut state = StreamState::new(config, window, reestimate);
+    if let Some(dir) = args.get("wal") {
+        let store_config = hos_storage::StoreConfig {
+            sync_every: args.get_or("sync-every", 64usize)?,
+            meta: hos_storage::config_fingerprint(&config, Some(window)),
+        };
+        let (s, recovery) = hos_storage::Store::open(std::path::Path::new(dir), store_config)
+            .map_err(|e| format!("opening wal dir {dir}: {e}"))?;
+        if recovery.truncated_tail {
+            println!("(wal: torn final record truncated)");
+        }
+        let replayed = recovery.ops.len();
+        let snap_seq = recovery.snapshot.as_ref().map(|sn| sn.meta().seq);
+        state = StreamState::from_recovery(config, window, reestimate, &recovery)?;
+        if snap_seq.is_some() || replayed > 0 {
+            println!(
+                "recovered: snapshot seq {}, {replayed} wal ops replayed, resuming at row {}",
+                snap_seq.map_or_else(|| "none".into(), |q| q.to_string()),
+                state.rows_consumed
+            );
+        }
+        store = Some(s);
+    }
+    // A recovered run already consumed this many input rows; skip them.
+    let resume_skip = state.rows_consumed;
+
+    let mut seen = state.rows_consumed as usize;
+    let mut scans = 0usize;
+    let mut outlier_rows = 0usize;
+    let mut last_report = usize::MAX;
+    let mut skip_header = args.switch("header");
+    let mut data_rows = 0u64;
+
+    fn log_op(store: &mut Option<hos_storage::Store>, op: &hos_storage::Op) -> CmdResult {
+        if let Some(s) = store.as_mut() {
+            s.append(op).map(|_| ()).map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
+
+    fn report(
+        state: &mut StreamState,
+        store: &mut Option<hos_storage::Store>,
+        top: usize,
+        seen: usize,
+        scans: &mut usize,
+        outlier_rows: &mut usize,
+    ) -> CmdResult {
+        // --reestimate mutates the threshold, so in durable mode it is
+        // a logged op like any other transition.
+        if state.reestimate {
+            let op = hos_storage::Op::Reestimate;
+            log_op(store, &op)?;
+            state.apply(&op)?;
+        }
+        let base = state.base as usize;
+        let m = state.miner.as_mut().expect("report before fit");
+        let rep = hos_core::scan_outliers(m, top).map_err(|e| e.to_string())?;
+        *scans += 1;
+        println!(
+            "-- row {seen}: window {} live, T = {}",
+            m.live_len(),
+            fmt_f64(rep.threshold)
+        );
+        if rep.hits.is_empty() {
+            println!("   (no point above T in any subspace)");
+        }
+        for hit in &rep.hits {
+            *outlier_rows += 1;
+            let minimal: Vec<String> = hit.outcome.minimal.iter().map(|s| s.to_string()).collect();
+            println!(
+                "   outlier row #{}: full OD {}, minimal subspaces {}",
+                base + hit.id,
+                fmt_f64(hit.full_od),
+                minimal.join(" ")
+            );
+        }
+        Ok(())
+    }
+
+    for line in std::io::BufRead::lines(reader) {
+        let line = line.map_err(|e| format!("reading stream: {e}"))?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        if skip_header {
+            skip_header = false;
+            continue;
+        }
+        data_rows += 1;
+        if data_rows <= resume_skip {
+            continue;
+        }
+        let row: Vec<f64> = trimmed
+            .split(',')
+            .map(|v| {
+                v.trim()
+                    .parse::<f64>()
+                    .map_err(|_| format!("row {}: bad value {v:?}", seen + 1))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        seen += 1;
+
+        let events = state.consume_row(row, &mut |op| log_op(&mut store, op))?;
+        for ev in events {
+            match ev {
+                StreamEvent::Bootstrapped { threshold } => println!(
+                    "bootstrapped on first {window} rows: k={}, engine={}, T = {}",
+                    config.k,
+                    config.engine,
+                    fmt_f64(threshold)
+                ),
+                StreamEvent::Compacted { tombstones } => {
+                    println!(
+                        "(compacted {tombstones} tombstones at row {seen}; \
+                         window ids renumbered from {})",
+                        state.base
+                    );
+                    // Compaction is the snapshot cadence: the window
+                    // was just rewritten densely, so checkpoint it and
+                    // rotate the WAL before the next 3·W rows accrue.
+                    if let Some(s) = store.as_mut() {
+                        state.snapshot_into(s)?;
+                        println!("(snapshot written at seq {})", s.last_seq());
+                    }
+                }
+            }
+        }
+        if state.miner.is_some() && seen >= window && (seen - window).is_multiple_of(every) {
+            report(
+                &mut state,
+                &mut store,
+                top,
+                seen,
+                &mut scans,
+                &mut outlier_rows,
+            )?;
+            last_report = seen;
+        }
+    }
+
+    // A short stream never reached the window size: fit on what there
+    // is so the final report still happens. The fit is a logged
+    // transition like any other, so a durable short stream recovers
+    // identically too.
+    if state.miner.is_none() {
+        if state.bootstrap_len() <= config.k + 1 {
+            return Err(format!(
+                "stream ended after {} rows; need more than k + 1 = {} to fit",
+                state.bootstrap_len(),
+                config.k + 1
+            ));
+        }
+        let op = hos_storage::Op::Bootstrap;
+        log_op(&mut store, &op)?;
+        state.apply(&op)?;
+    }
+    // Final report unless the loop just emitted one at this exact row.
+    if last_report != seen {
+        report(
+            &mut state,
+            &mut store,
+            top,
+            seen,
+            &mut scans,
+            &mut outlier_rows,
+        )?;
+    }
+    if let Some(s) = store.as_mut() {
+        state.snapshot_into(s)?;
+        println!("(snapshot written at seq {})", s.last_seq());
+        println!("state digest: {:016x}", state.digest());
+    }
+    let m = state.miner.as_ref().expect("fitted above");
+    println!(
+        "stream: {seen} rows, window {} live, {} inserts, {} retires, \
+         {scans} scans, {outlier_rows} outlier reports, final T = {}",
+        m.live_len(),
+        state.inserts,
+        state.retires,
+        fmt_f64(m.threshold())
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::tests::{run, tmp};
     use hos_core::ThresholdPolicy;
 
     fn config() -> HosMinerConfig {
@@ -376,5 +604,115 @@ mod tests {
         }
         assert!(fitted.miner.is_some());
         assert!(fitted.apply(&Op::Bootstrap).is_err());
+    }
+
+    #[test]
+    fn stream_subcommand_windows_and_reports() {
+        let path = tmp("stream.csv");
+        run(&[
+            "generate",
+            "--out",
+            &path,
+            "--n",
+            "400",
+            "--d",
+            "4",
+            "--targets",
+            "[1,2]",
+            "--seed",
+            "11",
+        ])
+        .unwrap();
+        // Window smaller than the stream: bootstraps, slides, reports.
+        run(&[
+            "stream",
+            "--data",
+            &path,
+            "--window",
+            "150",
+            "--every",
+            "100",
+            "--top",
+            "2",
+            "--samples",
+            "0",
+            "--quantile",
+            "0.95",
+        ])
+        .unwrap();
+        // Reestimation, sharded engine, alternative index.
+        run(&[
+            "stream",
+            "--data",
+            &path,
+            "--window",
+            "120",
+            "--every",
+            "150",
+            "--samples",
+            "0",
+            "--reestimate",
+            "--shards",
+            "3",
+            "--threads",
+            "2",
+        ])
+        .unwrap();
+        run(&[
+            "stream",
+            "--data",
+            &path,
+            "--window",
+            "100",
+            "--every",
+            "200",
+            "--samples",
+            "0",
+            "--engine",
+            "xtree",
+        ])
+        .unwrap();
+        // Stream shorter than the window: fits on what arrived.
+        run(&[
+            "stream",
+            "--data",
+            &path,
+            "--window",
+            "5000",
+            "--samples",
+            "0",
+        ])
+        .unwrap();
+        // Validation: window must exceed k + 1; bad file is an error.
+        assert!(run(&["stream", "--data", &path, "--window", "5", "--k", "5"]).is_err());
+        assert!(run(&["stream", "--data", "/nonexistent.csv"]).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stream_compacts_long_runs_with_small_windows() {
+        // 400 rows over a 30-row window: > 3x tombstone ratio is hit
+        // repeatedly, so the compaction path (id renumbering, base
+        // offset, refit with pinned threshold) is exercised.
+        let path = tmp("stream_compact.csv");
+        run(&[
+            "generate", "--out", &path, "--n", "400", "--d", "3", "--seed", "13",
+        ])
+        .unwrap();
+        run(&[
+            "stream",
+            "--data",
+            &path,
+            "--window",
+            "30",
+            "--every",
+            "120",
+            "--samples",
+            "0",
+            "--k",
+            "3",
+        ])
+        .unwrap();
+        std::fs::remove_file(&path).ok();
     }
 }
