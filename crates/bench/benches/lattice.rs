@@ -15,7 +15,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hos_core::priors::Priors;
 use hos_data::{Dataset, Metric, Subspace};
-use hos_index::{all_points_full_od, KnnEngine, LinearScan, QueryContext};
+use hos_index::{
+    all_points_full_od, all_points_full_od_counted, KnnEngine, LinearScan, QueryContext,
+};
 use hos_lattice::{Lattice, TsfComputer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,7 +163,8 @@ fn lcg_dataset(n: usize, d: usize, seed: u64) -> Dataset {
 
 /// The blocked all-points full-space OD kernel (quantized admission,
 /// one thread) against one exact `LinearScan::od` per point. Every
-/// point's OD is asserted bit-identical before anything is timed.
+/// point's OD is asserted bit-identical, and the admission filter
+/// asserted active, before anything is timed.
 fn bench_blocked_scan(c: &mut Criterion) {
     let (n, d, k) = (2002usize, 8usize, 5usize);
     let ds = lcg_dataset(n, d, 0x243F6A8885A308D3);
@@ -179,6 +182,16 @@ fn bench_blocked_scan(c: &mut Criterion) {
     for (&(id, od), want) in blocked.iter().zip(&reference) {
         assert_eq!(od.to_bits(), want.to_bits(), "blocked OD of point {id}");
     }
+    // Losing the quantized admission filter alone leaves the blocked
+    // exact path, still ~3.8× the per-point loop, so the timing floor
+    // below would pass; the pair accounting catches it instead.
+    let counted = all_points_full_od_counted(&ds, Metric::L2, k).unwrap();
+    let filtered = counted.filtered as f64 / (counted.filtered + counted.distance_evals) as f64;
+    println!("blocked_scan_n{n}_d{d}_k{k}: quantized admission filtered {filtered:.3} of pairs");
+    assert!(
+        counted.filtered > 0,
+        "quantized admission filtered no pairs"
+    );
 
     assert_floor(
         &format!("blocked_scan_n{n}_d{d}_k{k}"),

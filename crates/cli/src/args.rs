@@ -1,12 +1,11 @@
 //! Tiny dependency-free flag parser: `--name value` pairs plus
 //! positional arguments, with typed accessors.
 
-use std::collections::HashMap;
-
 /// Parsed command-line arguments.
 #[derive(Debug, Default)]
 pub struct Args {
-    flags: HashMap<String, String>,
+    /// `--name value` pairs in argv order.
+    flags: Vec<(String, String)>,
     positional: Vec<String>,
     switches: Vec<String>,
 }
@@ -30,9 +29,10 @@ impl Args {
                     let value = argv
                         .get(i + 1)
                         .ok_or_else(|| format!("flag --{name} requires a value"))?;
-                    if out.flags.insert(name.to_string(), value.clone()).is_some() {
+                    if out.get(name).is_some() {
                         return Err(format!("flag --{name} given twice"));
                     }
+                    out.flags.push((name.to_string(), value.clone()));
                     i += 2;
                 }
             } else {
@@ -55,7 +55,26 @@ impl Args {
 
     /// A string flag.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
+        self.flags
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Fails on the first flag or switch, in argv order, that is not in
+    /// one of the `allowed` lists: a misspelt flag is an error, never
+    /// silently ignored.
+    pub fn reject_unknown(&self, command: &str, allowed: &[&[&str]]) -> Result<(), String> {
+        let names = self.flags.iter().map(|(n, _)| n).chain(&self.switches);
+        match names
+            .into_iter()
+            .find(|n| !allowed.iter().any(|list| list.contains(&n.as_str())))
+        {
+            Some(name) => Err(format!(
+                "unknown flag --{name} for {command} (see hos-miner help)"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// A required string flag.
@@ -112,6 +131,19 @@ mod tests {
         assert_eq!(a.get_opt::<f64>("q").unwrap(), Some(0.9));
         assert_eq!(a.get_opt::<f64>("nope").unwrap(), None);
         assert!(a.get_or("q", 1usize).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_outside_the_allowed_lists() {
+        let a = Args::parse(&argv(&["query", "--id", "3", "--thread", "4", "--header"])).unwrap();
+        assert!(a
+            .reject_unknown("query", &[&["id", "thread"], &["header"]])
+            .is_ok());
+        assert_eq!(
+            a.reject_unknown("query", &[&["id", "header"], &["threads"]]),
+            Err("unknown flag --thread for query (see hos-miner help)".into())
+        );
+        assert!(a.reject_unknown("query", &[&["id", "thread"]]).is_err());
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! CLI subcommand implementations.
+//! Subcommand dispatch, the usage text, and the flags each subcommand
+//! accepts.
 
 use crate::args::Args;
-use crate::data::{cmd_generate, cmd_info};
-use crate::fit::cmd_fit;
-use crate::probe::cmd_probe;
-use crate::query::cmd_query;
-use crate::scan::cmd_scan;
-use crate::serve_bench::cmd_bench_serve;
-use crate::stream::cmd_stream;
+use crate::data::{cmd_generate, cmd_info, GENERATE_FLAGS, INFO_FLAGS};
+use crate::fit::{cmd_fit, FIT_FLAGS};
+use crate::probe::{cmd_probe, PROBE_FLAGS};
+use crate::query::{cmd_query, QUERY_FLAGS};
+use crate::scan::{cmd_scan, SCAN_FLAGS};
+use crate::serve_bench::{cmd_bench_serve, BENCH_SERVE_FLAGS};
+use crate::stream::{cmd_stream, STREAM_FLAGS};
+use crate::tuning::TUNING_FLAGS;
 
 pub type CmdResult = Result<(), String>;
 
@@ -22,7 +24,7 @@ USAGE:
   hos-miner fit      --data FILE --save-model FILE [--snapshot DIR]
                      [... tuning flags]
   hos-miner query    --data FILE (--id N | --ids N1,N2,... | --point \"x1,x2,...\")
-                     [--model FILE]
+                     [--model FILE] [--verbose]
                      [--k 5] [--threshold T | --quantile 0.95]
                      [--engine linear|xtree|hnsw] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
@@ -89,6 +91,28 @@ Subspaces are printed 1-based, e.g. [1,3] = first and third columns.";
 const BENCH_MOVED: &str = "`hos-miner bench` only runs `bench serve` now: time the served \
      system with `python3 perfbench/run.py` and the kernels with `cargo bench -p hos-bench`";
 
+/// One subcommand: its name, the flags it reads, and its entry point.
+type Command = (
+    &'static str,
+    &'static [&'static [&'static str]],
+    fn(&Args) -> CmdResult,
+);
+
+const COMMANDS: &[Command] = &[
+    ("generate", &[GENERATE_FLAGS], cmd_generate),
+    ("info", &[INFO_FLAGS], cmd_info),
+    ("fit", &[FIT_FLAGS, TUNING_FLAGS], cmd_fit),
+    ("query", &[QUERY_FLAGS, TUNING_FLAGS], cmd_query),
+    ("scan", &[SCAN_FLAGS, TUNING_FLAGS], cmd_scan),
+    ("stream", &[STREAM_FLAGS, TUNING_FLAGS], cmd_stream),
+    (
+        "bench serve",
+        &[BENCH_SERVE_FLAGS, TUNING_FLAGS],
+        cmd_bench_serve,
+    ),
+    ("probe", &[PROBE_FLAGS], cmd_probe),
+];
+
 /// Dispatches an argv to a subcommand.
 pub fn dispatch(argv: &[String]) -> CmdResult {
     // Checked before parsing, since the retired harness's switches no
@@ -97,23 +121,21 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
         return Err(BENCH_MOVED.into());
     }
     let args = Args::parse(argv)?;
-    match args.positional().first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args),
-        Some("info") => cmd_info(&args),
-        Some("fit") => cmd_fit(&args),
-        Some("query") => cmd_query(&args),
-        Some("scan") => cmd_scan(&args),
-        Some("stream") => cmd_stream(&args),
-        Some("bench") => cmd_bench_serve(&args),
-        Some("probe") => cmd_probe(&args),
+    let name = match args.positional().first().map(String::as_str) {
         Some("help") | None => {
             println!("{HELP}");
-            Ok(())
+            return Ok(());
         }
-        Some(other) => Err(format!(
-            "unknown subcommand {other:?}; try `hos-miner help`"
-        )),
-    }
+        Some(name) => name,
+    };
+    let Some(&(command, flags, run)) = COMMANDS
+        .iter()
+        .find(|(command, _, _)| command.split(' ').next() == Some(name))
+    else {
+        return Err(format!("unknown subcommand {name:?}; try `hos-miner help`"));
+    };
+    args.reject_unknown(command, flags)?;
+    run(&args)
 }
 
 #[cfg(test)]
@@ -129,6 +151,21 @@ pub(crate) mod tests {
         let dir = std::env::temp_dir().join("hos_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn every_accepted_flag_is_documented() {
+        let all = COMMANDS
+            .iter()
+            .flat_map(|(_, lists, _)| lists.iter().copied());
+        for name in all.flatten() {
+            let flag = format!("--{name}");
+            let documented = HELP.match_indices(&flag).any(|(at, _)| {
+                !HELP[at + flag.len()..]
+                    .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            });
+            assert!(documented, "{flag} missing from HELP");
+        }
     }
 
     #[test]

@@ -1,3 +1,5 @@
+//! `generate` writes a planted-outlier CSV; `info` summarises one.
+
 use crate::args::Args;
 use crate::commands::CmdResult;
 use crate::tuning::load;
@@ -5,6 +7,9 @@ use hos_data::csv::write_csv_path;
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::table::{fmt_f64, Table};
 use hos_data::Subspace;
+
+pub const GENERATE_FLAGS: &[&str] = &["out", "n", "d", "clusters", "targets", "shift", "seed"];
+pub const INFO_FLAGS: &[&str] = &["data", "header"];
 
 pub fn cmd_generate(args: &Args) -> CmdResult {
     let out = args.require("out")?;

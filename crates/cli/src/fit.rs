@@ -1,7 +1,12 @@
+//! `fit`: learn a model once and save it, optionally as a snapshot store.
+
 use crate::args::Args;
 use crate::commands::CmdResult;
 use crate::tuning::{fit_miner, load, miner_config, parse_normalizer};
 use hos_data::table::fmt_f64;
+
+/// `fit`'s own flags; it also takes the tuning flags.
+pub const FIT_FLAGS: &[&str] = &["data", "header", "normalize", "save-model", "snapshot"];
 
 pub fn cmd_fit(args: &Args) -> CmdResult {
     let out = args.require("save-model")?;

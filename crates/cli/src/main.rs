@@ -7,9 +7,13 @@
 //! * `query`    — find the outlying subspaces of a point (by id or
 //!   coordinates): index → threshold → learn → dynamic search → filter;
 //! * `scan`     — rank dataset points by full-space OD and report the
-//!   minimal outlying subspaces of the top ones.
+//!   minimal outlying subspaces of the top ones;
+//! * `fit`, `stream`, `bench serve`, `probe` — save a model, monitor a
+//!   sliding window, gate the server's throughput ratios, and smoke-check
+//!   a running server over hosbin.
 //!
-//! Run `hos-miner help` for usage.
+//! Each subcommand accepts only the flags it reads. Run `hos-miner help`
+//! for usage.
 
 mod args;
 mod commands;

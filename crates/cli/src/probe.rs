@@ -1,6 +1,10 @@
+//! `probe`: the hosbin deploy smoke check against a running server.
+
 use crate::args::Args;
 use crate::commands::CmdResult;
 use hos_core::QuerySpec;
+
+pub const PROBE_FLAGS: &[&str] = &["addr"];
 
 /// `probe`: open a hosbin connection to a running `hos-serve` and
 /// walk the read-only endpoints over framed binary — healthz, stats,

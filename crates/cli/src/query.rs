@@ -1,8 +1,22 @@
+//! `query`: the outlying subspaces of one point, or of a list of ids.
+
 use crate::args::Args;
 use crate::commands::CmdResult;
 use crate::tuning::{build_miner, load, parse_normalizer};
 use hos_core::{HosMiner, QueryOutcome, QuerySpec};
 use hos_data::table::{fmt_f64, Table};
+
+/// `query`'s own flags; it also takes the tuning flags.
+pub const QUERY_FLAGS: &[&str] = &[
+    "data",
+    "header",
+    "normalize",
+    "model",
+    "id",
+    "ids",
+    "point",
+    "verbose",
+];
 
 fn print_outcome(out: &hos_core::QueryOutcome, threshold: f64) {
     if out.minimal.is_empty() {

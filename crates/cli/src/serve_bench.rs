@@ -1,9 +1,27 @@
+//! `bench serve`: the batching and hosbin throughput floors.
+
 use crate::args::Args;
 use crate::commands::CmdResult;
 use crate::tuning::{build_miner, load, parse_normalizer};
 use hos_core::QuerySpec;
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::Subspace;
+
+/// `bench serve`'s own flags; it also takes the tuning flags.
+pub const BENCH_SERVE_FLAGS: &[&str] = &[
+    "data",
+    "header",
+    "normalize",
+    "model",
+    "n",
+    "d",
+    "clients",
+    "requests",
+    "pipeline",
+    "min-speedup",
+    "min-bin-speedup",
+    "summary",
+];
 
 /// `bench serve`: sustained-load benchmark of the resident query
 /// server under a 90/10 read/write mix, across four arms that all

@@ -1,4 +1,5 @@
-//! The streaming state machine shared by the live path and recovery.
+//! The `stream` subcommand and the state machine it shares with
+//! recovery.
 //!
 //! `stream` used to interleave its window logic with I/O inside one
 //! loop; durability needs the state transitions separated out, because
@@ -265,6 +266,18 @@ impl StreamState {
         h
     }
 }
+
+/// `stream`'s own flags; it also takes the tuning flags.
+pub const STREAM_FLAGS: &[&str] = &[
+    "data",
+    "header",
+    "window",
+    "every",
+    "top",
+    "reestimate",
+    "wal",
+    "sync-every",
+];
 
 /// Streaming front-end: consume rows one at a time, maintain a
 /// sliding window of the last `--window` rows through the incremental

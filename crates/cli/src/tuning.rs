@@ -1,9 +1,30 @@
+//! The helpers every model-building subcommand shares: loading the
+//! CSV, `--metric`, `--normalize`, and the tuning flags that assemble a
+//! [`HosMinerConfig`] or load a saved model.
+
 use crate::args::Args;
 use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::csv::{read_csv_path, CsvOptions};
 use hos_data::normalize::{normalize, NormKind, Normalizer};
 use hos_data::{Dataset, Metric};
 use hos_index::Engine;
+
+/// The flags [`miner_config`] reads, accepted by every subcommand that
+/// fits or loads a miner.
+pub const TUNING_FLAGS: &[&str] = &[
+    "k",
+    "threshold",
+    "quantile",
+    "engine",
+    "metric",
+    "samples",
+    "smoothing",
+    "threads",
+    "shards",
+    "ef",
+    "recall-target",
+    "seed",
+];
 
 pub fn load(args: &Args) -> Result<Dataset, String> {
     let path = args.require("data")?;

@@ -429,6 +429,42 @@ fn stream_consumes_stdin_and_reports_windows() {
 }
 
 #[test]
+fn misspelt_flags_are_errors_not_ignored() {
+    let csv = tmp("misspelt.csv");
+    let csv_s = csv.to_str().unwrap();
+    assert!(
+        run(&["generate", "--out", csv_s, "--n", "120", "--d", "4", "--seed", "3"])
+            .status
+            .success()
+    );
+    let out = run(&[
+        "query",
+        "--data",
+        csv_s,
+        "--id",
+        "17",
+        "--thread",
+        "4",
+        "--treshold",
+        "3",
+    ]);
+    assert!(!out.status.success(), "a misspelt flag was ignored");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown flag --thread for query (see hos-miner help)\n"
+    );
+    assert!(out.stdout.is_empty());
+    // A flag another subcommand reads is still unknown here.
+    let out = run(&["info", "--data", csv_s, "--k", "5"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --k for info"));
+    let out = run(&["bench", "serve", "--n", "300", "--client", "2"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --client for bench serve"));
+    std::fs::remove_file(csv).ok();
+}
+
+#[test]
 fn missing_file_reports_error() {
     let out = run(&["query", "--data", "/definitely/not/here.csv", "--id", "0"]);
     assert!(!out.status.success());
