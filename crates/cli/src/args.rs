@@ -134,19 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_flags_outside_the_allowed_lists() {
-        let a = Args::parse(&argv(&["query", "--id", "3", "--thread", "4", "--header"])).unwrap();
-        assert!(a
-            .reject_unknown("query", &[&["id", "thread"], &["header"]])
-            .is_ok());
-        assert_eq!(
-            a.reject_unknown("query", &[&["id", "header"], &["threads"]]),
-            Err("unknown flag --thread for query (see hos-miner help)".into())
-        );
-        assert!(a.reject_unknown("query", &[&["id", "thread"]]).is_err());
-    }
-
-    #[test]
     fn error_cases() {
         assert!(Args::parse(&argv(&["--k"])).is_err());
         assert!(Args::parse(&argv(&["--k", "1", "--k", "2"])).is_err());

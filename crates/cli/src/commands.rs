@@ -9,7 +9,7 @@ use crate::query::{cmd_query, QUERY_FLAGS};
 use crate::scan::{cmd_scan, SCAN_FLAGS};
 use crate::serve_bench::{cmd_bench_serve, BENCH_SERVE_FLAGS};
 use crate::stream::{cmd_stream, STREAM_FLAGS};
-use crate::tuning::TUNING_FLAGS;
+use crate::tuning::{DATA_FLAGS, TUNING_FLAGS};
 
 pub type CmdResult = Result<(), String>;
 
@@ -102,12 +102,12 @@ const COMMANDS: &[Command] = &[
     ("generate", &[GENERATE_FLAGS], cmd_generate),
     ("info", &[INFO_FLAGS], cmd_info),
     ("fit", &[FIT_FLAGS, TUNING_FLAGS], cmd_fit),
-    ("query", &[QUERY_FLAGS, TUNING_FLAGS], cmd_query),
-    ("scan", &[SCAN_FLAGS, TUNING_FLAGS], cmd_scan),
+    ("query", &[DATA_FLAGS, TUNING_FLAGS, QUERY_FLAGS], cmd_query),
+    ("scan", &[DATA_FLAGS, TUNING_FLAGS, SCAN_FLAGS], cmd_scan),
     ("stream", &[STREAM_FLAGS, TUNING_FLAGS], cmd_stream),
     (
         "bench serve",
-        &[BENCH_SERVE_FLAGS, TUNING_FLAGS],
+        &[DATA_FLAGS, TUNING_FLAGS, BENCH_SERVE_FLAGS],
         cmd_bench_serve,
     ),
     ("probe", &[PROBE_FLAGS], cmd_probe),

@@ -6,19 +6,19 @@ use crate::tuning::{build_miner, load, parse_normalizer};
 use hos_core::{HosMiner, QueryOutcome, QuerySpec};
 use hos_data::table::{fmt_f64, Table};
 
-/// `query`'s own flags; it also takes the tuning flags.
-pub const QUERY_FLAGS: &[&str] = &[
-    "data",
-    "header",
-    "normalize",
-    "model",
-    "id",
-    "ids",
-    "point",
-    "verbose",
-];
+/// `query`'s own flags; it also takes the data and tuning flags.
+pub const QUERY_FLAGS: &[&str] = &["id", "ids", "point", "verbose"];
 
-fn print_outcome(out: &hos_core::QueryOutcome, threshold: f64) {
+/// Prints one outcome and, with `verbose`, the explanation of `query`'s
+/// deviations.
+fn print_outcome(
+    miner: &HosMiner,
+    out: &QueryOutcome,
+    query: &[f64],
+    exclude: Option<usize>,
+    verbose: bool,
+) -> CmdResult {
+    let threshold = miner.threshold();
     if out.minimal.is_empty() {
         println!(
             "not an outlier in any subspace (threshold T = {})",
@@ -52,6 +52,12 @@ fn print_outcome(out: &hos_core::QueryOutcome, threshold: f64) {
         out.stats.nodes_visited,
         out.stats.seconds * 1e3
     );
+    if verbose {
+        let ex = hos_core::explain(miner, query, exclude, out).map_err(|e| e.to_string())?;
+        let names = miner.engine().dataset().names().map(|n| n.to_vec());
+        println!("{}", hos_core::explain::render(&ex, names.as_deref()));
+    }
+    Ok(())
 }
 
 pub fn cmd_query(args: &Args) -> CmdResult {
@@ -113,13 +119,7 @@ pub fn cmd_query(args: &Args) -> CmdResult {
         }
         (None, None) => return Err("query needs --id or --point".into()),
     };
-    print_outcome(&out, miner.threshold());
-    if args.switch("verbose") {
-        let ex = hos_core::explain(&miner, &query, exclude, &out).map_err(|e| e.to_string())?;
-        let names = miner.engine().dataset().names().map(|n| n.to_vec());
-        println!("{}", hos_core::explain::render(&ex, names.as_deref()));
-    }
-    Ok(())
+    print_outcome(&miner, &out, &query, exclude, args.switch("verbose"))
 }
 
 /// Multi-query front-end: `query --ids 3,17,256` runs every search in
@@ -127,17 +127,22 @@ pub fn cmd_query(args: &Args) -> CmdResult {
 /// configured threads. Nothing prints unless every id is valid: the
 /// first invalid id fails the command with the error `--id` gives.
 fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult {
-    let outcomes = query_members(miner, ids)?;
+    let specs: Vec<QuerySpec> = ids.iter().map(|&id| QuerySpec::Member(id)).collect();
+    let outcomes: Vec<QueryOutcome> = miner
+        .query_each(&specs)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
     let mut outliers = 0usize;
-    for (id, out) in ids.iter().zip(&outcomes) {
+    for (&id, out) in ids.iter().zip(&outcomes) {
         println!("--- point #{id} ---");
-        print_outcome(out, miner.threshold());
-        if verbose {
-            let query: Vec<f64> = miner.engine().dataset().row(*id).to_vec();
-            let ex = hos_core::explain(miner, &query, Some(*id), out).map_err(|e| e.to_string())?;
-            let names = miner.engine().dataset().names().map(|n| n.to_vec());
-            println!("{}", hos_core::explain::render(&ex, names.as_deref()));
-        }
+        print_outcome(
+            miner,
+            out,
+            miner.engine().dataset().row(id),
+            Some(id),
+            verbose,
+        )?;
         if out.is_outlier() {
             outliers += 1;
         }
@@ -150,17 +155,6 @@ fn cmd_query_batch(miner: &HosMiner, ids: &[usize], verbose: bool) -> CmdResult 
         outcomes.iter().map(|o| o.stats.od_evals).sum::<u64>()
     );
     Ok(())
-}
-
-/// Answers member queries through [`HosMiner::query_each`], failing
-/// with the first error in input order.
-fn query_members(miner: &HosMiner, ids: &[usize]) -> Result<Vec<QueryOutcome>, String> {
-    let specs: Vec<QuerySpec> = ids.iter().map(|&id| QuerySpec::Member(id)).collect();
-    miner
-        .query_each(&specs)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

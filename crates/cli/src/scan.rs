@@ -5,8 +5,8 @@ use crate::commands::CmdResult;
 use crate::tuning::{build_miner, load, parse_normalizer};
 use hos_data::table::fmt_f64;
 
-/// `scan`'s own flags; it also takes the tuning flags.
-pub const SCAN_FLAGS: &[&str] = &["data", "header", "normalize", "model", "top"];
+/// `scan`'s own flags; it also takes the data and tuning flags.
+pub const SCAN_FLAGS: &[&str] = &["top"];
 
 pub fn cmd_scan(args: &Args) -> CmdResult {
     let raw = load(args)?;

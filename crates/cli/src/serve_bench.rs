@@ -7,12 +7,9 @@ use hos_core::QuerySpec;
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::Subspace;
 
-/// `bench serve`'s own flags; it also takes the tuning flags.
+/// `bench serve`'s own flags; it also takes the data and tuning
+/// flags.
 pub const BENCH_SERVE_FLAGS: &[&str] = &[
-    "data",
-    "header",
-    "normalize",
-    "model",
     "n",
     "d",
     "clients",

@@ -9,6 +9,11 @@ use hos_data::normalize::{normalize, NormKind, Normalizer};
 use hos_data::{Dataset, Metric};
 use hos_index::Engine;
 
+/// The flags [`load`], [`parse_normalizer`] and [`build_miner`] read
+/// besides the tuning flags, accepted by every subcommand that builds a
+/// miner from a CSV or a saved model.
+pub const DATA_FLAGS: &[&str] = &["data", "header", "normalize", "model"];
+
 /// The flags [`miner_config`] reads, accepted by every subcommand that
 /// fits or loads a miner.
 pub const TUNING_FLAGS: &[&str] = &[

@@ -15,6 +15,15 @@ fn run(args: &[&str]) -> Output {
         .expect("spawn hos-miner")
 }
 
+/// A run's stdout without its timing lines.
+fn strip_timing(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.contains(" ms"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("hos_cli_binary_tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -241,13 +250,6 @@ fn threads_flag_on_query_and_fit() {
         "4",
     ]);
     assert!(serial.status.success() && parallel.status.success());
-    let strip_timing = |out: &std::process::Output| -> String {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.contains(" ms"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     assert_eq!(
         strip_timing(&serial),
         strip_timing(&parallel),
@@ -312,13 +314,6 @@ fn shards_flag_on_query_and_fit() {
         "2",
     ]);
     assert!(unsharded.status.success() && sharded.status.success());
-    let strip_timing = |out: &std::process::Output| -> String {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.contains(" ms"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     assert_eq!(
         strip_timing(&unsharded),
         strip_timing(&sharded),
