@@ -61,15 +61,16 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Fails on the first flag or switch, in argv order, that is not in
-    /// one of the `allowed` lists: a misspelt flag is an error, never
-    /// silently ignored.
+    /// Fails on a flag or switch that is in none of the `allowed`
+    /// lists: a misspelt flag is an error, never silently ignored.
     pub fn reject_unknown(&self, command: &str, allowed: &[&[&str]]) -> Result<(), String> {
-        let names = self.flags.iter().map(|(n, _)| n).chain(&self.switches);
-        match names
-            .into_iter()
-            .find(|n| !allowed.iter().any(|list| list.contains(&n.as_str())))
-        {
+        let unknown = self
+            .flags
+            .iter()
+            .map(|(n, _)| n)
+            .chain(&self.switches)
+            .find(|n| !allowed.iter().any(|list| list.contains(&n.as_str())));
+        match unknown {
             Some(name) => Err(format!(
                 "unknown flag --{name} for {command} (see hos-miner help)"
             )),
