@@ -176,20 +176,19 @@ fn bench_blocked_scan(c: &mut Criterion) {
             .collect()
     };
 
-    let blocked = all_points_full_od(&ds, Metric::L2, k).unwrap();
+    let blocked = all_points_full_od_counted(&ds, Metric::L2, k).unwrap();
     let reference = per_point();
-    assert_eq!(blocked.len(), n);
-    for (&(id, od), want) in blocked.iter().zip(&reference) {
+    assert_eq!(blocked.ods.len(), n);
+    for (&(id, od), want) in blocked.ods.iter().zip(&reference) {
         assert_eq!(od.to_bits(), want.to_bits(), "blocked OD of point {id}");
     }
     // Losing the quantized admission filter alone leaves the blocked
     // exact path, still ~3.8× the per-point loop, so the timing floor
     // below would pass; the pair accounting catches it instead.
-    let counted = all_points_full_od_counted(&ds, Metric::L2, k).unwrap();
-    let filtered = counted.filtered as f64 / (counted.filtered + counted.distance_evals) as f64;
+    let filtered = blocked.filtered as f64 / (blocked.filtered + blocked.distance_evals) as f64;
     println!("blocked_scan_n{n}_d{d}_k{k}: quantized admission filtered {filtered:.3} of pairs");
     assert!(
-        counted.filtered > 0,
+        blocked.filtered > 0,
         "quantized admission filtered no pairs"
     );
 
