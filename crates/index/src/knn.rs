@@ -178,6 +178,13 @@ pub trait KnnEngine: Send + Sync {
         None
     }
 
+    /// The engine as an X-tree, so unit tests can inspect the shape of
+    /// the tree [`build_engine`] hands out.
+    #[cfg(test)]
+    fn as_xtree(&self) -> Option<&crate::xtree::XTree> {
+        None
+    }
+
     /// Consumes the engine and returns its dataset **without copying**
     /// — every engine in this crate owns its `Dataset` outright. This
     /// is what lets callers compact or snapshot a windowed dataset at
@@ -256,7 +263,7 @@ impl std::fmt::Display for Engine {
 pub fn build_engine(engine: Engine, dataset: Dataset, metric: Metric) -> Box<dyn KnnEngine> {
     match engine {
         Engine::Linear => Box::new(crate::linear::LinearScan::new(dataset, metric)),
-        Engine::XTree => Box::new(crate::xtree::XTree::build(
+        Engine::XTree => Box::new(crate::xtree::XTree::bulk_load(
             dataset,
             metric,
             crate::xtree::XTreeConfig::default(),
@@ -290,6 +297,18 @@ mod tests {
         assert_eq!(Engine::XTree.to_string(), "xtree");
         assert_eq!(Engine::Hnsw.to_string(), "hnsw");
         assert_eq!(Engine::default(), Engine::Linear);
+    }
+
+    /// The served build is the packed bulk loader, not sequential
+    /// insertion: its leaves meet the fill bound and its height is
+    /// minimal.
+    #[test]
+    fn build_engine_bulk_loads_the_xtree() {
+        let ds = hos_data::synth::uniform(5000, 8, 0.0, 100.0, 77).unwrap();
+        let e = build_engine(Engine::XTree, ds, Metric::L2);
+        let tree = e.as_xtree().expect("an X-tree");
+        tree.check_bulk_shape().unwrap();
+        assert_eq!(tree.stats().supernodes, 0);
     }
 
     #[test]
