@@ -6,7 +6,7 @@ use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::Engine;
 use hos_serve::{ServeConfig, Server};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const HELP: &str = "\
 hos-serve — resident HTTP query server for HOS-Miner
@@ -49,7 +49,10 @@ ops) before the client is acknowledged, and a compacted columnar
 snapshot is checkpointed every --snapshot-every writes and at drain.
 A fresh --data-dir is initialised from the data flags. The tuning
 flags must match the ones the store was created with (a mismatch is
-a typed startup error, not silent divergence).";
+a typed startup error, not silent divergence).
+The listening line ends with the set-up phase times as key=value
+pairs: load_ms and fit_ms after a fit (or model load), open_ms,
+rebuild_ms, replay_ms and ops after a recovery.";
 
 /// Flags that take no value.
 const SWITCHES: &[&str] = &["header", "help", "fixed-window"];
@@ -222,8 +225,24 @@ fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
     })
 }
 
-fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<HosMiner, String> {
+/// Milliseconds since `t`, for the start-up report.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Loads the rows and fits (or loads) the miner; also returns the
+/// `load_ms=… fit_ms=…` phase report.
+fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<(HosMiner, String), String> {
+    let t = Instant::now();
     let ds = load_dataset(flags)?;
+    let load_ms = ms_since(t);
+    let t = Instant::now();
+    let miner = fit_or_load(flags, config, ds)?;
+    let report = format!("load_ms={load_ms:.1} fit_ms={:.1}", ms_since(t));
+    Ok((miner, report))
+}
+
+fn fit_or_load(flags: &Flags, config: &HosMinerConfig, ds: Dataset) -> Result<HosMiner, String> {
     if let Some(path) = flags.get("model") {
         let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
         let miner = model
@@ -248,17 +267,21 @@ fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<HosMiner, Strin
     HosMiner::fit(ds, *config).map_err(|e| e.to_string())
 }
 
+/// The durable store and the stream counters it carries.
+type DurableStore = (hos_storage::Store, (u64, u64, u64));
+
 /// With `--data-dir`, recovers the miner from the durable store (or
 /// initialises a fresh store from the data flags); without it, plain
 /// fit/load. Returns the store so the writer thread can keep logging
-/// to it, plus the stream counters to carry into future snapshots.
-#[allow(clippy::type_complexity)]
+/// to it, plus the stream counters to carry into future snapshots, and
+/// the set-up phase report (`key=value` pairs).
 fn recover_or_fit(
     flags: &Flags,
     config: &HosMinerConfig,
-) -> Result<(HosMiner, Option<(hos_storage::Store, (u64, u64, u64))>), String> {
+) -> Result<(HosMiner, Option<DurableStore>, String), String> {
     let Some(dir) = flags.get("data-dir") else {
-        return Ok((build_miner(flags, config)?, None));
+        let (miner, report) = build_miner(flags, config)?;
+        return Ok((miner, None, report));
     };
     let sync_every: usize = flags.num("sync-every", 64)?;
     let expected = hos_storage::config_fingerprint(config, None);
@@ -268,6 +291,7 @@ fn recover_or_fit(
             hos_storage::StoreConfig { sync_every, meta },
         )
     };
+    let t = Instant::now();
     let (mut store, recovery) = match open(expected.clone()) {
         Ok(pair) => pair,
         // A store written by `stream --wal` fingerprints the window
@@ -281,9 +305,13 @@ fn recover_or_fit(
         }
         Err(e) => return Err(format!("opening data dir {dir}: {e}")),
     };
+    let open_ms = ms_since(t);
     if let Some(snap) = &recovery.snapshot {
+        let t = Instant::now();
         let mut miner = hos_storage::miner_from_snapshot(snap, config)
             .map_err(|e| format!("recovering from {dir}: {e}"))?;
+        let rebuild_ms = ms_since(t);
+        let t = Instant::now();
         for (_, op) in &recovery.ops {
             match op {
                 hos_storage::Op::Insert(row) => {
@@ -303,6 +331,11 @@ fn recover_or_fit(
                 }
             }
         }
+        let report = format!(
+            "open_ms={open_ms:.1} rebuild_ms={rebuild_ms:.1} replay_ms={:.1} ops={}",
+            ms_since(t),
+            recovery.ops.len()
+        );
         let m = snap.meta();
         println!(
             "hos-serve recovered: snapshot seq {}, {} wal ops replayed, live={}",
@@ -311,7 +344,7 @@ fn recover_or_fit(
             miner.live_len()
         );
         let carry = (m.base, m.oldest, m.rows_consumed);
-        return Ok((miner, Some((store, carry))));
+        return Ok((miner, Some((store, carry)), report));
     }
     if !recovery.ops.is_empty() {
         return Err(format!(
@@ -321,7 +354,7 @@ fn recover_or_fit(
     }
     // Fresh directory: fit from the data flags and checkpoint
     // immediately so a restart recovers instead of refitting.
-    let miner = build_miner(flags, config)?;
+    let (miner, report) = build_miner(flags, config)?;
     let model_text = hos_core::ModelFile::from_miner(&miner).to_text();
     let n = miner.engine().dataset().len() as u64;
     store
@@ -338,7 +371,7 @@ fn recover_or_fit(
         "hos-serve initialised data dir {dir} at seq {}",
         store.last_seq()
     );
-    Ok((miner, Some((store, (0, 0, n)))))
+    Ok((miner, Some((store, (0, 0, n))), report))
 }
 
 fn run(argv: &[String]) -> Result<(), String> {
@@ -348,7 +381,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let miner_config = miner_config(&flags)?;
-    let (miner, store) = recover_or_fit(&flags, &miner_config)?;
+    let (miner, store, setup_report) = recover_or_fit(&flags, &miner_config)?;
     let config = ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: flags.num("workers", 0)?,
@@ -373,7 +406,8 @@ fn run(argv: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     println!(
-        "hos-serve listening on {} (live={live} dim={dim} workers={} batch_max={} window={}ms)",
+        "hos-serve listening on {} (live={live} dim={dim} workers={} batch_max={} window={}ms) \
+         {setup_report}",
         server.addr(),
         if config.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -150,6 +150,110 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every bit of an answer: the outlying set with each evaluated OD,
+    /// the minimal frontier and the search accounting.
+    fn answer_bits(out: &hos_core::miner::QueryOutcome) -> impl PartialEq + std::fmt::Debug {
+        let outlying: Vec<_> = out
+            .outlying
+            .iter()
+            .map(|s| (s.subspace, s.od.map(f64::to_bits)))
+            .collect();
+        let stats = SearchStats {
+            seconds: 0.0,
+            ..out.stats
+        };
+        (outlying, out.minimal.clone(), stats)
+    }
+
+    /// The X-tree arm: the recovered tree is bulk-loaded over every
+    /// snapshot row, then retires the tombstones and replays a WAL tail
+    /// by insertion; the live miner was bulk-loaded at fit and has been
+    /// insertion-maintained since. Tree shapes differ, answers may not.
+    #[test]
+    fn recovered_xtree_miner_answers_bit_identically() {
+        use rand::{Rng, SeedableRng};
+        let dir = temp_dir("xtree");
+        let mut ds = uniform(1200, 5, 0.0, 1.0, 7).unwrap();
+        ds.push_row(&[0.5, 9.0, 0.5, 0.5, 0.5]).unwrap();
+        let config = HosMinerConfig {
+            k: 4,
+            sample_size: 8,
+            engine: hos_index::Engine::XTree,
+            // A low threshold, so most answers carry evaluated ODs.
+            threshold: hos_core::ThresholdPolicy::FullSpaceQuantile {
+                q: 0.5,
+                sample: 200,
+            },
+            ..HosMinerConfig::default()
+        };
+        let mut live = HosMiner::fit(ds, config).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let row = |rng: &mut rand::rngs::StdRng| -> Vec<f64> {
+            (0..5).map(|_| rng.gen_range(0.0..1.0)).collect()
+        };
+        for id in (0..1200).step_by(40) {
+            live.retire_point(id).unwrap();
+        }
+        for _ in 0..25 {
+            live.insert_point(&row(&mut rng)).unwrap();
+        }
+        let model_text = ModelFile::from_miner(&live).to_text();
+        let path = write_snapshot(
+            &dir,
+            &SnapshotContents {
+                seq: 55,
+                base: 0,
+                oldest: 0,
+                rows_consumed: 0,
+                search_width: snapshot_search_width(&live),
+                dataset: live.engine().dataset(),
+                model: Some(&model_text),
+                meta: &config_fingerprint(&config, None),
+            },
+        )
+        .unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        assert!(!snap.dead_ids().is_empty());
+        let mut recovered = miner_from_snapshot(&snap, &config).unwrap();
+        // The WAL tail: inserts and retires, applied to both.
+        for step in 0..400 {
+            if step % 3 == 0 {
+                let id = rng.gen_range(0..live.engine().dataset().len());
+                if live.engine().dataset().is_live(id) {
+                    live.retire_point(id).unwrap();
+                    recovered.retire_point(id).unwrap();
+                }
+            } else {
+                let r = row(&mut rng);
+                assert_eq!(
+                    live.insert_point(&r).unwrap(),
+                    recovered.insert_point(&r).unwrap()
+                );
+            }
+        }
+        assert_eq!(recovered.live_len(), live.live_len());
+        assert_eq!(recovered.threshold().to_bits(), live.threshold().to_bits());
+        let n = live.engine().dataset().len();
+        let (mut queried, mut ods) = (0, 0);
+        for id in (0..n).step_by(3).chain([1200]) {
+            match (live.query_id(id), recovered.query_id(id)) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(answer_bits(&a), answer_bits(&b), "point {id}");
+                    queried += 1;
+                    ods += a.outlying.iter().filter(|s| s.od.is_some()).count();
+                }
+                (a, b) => assert_eq!(a.is_err(), b.is_err(), "point {id}"),
+            }
+        }
+        assert!(queried > 300 && ods > 100, "{queried} answers, {ods} ODs");
+        let q = [0.5, 0.5, 9.0, 0.5, 0.1];
+        assert_eq!(
+            answer_bits(&live.query_point(&q).unwrap()),
+            answer_bits(&recovered.query_point(&q).unwrap())
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn modelless_snapshot_is_typed_error() {
         let dir = temp_dir("nomodel");
