@@ -13,6 +13,7 @@
 //! reference path fails on any hardware.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hos_bench::assert_floor;
 use hos_core::priors::Priors;
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{
@@ -21,7 +22,6 @@ use hos_index::{
 use hos_lattice::{Lattice, TsfComputer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 const N: usize = 2000;
 const K: usize = 10;
@@ -32,41 +32,6 @@ const K: usize = 10;
 /// the floor is half the smallest, rounded down, so timing noise does
 /// not trip it but a kernel running at its reference speed does.
 const KERNEL_FLOOR: f64 = 2.25;
-
-/// Timed repetitions of each side of a floor.
-const FLOOR_REPS: usize = 7;
-
-/// Times `kernel` and `reference` best-of-[`FLOOR_REPS`], alternating
-/// so a burst of machine noise lands on both, prints the speedup, and
-/// fails the bench if it is below [`KERNEL_FLOOR`]. The workloads are
-/// deterministic, so the minimum is the cleanest estimate of each
-/// cost.
-fn assert_floor<A, B>(
-    name: &str,
-    (kernel_name, mut kernel): (&str, impl FnMut() -> A),
-    (reference_name, mut reference): (&str, impl FnMut() -> B),
-) {
-    fn ms<O>(f: &mut impl FnMut() -> O) -> f64 {
-        let t = Instant::now();
-        black_box(f());
-        t.elapsed().as_secs_f64() * 1e3
-    }
-    let (mut kernel_ms, mut reference_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..FLOOR_REPS {
-        kernel_ms = kernel_ms.min(ms(&mut kernel));
-        reference_ms = reference_ms.min(ms(&mut reference));
-    }
-    let ratio = reference_ms / kernel_ms;
-    println!(
-        "floor {name}: {kernel_name} {kernel_ms:.3} ms vs {reference_name} {reference_ms:.3} ms \
-         = {ratio:.2}x (floor {KERNEL_FLOOR}x)"
-    );
-    assert!(
-        ratio >= KERNEL_FLOOR,
-        "{name}: {kernel_name} took {kernel_ms:.3} ms and {reference_name} {reference_ms:.3} ms, \
-         only {ratio:.2}x (floor {KERNEL_FLOOR}x)"
-    );
-}
 
 fn dataset(d: usize) -> Dataset {
     let mut rng = StdRng::seed_from_u64(7);
@@ -104,6 +69,7 @@ fn bench_full_lattice_kernel(c: &mut Criterion) {
 
         assert_floor(
             &format!("full_lattice_d{d}"),
+            KERNEL_FLOOR,
             ("prefix_walker", || {
                 let mut w = ctx.walker();
                 ordered
@@ -194,6 +160,7 @@ fn bench_blocked_scan(c: &mut Criterion) {
 
     assert_floor(
         &format!("blocked_scan_n{n}_d{d}_k{k}"),
+        KERNEL_FLOOR,
         ("all_points_full_od", || {
             all_points_full_od(&ds, Metric::L2, k).unwrap()
         }),

@@ -49,6 +49,44 @@ pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
 }
 
+/// Timed repetitions of each side of a floor.
+const FLOOR_REPS: usize = 7;
+
+/// Times `kernel` and `reference` best-of-7, alternating so a burst of
+/// machine noise lands on both, prints the speedup, and panics, naming
+/// both timings, if it is below `floor`. The benches' workloads are
+/// deterministic, so the minimum is the cleanest estimate of each
+/// cost. This gates a fast path against its own reference path on the
+/// same machine: one that has fallen back to the reference fails on
+/// any hardware.
+pub fn assert_floor<A, B>(
+    name: &str,
+    floor: f64,
+    (kernel_name, mut kernel): (&str, impl FnMut() -> A),
+    (reference_name, mut reference): (&str, impl FnMut() -> B),
+) {
+    fn ms<O>(f: &mut impl FnMut() -> O) -> f64 {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        t.elapsed().as_secs_f64() * 1e3
+    }
+    let (mut kernel_ms, mut reference_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..FLOOR_REPS {
+        kernel_ms = kernel_ms.min(ms(&mut kernel));
+        reference_ms = reference_ms.min(ms(&mut reference));
+    }
+    let ratio = reference_ms / kernel_ms;
+    println!(
+        "floor {name}: {kernel_name} {kernel_ms:.3} ms vs {reference_name} {reference_ms:.3} ms \
+         = {ratio:.2}x (floor {floor}x)"
+    );
+    assert!(
+        ratio >= floor,
+        "{name}: {kernel_name} took {kernel_ms:.3} ms and {reference_name} {reference_ms:.3} ms, \
+         only {ratio:.2}x (floor {floor}x)"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
