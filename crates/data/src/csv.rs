@@ -31,11 +31,13 @@ impl Default for CsvOptions {
     }
 }
 
-/// Inputs at least this long are parsed on every core. Parsing runs at
-/// ~48 ns per field on one core, so deep-search's 4.4 MB, 20000 × 12
-/// CSV took ~12 ms to parse serially and a two-way split cut its load
-/// from 23–25 to 15–17 ms (2 vCPUs). Below ~1 MiB the parse takes
-/// about a millisecond, which spawning threads would not repay.
+/// Inputs at least this long are parsed on every core. One core
+/// parses deep-search's 4.4 MB, 20000 × 12 CSV in 15–17 ms (~65 ns per
+/// field); split two ways on 2 vCPUs the whole load fell from 15–23 to
+/// 11.5–12.7 ms (best of 15, three runs each). From 1 MiB a split saves
+/// at least a millisecond or so, well above the cost of spawning the
+/// threads; smaller inputs, such as point-lookup's 220 KB, parse in
+/// under a millisecond and stay on the calling thread.
 const PARALLEL_FLOOR: usize = 1 << 20;
 
 /// Reads a dataset from any reader.
@@ -95,8 +97,10 @@ fn parse_csv(bytes: &[u8], opts: &CsvOptions, chunks: usize) -> Result<Dataset> 
     }
     if let Some(d) = d {
         let pieces = split_at_lines(rest, chunks);
-        let parsed: Vec<Result<Chunk>> = if pieces.len() > 1 {
-            std::thread::scope(|scope| {
+        let parsed: Vec<Result<Chunk>> = match pieces[..] {
+            [] => Vec::new(),
+            [whole] => vec![parse_chunk(whole, opts.delimiter, d)],
+            _ => std::thread::scope(|scope| {
                 let handles: Vec<_> = pieces
                     .iter()
                     .map(|&piece| scope.spawn(move || parse_chunk(piece, opts.delimiter, d)))
@@ -105,12 +109,7 @@ fn parse_csv(bytes: &[u8], opts: &CsvOptions, chunks: usize) -> Result<Dataset> 
                     .into_iter()
                     .map(|h| h.join().expect("a CSV chunk parser panicked"))
                     .collect()
-            })
-        } else {
-            pieces
-                .iter()
-                .map(|&piece| parse_chunk(piece, opts.delimiter, d))
-                .collect()
+            }),
         };
         // The first error in input order wins; the chunks before it
         // parsed whole, so their line and row counts place it.

@@ -195,8 +195,7 @@ impl XTree {
         // points spread evenly over them; then the least height whose
         // directories reach that many leaves.
         let n = ids.len();
-        let leaf_cap = ((self.cfg.max_leaf as f64 * Self::BULK_LEAF_FILL) as usize).max(1);
-        let leaves = n.div_ceil(leaf_cap);
+        let leaves = n.div_ceil(self.bulk_leaf_capacity());
         let leaf_sizes: Vec<usize> = (0..leaves)
             .map(|j| n * (j + 1) / leaves - n * j / leaves)
             .collect();
@@ -207,6 +206,11 @@ impl XTree {
             height += 1;
         }
         self.root = self.bulk_build(&mut ids, &leaf_sizes, height);
+    }
+
+    /// Most points a bulk-loaded leaf holds.
+    fn bulk_leaf_capacity(&self) -> usize {
+        (self.cfg.max_leaf as f64 * Self::BULK_LEAF_FILL) as usize
     }
 
     /// Recursively builds a subtree of the given height over `ids`,
@@ -532,7 +536,7 @@ impl XTree {
     /// directories reach that many leaves.
     pub(crate) fn check_bulk_shape(&self) -> Result<(), String> {
         self.check_invariants()?;
-        let cap = (self.cfg.max_leaf as f64 * Self::BULK_LEAF_FILL) as usize;
+        let cap = self.bulk_leaf_capacity();
         let lo = self.min_fill(self.cfg.max_leaf);
         for (id, node) in self.nodes.iter().enumerate() {
             if let Node::Leaf { points, .. } = node {
@@ -978,12 +982,13 @@ mod tests {
     fn rebulk_after_removals_keeps_the_bulk_shape() {
         let ds = random_dataset(2000, 6, 41);
         let mut t = XTree::build(ds, Metric::L2, XTreeConfig::default());
-        let mut id = 0;
-        while t.stale_points() > 0 || id == 0 {
+        for id in 0.. {
             IncrementalEngine::remove(&mut t, id).unwrap();
-            id += 1;
+            if t.stale_points() == 0 {
+                break;
+            }
         }
-        assert!(id > 1, "the first removal cannot trigger a rebuild");
+        assert!(t.dataset().live_len() < 1600, "no rebuild before 25% dead");
         t.check_bulk_shape().unwrap();
     }
 

@@ -269,7 +269,10 @@ fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
             }
         }
     };
-    // "hos-serve listening on 127.0.0.1:PORT (..."
+    // "hos-serve listening on 127.0.0.1:PORT (...) load_ms=… fit_ms=…"
+    for key in ["load_ms=", "fit_ms="] {
+        assert!(listening.contains(key), "no {key} in {listening:?}");
+    }
     let addr: std::net::SocketAddr = listening
         .split_whitespace()
         .nth(3)
