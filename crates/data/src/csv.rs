@@ -33,9 +33,9 @@ impl Default for CsvOptions {
 
 /// Inputs at least this long are parsed on every core. One core
 /// parses deep-search's 4.4 MB, 20000 × 12 CSV in 15–17 ms (~65 ns per
-/// field); split two ways on 2 vCPUs the whole load fell from 15–23 to
-/// 11.5–12.7 ms (best of 15, three runs each). From 1 MiB a split saves
-/// at least a millisecond or so, well above the cost of spawning the
+/// field); split two ways on 2 vCPUs, `hos-serve`'s `load_ms` fell from
+/// a median of 23.6 to 16.8 ms (10 starts each). From 1 MiB a split
+/// saves at least a millisecond, well above the cost of spawning the
 /// threads; smaller inputs, such as point-lookup's 220 KB, parse in
 /// under a millisecond and stay on the calling thread.
 const PARALLEL_FLOOR: usize = 1 << 20;

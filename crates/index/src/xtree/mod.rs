@@ -137,13 +137,14 @@ impl XTree {
     }
 
     /// Share of `max_leaf` a bulk-loaded leaf is filled to, leaving
-    /// room for inserts. Measured on the served durable-churn set-up
-    /// (5000 × 8, a 2000-op WAL tail, 2 vCPUs): fully packed leaves
-    /// rebuilt in ~2 ms but made every early insert split, so the
-    /// replay rose from ~14 to ~26 ms; ¾-packed leaves rebuilt in
-    /// ~3.5 ms and replayed in ~8–9 ms. Over the default config
-    /// (`min_fill_frac` 0.4) ¾ also keeps every non-root leaf at or
-    /// above the insertion path's min-fill bound.
+    /// room for inserts. Measured on a durable-churn-shaped recovery
+    /// (5000 × 8 snapshot, 2000-op WAL tail, 2 vCPUs, medians of 10
+    /// starts): fully packed leaves rebuilt in 2.0 ms but made early
+    /// inserts split, so the replay took 23 ms; ¾-packed leaves
+    /// rebuilt in 2.4 ms and replayed in 10 ms (sequential insertion:
+    /// 55 and 12 ms). Over the default config (`min_fill_frac` 0.4) ¾
+    /// also keeps every non-root leaf at or above the insertion path's
+    /// min-fill bound.
     pub const BULK_LEAF_FILL: f64 = 0.75;
 
     /// Builds the tree by top-down bulk loading (OMT-style): points
