@@ -31,31 +31,29 @@ impl Default for CsvOptions {
     }
 }
 
-/// Inputs at least this long are parsed on every core. One core
-/// parses deep-search's 4.4 MB, 20000 × 12 CSV in 15–17 ms (~65 ns per
-/// field); split two ways on 2 vCPUs, `hos-serve`'s `load_ms` fell from
-/// a median of 23.6 to 16.8 ms (10 starts each). From 1 MiB a split
-/// saves at least a millisecond, well above the cost of spawning the
-/// threads; smaller inputs, such as point-lookup's 220 KB, parse in
-/// under a millisecond and stay on the calling thread.
-const PARALLEL_FLOOR: usize = 1 << 20;
+/// Least input a parse thread is given: four times the piece size at
+/// which splitting starts to pay. On 2 vCPUs, one piece against two
+/// (medians of 41 alternating runs over prefixes of deep-search's CSV)
+/// read 0.37 vs 0.46 ms at 64 KiB, 0.70 vs 0.57 ms at 128 KiB, 1.31
+/// vs 0.85 ms at 256 KiB and 2.66 vs 1.61 ms at 512 KiB. On the whole
+/// 4.4 MB file, `hos-serve`'s `load_ms` (12 alternating starts each)
+/// read a median of 27.7 ms (range 18.2–29.7) in one piece and 16.5 ms
+/// (12.4–17.4) in two, lower in all 12 pairs.
+const MIN_CHUNK_BYTES: usize = 256 << 10;
 
 /// Reads a dataset from any reader.
 ///
 /// The input is read whole, then parsed line by line without a
 /// per-line allocation. The header and the first data row (which fixes
-/// the arity) are parsed serially; inputs of at least 1 MiB split the
-/// rest at line boundaries into one chunk per core, parse them on
-/// scoped threads and concatenate them in order. The dataset, and the
-/// first error in input order, are the same for any split.
+/// the arity) are parsed serially; the rest is split at line
+/// boundaries into one chunk per core, each of about 256 KiB or more,
+/// parsed on scoped threads and concatenated in order. The dataset,
+/// and the first error in input order, are the same for any split.
 pub fn read_csv<R: Read>(mut reader: R, opts: &CsvOptions) -> Result<Dataset> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let chunks = if bytes.len() >= PARALLEL_FLOOR {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        1
-    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunks = (bytes.len() / MIN_CHUNK_BYTES).clamp(1, cores);
     parse_csv(&bytes, opts, chunks)
 }
 
@@ -538,7 +536,7 @@ mod tests {
     fn large_inputs_parse_in_parallel_to_the_same_dataset() {
         let mut text = String::from("# generated\n");
         let mut i = 0u64;
-        while text.len() < PARALLEL_FLOOR + 4096 {
+        while text.len() < 2 * MIN_CHUNK_BYTES + 4096 {
             text.push_str(&format!("{},{}.25,-{}e-3\n", i, i % 97, i * 7));
             i += 1;
         }

@@ -151,10 +151,12 @@ impl XTree {
     /// are recursively partitioned along the dimension of widest
     /// spread into equal slabs of a balanced tree of minimal height.
     /// Leaves hold at most [`XTree::BULK_LEAF_FILL`] of `max_leaf`,
-    /// spread evenly (sizes differ by at most one), and directories
-    /// are filled to `max_dir`. Much faster than sequential insertion
-    /// and produces low-overlap sibling boxes (so bulk-loaded trees
-    /// contain no supernodes). Queries are identical in semantics to
+    /// spread evenly (sizes differ by at most one); each directory
+    /// spreads its leaves evenly over the fewest children that reach
+    /// them, so every child holds at least half the leaves it could
+    /// reach. Much faster than sequential insertion and produces
+    /// low-overlap sibling boxes (so bulk-loaded trees contain no
+    /// supernodes). Queries are identical in semantics to
     /// an insertion-built tree.
     pub fn bulk_load(dataset: Dataset, metric: Metric, cfg: XTreeConfig) -> Self {
         assert!(cfg.max_leaf >= 4, "max_leaf must be >= 4");
@@ -236,7 +238,7 @@ impl XTree {
             return id;
         }
         // Spread the leaves evenly over the fewest children that can
-        // reach them; every child then gets more than half its reach,
+        // reach them; every child then gets at least half its reach,
         // so no directory below the root has a single child.
         let child_reach = self.cfg.max_dir.pow(height as u32 - 2);
         let fanout = leaf_sizes.len().div_ceil(child_reach);
