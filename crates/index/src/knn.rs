@@ -178,9 +178,8 @@ pub trait KnnEngine: Send + Sync {
         None
     }
 
-    /// The engine as an X-tree, so unit tests can inspect the shape of
-    /// the tree [`build_engine`] hands out.
-    #[cfg(test)]
+    /// The engine as an X-tree, so tests can inspect the shape of the
+    /// tree a build hands out (its height, fill, stale entries).
     fn as_xtree(&self) -> Option<&crate::xtree::XTree> {
         None
     }

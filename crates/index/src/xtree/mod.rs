@@ -715,7 +715,6 @@ impl KnnEngine for XTree {
         Some(self)
     }
 
-    #[cfg(test)]
     fn as_xtree(&self) -> Option<&XTree> {
         Some(self)
     }

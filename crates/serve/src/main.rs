@@ -51,8 +51,10 @@ A fresh --data-dir is initialised from the data flags. The tuning
 flags must match the ones the store was created with (a mismatch is
 a typed startup error, not silent divergence).
 The listening line ends with the set-up phase times as key=value
-pairs: load_ms and fit_ms after a fit (or model load), open_ms,
-rebuild_ms, replay_ms and ops after a recovery.";
+pairs: load_ms and fit_ms after a fit (or model load); after a
+recovery open_ms (store read), replay_ms (snapshot decoded and the
+WAL tail's ops folded into its rows), rebuild_ms (the one engine
+build over the result) and ops (the tail's length).";
 
 /// Flags that take no value.
 const SWITCHES: &[&str] = &["header", "help", "fixed-window"];
@@ -307,32 +309,18 @@ fn recover_or_fit(
     };
     let open_ms = ms_since(t);
     if let Some(snap) = &recovery.snapshot {
+        // `recover_miner`'s two phases, timed apart: the WAL tail
+        // folds into the snapshot's data, then the engine builds once.
         let t = Instant::now();
-        let mut miner = hos_storage::miner_from_snapshot(snap, config)
+        let folded = hos_storage::Folded::new(snap, &recovery.ops)
             .map_err(|e| format!("recovering from {dir}: {e}"))?;
-        let rebuild_ms = ms_since(t);
+        let replay_ms = ms_since(t);
         let t = Instant::now();
-        for (_, op) in &recovery.ops {
-            match op {
-                hos_storage::Op::Insert(row) => {
-                    miner.insert_point(row).map_err(|e| e.to_string())?;
-                }
-                hos_storage::Op::Retire(id) => {
-                    miner
-                        .retire_point(*id as usize)
-                        .map_err(|e| e.to_string())?;
-                }
-                other => {
-                    return Err(format!(
-                        "data dir {dir} has a streaming `{}` op in its WAL tail; \
-                         recover it with `hos-miner stream --wal {dir}` first",
-                        other.name()
-                    ))
-                }
-            }
-        }
+        let miner = folded
+            .into_miner(config)
+            .map_err(|e| format!("recovering from {dir}: {e}"))?;
         let report = format!(
-            "open_ms={open_ms:.1} rebuild_ms={rebuild_ms:.1} replay_ms={:.1} ops={}",
+            "open_ms={open_ms:.1} rebuild_ms={:.1} replay_ms={replay_ms:.1} ops={}",
             ms_since(t),
             recovery.ops.len()
         );

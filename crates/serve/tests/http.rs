@@ -225,34 +225,24 @@ fn server_report_sane(report: &hos_serve::ServeReport) {
     assert!(report.batches >= 1);
 }
 
-/// Satellite smoke for the approximate tier: the hos-serve BINARY
-/// with `--engine hnsw --ef N` must reach the HNSW engine (previously
-/// the flags were simply not parsed) and answer every endpoint. The
-/// binary prints its bound address, so an ephemeral port works.
-#[test]
-fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
+/// A running `hos-serve` binary: the child, its remaining stdout
+/// lines, its `listening` line and the address it bound.
+struct Served {
+    child: std::process::Child,
+    lines: std::io::Lines<std::io::BufReader<std::process::ChildStdout>>,
+    listening: String,
+    addr: std::net::SocketAddr,
+}
+
+/// Spawns the hos-serve BINARY on an ephemeral port and reads up to
+/// its `listening` line, which carries the bound address.
+fn spawn_serve(args: &[&str]) -> Served {
     use std::io::BufRead;
     use std::process::{Command, Stdio};
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))
-        .args([
-            "--n",
-            "300",
-            "--d",
-            "4",
-            "--k",
-            "4",
-            "--seed",
-            "7",
-            "--engine",
-            "hnsw",
-            "--ef",
-            "48",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-        ])
+        .args(args)
+        .args(["--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -269,17 +259,53 @@ fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
             }
         }
     };
-    // "hos-serve listening on 127.0.0.1:PORT (...) load_ms=… fit_ms=…"
-    for key in ["load_ms=", "fit_ms="] {
-        assert!(listening.contains(key), "no {key} in {listening:?}");
-    }
-    let addr: std::net::SocketAddr = listening
+    // "hos-serve listening on 127.0.0.1:PORT (...) key=value ..."
+    let addr = listening
         .split_whitespace()
         .nth(3)
         .expect("address token")
         .parse()
         .expect("parse bound address");
+    Served {
+        child,
+        lines,
+        listening,
+        addr,
+    }
+}
 
+impl Served {
+    /// Graceful `/shutdown`, then checks the drain summary.
+    fn shutdown(mut self) {
+        let (status, _) = client_request(self.addr, "POST", "/shutdown", b"").unwrap();
+        assert_eq!(status, 200);
+        let rest: Vec<String> = self.lines.map_while(Result::ok).collect();
+        let status = self.child.wait().expect("binary exits");
+        assert!(status.success(), "serve exited non-zero");
+        assert!(
+            rest.iter().any(|l| l.contains("hos-serve drained:")),
+            "missing drain summary in {rest:?}"
+        );
+    }
+}
+
+/// Satellite smoke for the approximate tier: the hos-serve BINARY
+/// with `--engine hnsw --ef N` must reach the HNSW engine (previously
+/// the flags were simply not parsed) and answer every endpoint. The
+/// binary prints its bound address, so an ephemeral port works.
+#[test]
+fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
+    let served = spawn_serve(&[
+        "--n", "300", "--d", "4", "--k", "4", "--seed", "7", "--engine", "hnsw", "--ef", "48",
+    ]);
+    for key in ["load_ms=", "fit_ms="] {
+        assert!(
+            served.listening.contains(key),
+            "no {key} in {:?}",
+            served.listening
+        );
+    }
+    let addr = served.addr;
     let walk: &[(&str, &str, &[u8])] = &[
         ("GET", "/healthz", b""),
         ("GET", "/stats", b""),
@@ -304,18 +330,87 @@ fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
     let stats = json(&body);
     assert_eq!(stats.get("live").unwrap().as_usize(), Some(301));
     assert_eq!(stats.get("writes").unwrap().as_usize(), Some(2));
+    served.shutdown();
+}
 
-    let (status, _) = client_request(addr, "POST", "/shutdown", b"").unwrap();
+/// A durable X-tree server killed after acknowledged writes restarts
+/// on its data dir with the WAL tail folded into one engine build, and
+/// answers byte for byte as before the kill (the in-memory `version`
+/// counter restarts, so it is stripped).
+#[test]
+fn xtree_data_dir_restart_answers_byte_identically() {
+    let dir = std::env::temp_dir().join(format!("hos-serve-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let args = [
+        "--n",
+        "400",
+        "--d",
+        "4",
+        "--k",
+        "4",
+        "--seed",
+        "7",
+        "--engine",
+        "xtree",
+        "--sync-every",
+        "1",
+        "--data-dir",
+        dir_arg,
+    ];
+    let strip_version = |body: &[u8]| {
+        let text = String::from_utf8(body.to_vec()).unwrap();
+        let at = text.find("\"version\":").expect("version key") + "\"version\":".len();
+        let digits = text[at..].chars().take_while(char::is_ascii_digit).count();
+        format!("{}{}", &text[..at], &text[at + digits..])
+    };
+    let query = br#"{"ids":[0,5,17,42,399,400,401,402],"point":[9,9,9,9]}"#;
+
+    let mut first = spawn_serve(&args);
+    let writes: &[&[u8]] = &[
+        br#"{"row":[50,50,50,50]}"#,
+        br#"{"row":[0.5,0.5,0.5,0.5]}"#,
+        br#"{"row":[1,2,3,4]}"#,
+    ];
+    for row in writes {
+        let (status, _) = client_request(first.addr, "POST", "/insert", row).unwrap();
+        assert_eq!(status, 200);
+    }
+    // A fitted row and a row the tail inserted.
+    for id in [5, 401] {
+        let body = format!("{{\"id\":{id}}}");
+        let (status, resp) =
+            client_request(first.addr, "POST", "/retire", body.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+    }
+    let (status, before) = client_request(first.addr, "POST", "/query", query).unwrap();
     assert_eq!(status, 200);
-    // stdout is already ours through the reader: drain the remaining
-    // lines for the summary, then reap the process.
-    let rest: Vec<String> = lines.map_while(Result::ok).collect();
-    let status = child.wait().expect("binary exits");
-    assert!(status.success(), "serve exited non-zero");
-    assert!(
-        rest.iter().any(|l| l.contains("hos-serve drained:")),
-        "missing drain summary in {rest:?}"
-    );
+    let results = json(&before);
+    let results = results.get("results").unwrap().as_array().unwrap();
+    let answered = results
+        .iter()
+        .filter(|r| r.get("minimal").is_some())
+        .count();
+    assert_eq!((results.len(), answered), (9, 7), "two retired ids");
+    // SIGKILL: no drain snapshot, so the restart must replay the tail.
+    first.child.kill().unwrap();
+    first.child.wait().unwrap();
+
+    let second = spawn_serve(&args);
+    let keys: Vec<&str> = second.listening.split_whitespace().collect();
+    for key in ["open_ms=", "rebuild_ms=", "replay_ms="] {
+        assert!(
+            keys.iter().any(|t| t.starts_with(key)),
+            "no {key} in {:?}",
+            second.listening
+        );
+    }
+    assert!(keys.contains(&"ops=5"), "{:?}", second.listening);
+    let (status, after) = client_request(second.addr, "POST", "/query", query).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(strip_version(&before), strip_version(&after));
+    second.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The hos-serve BINARY refuses a misspelt flag, a repeated flag and a

@@ -34,7 +34,9 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use recover::{config_fingerprint, miner_from_snapshot, snapshot_search_width};
+pub use recover::{
+    config_fingerprint, miner_from_snapshot, recover_miner, snapshot_search_width, Folded,
+};
 pub use snapshot::{Snapshot, SnapshotMeta};
 pub use store::{Recovery, Store, StoreConfig};
 pub use wal::Op;
@@ -67,8 +69,16 @@ pub enum StorageError {
     /// Rebuilding a dataset from recovered bytes failed validation.
     Data(hos_data::DataError),
     /// Rebuilding the miner from recovered parts failed (model parse,
-    /// engine assembly, tombstone re-application).
+    /// engine assembly).
     Model(hos_core::HosError),
+    /// A WAL tail holds a streaming op (`compact`, `reestimate`,
+    /// `bootstrap`), which only `hos-miner stream --wal` can replay.
+    StreamingOp {
+        /// Sequence number of the op.
+        seq: u64,
+        /// The op's [`Op::name`].
+        op: &'static str,
+    },
 }
 
 /// Convenience alias used throughout the crate.
@@ -88,6 +98,11 @@ impl fmt::Display for StorageError {
             ),
             StorageError::Data(e) => write!(f, "recovered data invalid: {e}"),
             StorageError::Model(e) => write!(f, "recovered model invalid: {e}"),
+            StorageError::StreamingOp { seq, op } => write!(
+                f,
+                "the WAL tail has a streaming `{op}` op at seq {seq}; \
+                 recover the directory with `hos-miner stream --wal DIR` first"
+            ),
         }
     }
 }

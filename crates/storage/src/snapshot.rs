@@ -342,22 +342,6 @@ impl Snapshot {
     /// ids are positional, so recovered engine ids match the original
     /// process bit-for-bit.
     pub fn to_dataset(&self) -> Result<Dataset> {
-        let mut ds = self.to_dataset_all_live()?;
-        for (i, is_dead) in self.meta.dead.iter().enumerate() {
-            if *is_dead {
-                ds.remove_row(i)?;
-            }
-        }
-        Ok(ds)
-    }
-
-    /// [`Snapshot::to_dataset`] without re-applying the tombstones.
-    /// Recovery builds an engine over all physical rows and then
-    /// retires the dead ids through the incremental path — the op
-    /// shape the engines' incremental-equivalence oracle pins —
-    /// rather than asking index builders to handle a pre-tombstoned
-    /// dataset.
-    pub fn to_dataset_all_live(&self) -> Result<Dataset> {
         let (n, d) = (self.meta.n, self.meta.d);
         let matrix = &self.bytes[self.data_offset..self.bytes.len() - 4];
         let mut flat = vec![0.0f64; n * d];
@@ -369,6 +353,9 @@ impl Snapshot {
         let mut ds = Dataset::from_flat(flat, d)?;
         if let Some(names) = &self.meta.names {
             ds = ds.with_names(names.clone())?;
+        }
+        for id in self.dead_ids() {
+            ds.remove_row(id)?;
         }
         Ok(ds)
     }

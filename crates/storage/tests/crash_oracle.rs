@@ -12,7 +12,7 @@ use hos_core::{HosMiner, HosMinerConfig, ModelFile, ThresholdPolicy};
 use hos_data::Dataset;
 use hos_storage::store::SnapshotState;
 use hos_storage::{
-    miner_from_snapshot, snapshot_search_width, Op, StorageError, Store, StoreConfig,
+    miner_from_snapshot, recover_miner, snapshot_search_width, Op, StorageError, Store, StoreConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -241,6 +241,78 @@ fn kill_at_every_wal_offset_recovers_bit_identical() {
             assert_eq!(rec3.last_seq(), rec2.last_seq(), "idempotent at cut {cut}");
             assert!(!rec3.truncated_tail, "second open is clean at cut {cut}");
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+/// The folded recovery against the op-by-op one, over the same
+/// sweep: at EVERY truncation offset of the newest WAL,
+/// `recover_miner` (tail folded into the data, one engine build) must
+/// equal `miner_from_snapshot` plus the tail applied op by op — the
+/// recovery `kill_at_every_wal_offset_recovers_bit_identical` checks
+/// against the uninterrupted twin — and, with the lost suffix
+/// re-applied, the twin itself.
+#[test]
+fn folded_recovery_equals_op_by_op_at_every_wal_offset() {
+    let xtree = HosMinerConfig {
+        engine: hos_index::Engine::XTree,
+        ..config()
+    };
+    for cfg in [config(), xtree] {
+        fold_sweep(cfg);
+    }
+}
+
+fn fold_sweep(cfg: HosMinerConfig) {
+    let meta = "oracle k=4".to_string();
+    let sc = || StoreConfig {
+        sync_every: 8,
+        meta: meta.clone(),
+    };
+    let dir = temp_dir(&format!("fold-main-{}", cfg.engine));
+    let (mut store, _) = Store::open(&dir, sc()).unwrap();
+    let (window, total) = (30, 100);
+    let rows: Vec<Vec<f64>> = (0..total).map(row).collect();
+    let mut twin = HosMiner::fit(Dataset::from_rows(&rows[..window]).unwrap(), cfg).unwrap();
+    checkpoint(&mut store, &twin);
+    let mut ops: Vec<Op> = Vec::new();
+    for (i, r) in rows[window..].iter().enumerate() {
+        ops.push(Op::Insert(r.clone()));
+        ops.push(Op::Retire(i as u64));
+    }
+    let mid = ops.len() / 2;
+    for (j, op) in ops.iter().enumerate() {
+        apply(&mut twin, op);
+        store.append(op).unwrap();
+        if j == mid {
+            checkpoint(&mut store, &twin);
+        }
+    }
+    store.sync().unwrap();
+    drop(store);
+
+    let wal_path = newest_wal(&dir);
+    let full = std::fs::read(&wal_path).unwrap();
+    let crash_dir = temp_dir(&format!("fold-crash-{}", cfg.engine));
+    for cut in wal_header_len(&full)..=full.len() {
+        copy_dir(&dir, &crash_dir);
+        let wal = crash_dir.join(wal_path.file_name().unwrap());
+        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+        f.set_len(cut as u64).unwrap();
+        drop(f);
+        let (_store2, rec2) = Store::open(&crash_dir, sc()).unwrap();
+        let snap = rec2.snapshot.as_ref().expect("snapshot survives the cut");
+        let mut replayed = miner_from_snapshot(snap, &cfg).unwrap();
+        for (_, op) in &rec2.ops {
+            apply(&mut replayed, op);
+        }
+        let mut folded = recover_miner(&rec2, &cfg).unwrap();
+        assert_same_answers(&folded, &replayed, cut);
+        for op in &ops[rec2.last_seq() as usize..] {
+            apply(&mut folded, op);
+        }
+        assert_same_answers(&folded, &twin, cut);
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
