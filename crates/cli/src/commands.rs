@@ -26,10 +26,9 @@ USAGE:
   hos-miner query    --data FILE (--id N | --ids N1,N2,... | --point \"x1,x2,...\")
                      [--model FILE] [--verbose]
                      [--k 5] [--threshold T | --quantile 0.95]
-                     [--engine linear|xtree|hnsw] [--samples 20]
+                     [--engine linear|xtree] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
                      [--smoothing 1.0] [--threads 1] [--shards 1]
-                     [--ef N] [--recall-target 0.95]
                      [--seed 0] [--header]
   hos-miner scan     --data FILE [--top 5] [--model FILE] [... tuning flags]
   hos-miner stream   [--data FILE]  (no --data: rows from stdin)
@@ -52,12 +51,8 @@ results are identical to running each --id query on its own.
 also runs in parallel (per-shard k-NN, exact merge). Neither flag
 changes any result: sharded and threaded answers are bit-identical to
 the serial ones.
---engine hnsw answers k-NN through an approximate graph index whose
-reported distances and ODs are still exact — only recall is
-approximate. --ef sets its candidate-pool width (wider = higher
-recall, slower); --recall-target T instead calibrates the width until
-a sampled recall@k reaches T. Both are machine-tuning knobs (like
---threads) and are not persisted in models; exact engines ignore them.
+--engine picks the exact k-NN search (linear scan or X-tree); both
+return the same neighbours, distances and ODs.
 `bench serve` drives an in-process hos-serve instance with concurrent
 clients under a 90/10 read/write mix across four arms — unbatched,
 batched with a fixed window, batched with the adaptive window, and the

@@ -26,8 +26,6 @@ pub const TUNING_FLAGS: &[&str] = &[
     "smoothing",
     "threads",
     "shards",
-    "ef",
-    "recall-target",
     "seed",
 ];
 
@@ -75,34 +73,13 @@ pub fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
         // Parallelism is machine-specific, not part of the fitted
         // model: honour --threads and --shards here too, as the help
         // promises.
-        let miner = model
+        return model
             .into_miner_with(
                 ds,
                 args.get_or("shards", 1usize)?,
                 args.get_or("threads", 1usize)?,
             )
-            .map_err(|e| e.to_string())?;
-        // Search width is machine tuning like --threads, so the model
-        // file never carries it: honour the flags at load time too.
-        if let Some(ef) = args.get_opt::<usize>("ef")? {
-            if ef == 0 {
-                return Err("--ef must be positive".into());
-            }
-            miner.engine().set_search_width(ef);
-        }
-        if let Some(target) = args.get_opt::<f64>("recall-target")? {
-            if !(target.is_finite() && target > 0.0 && target <= 1.0) {
-                return Err(format!("--recall-target {target} must be in (0, 1]"));
-            }
-            hos_index::calibrate_search_width(
-                miner.engine(),
-                miner.config().k,
-                target,
-                16,
-                args.get_or("seed", 0u64)?.wrapping_add(2),
-            );
-        }
-        return Ok(miner);
+            .map_err(|e| e.to_string());
     }
     fit_miner(args, ds)
 }
@@ -137,8 +114,6 @@ pub fn miner_config(args: &Args) -> Result<HosMinerConfig, String> {
         prior_smoothing: args.get_or("smoothing", 1.0f64)?,
         threads: args.get_or("threads", 1usize)?,
         shards: args.get_or("shards", 1usize)?,
-        ef: args.get_opt("ef")?,
-        recall_target: args.get_opt("recall-target")?,
         seed: args.get_or("seed", 0u64)?,
     })
 }

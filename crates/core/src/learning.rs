@@ -413,11 +413,7 @@ mod tests {
             ),
             (
                 "linear x2",
-                build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 2, 2),
-            ),
-            (
-                "hnsw",
-                build_engine_sharded(Engine::Hnsw, ds, Metric::L2, 1, 1),
+                build_engine_sharded(Engine::Linear, ds, Metric::L2, 2, 2),
             ),
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();

@@ -43,17 +43,6 @@ pub struct HosMinerConfig {
     /// `hos_index::sharded`). `1` (the default) keeps the plain
     /// engine.
     pub shards: usize,
-    /// Candidate-pool width (`ef_search`) applied to width-tunable
-    /// engines (`Engine::Hnsw`) after the build; `None` keeps the
-    /// engine's default. Exact engines ignore it. Like `threads`, this
-    /// is a machine-tuning knob and is never persisted with a model.
-    pub ef: Option<usize>,
-    /// Target recall@k for width-tunable engines: when set, the fit
-    /// calibrates `ef` upward (doubling ladder, measured against the
-    /// engine's own exhaustive mode) until a deterministic sample of
-    /// member queries reaches this mean recall. Applied after `ef`,
-    /// so `ef` becomes the starting point rather than the final word.
-    pub recall_target: Option<f64>,
     /// Seed for sampling (threshold + learning).
     pub seed: u64,
 }
@@ -69,17 +58,10 @@ impl Default for HosMinerConfig {
             prior_smoothing: 1.0,
             threads: 1,
             shards: 1,
-            ef: None,
-            recall_target: None,
             seed: 0,
         }
     }
 }
-
-/// Calibration sample size for [`HosMinerConfig::recall_target`] —
-/// large enough for a stable mean recall, small enough that fitting
-/// stays cheap (each probe is `sample` queries per ladder step).
-const RECALL_CALIBRATION_SAMPLE: usize = 16;
 
 /// The invariants of every miner, checked by both [`HosMiner::fit`]
 /// and [`HosMiner::from_parts`] before any index is built: a failure
@@ -114,34 +96,6 @@ fn validate_config(dataset: &Dataset, config: &HosMinerConfig) -> Result<()> {
     }
     if config.shards == 0 {
         return Err(HosError::Config("shards must be positive".into()));
-    }
-    Ok(())
-}
-
-/// Applies the config's search-width knobs to a freshly built engine:
-/// `ef` first (the starting width), then recall calibration when a
-/// target is set. No-ops on exact engines, whose recall is 1 at any
-/// width.
-fn apply_search_width(engine: &dyn KnnEngine, config: &HosMinerConfig) -> Result<()> {
-    if let Some(ef) = config.ef {
-        if ef == 0 {
-            return Err(HosError::Config("ef must be positive".into()));
-        }
-        engine.set_search_width(ef);
-    }
-    if let Some(target) = config.recall_target {
-        if !(target.is_finite() && target > 0.0 && target <= 1.0) {
-            return Err(HosError::Config(format!(
-                "recall target {target} must be in (0, 1]"
-            )));
-        }
-        hos_index::calibrate_search_width(
-            engine,
-            config.k,
-            target,
-            RECALL_CALIBRATION_SAMPLE,
-            config.seed.wrapping_add(2),
-        );
     }
     Ok(())
 }
@@ -231,7 +185,6 @@ impl HosMiner {
             config.shards,
             config.threads,
         );
-        apply_search_width(engine.as_ref(), &config)?;
         let threshold =
             config
                 .threshold
@@ -282,7 +235,6 @@ impl HosMiner {
             config.shards,
             config.threads,
         );
-        apply_search_width(engine.as_ref(), &config)?;
         Ok(HosMiner {
             engine,
             config,
@@ -960,19 +912,14 @@ mod tests {
 
     /// Fitting is independent of the worker count: the kernel-resolved
     /// threshold keeps its bits and the saved model its bytes at 1, 2
-    /// and 4 threads, on exact engines sharded or not, and the
+    /// and 4 threads, on both engines sharded or not, and the
     /// threshold is the quantile of per-point engine ODs over the same
-    /// sampled ids. HNSW keeps its own per-point ODs as the definition.
+    /// sampled ids.
     #[test]
     fn fit_is_deterministic_across_thread_counts() {
         use crate::model_io::ModelFile;
         let (q, sample) = (0.95, 150);
-        for (engine, shards) in [
-            (Engine::Linear, 1),
-            (Engine::XTree, 1),
-            (Engine::Linear, 3),
-            (Engine::Hnsw, 1),
-        ] {
+        for (engine, shards) in [(Engine::Linear, 1), (Engine::XTree, 1), (Engine::Linear, 3)] {
             let fit = |threads: usize| {
                 let config = HosMinerConfig {
                     k: 5,

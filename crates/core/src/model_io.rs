@@ -317,10 +317,14 @@ mod tests {
         let (miner, _) = fitted();
         let good = ModelFile::from_miner(&miner).to_text();
         assert!(good.contains("engine linear\n"));
-        let removed = good.replace("engine linear\n", "engine vafile\n");
-        match ModelFile::from_text(&removed) {
-            Err(HosError::Config(msg)) => assert!(msg.contains("linear|xtree|hnsw"), "{msg}"),
-            other => panic!("expected a config error, got {other:?}"),
+        for name in ["vafile", "hnsw"] {
+            let removed = good.replace("engine linear\n", &format!("engine {name}\n"));
+            match ModelFile::from_text(&removed) {
+                Err(HosError::Config(msg)) => {
+                    assert!(msg.contains("(expected linear|xtree)"), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected a config error, got {other:?}"),
+            }
         }
     }
 

@@ -20,7 +20,6 @@ use crate::error::HosError;
 use crate::Result;
 use hos_data::stats;
 use hos_data::{Metric, Subspace};
-use hos_index::batch::parallel_map;
 use hos_index::{full_space_ods, IndexError, KnnEngine};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -94,12 +93,10 @@ impl ThresholdPolicy {
     /// Resolves the policy to a concrete threshold value.
     ///
     /// A quantile policy computes the sampled ODs on up to `threads`
-    /// workers. Exact engines (`search_width() == None`) run them
-    /// through the blocked kernel ([`hos_index::full_space_ods`]),
-    /// which equals per-point [`KnnEngine::od`] bit for bit; HNSW
-    /// engines keep per-point `od` calls, because their (possibly
-    /// over-estimating) ODs define their threshold. Either way the
-    /// threshold is the same at any thread count.
+    /// workers through the blocked kernel
+    /// ([`hos_index::full_space_ods`]), which equals per-point
+    /// [`KnnEngine::od`] bit for bit on every engine, so the threshold
+    /// is the same at any thread count.
     ///
     /// # Errors
     ///
@@ -146,18 +143,11 @@ impl ThresholdPolicy {
                 let mut rng = StdRng::seed_from_u64(seed);
                 ids.shuffle(&mut rng);
                 ids.truncate(sample);
-                let ods: Vec<f64> = if engine.search_width().is_none() {
-                    full_space_ods(ds, engine.metric(), k, &ids, threads)?
-                        .ods
-                        .into_iter()
-                        .map(|(_, od)| od)
-                        .collect()
-                } else {
-                    let full = ds.full_space();
-                    parallel_map(&ids, threads, |&id| {
-                        engine.od(ds.row(id), k, full, Some(id))
-                    })
-                };
+                let ods: Vec<f64> = full_space_ods(ds, engine.metric(), k, &ids, threads)?
+                    .ods
+                    .into_iter()
+                    .map(|(_, od)| od)
+                    .collect();
                 let t = stats::quantile(&ods, q)?;
                 if t <= 0.0 {
                     return Err(HosError::Config(
@@ -283,7 +273,7 @@ mod tests {
                 HosError::Index(IndexError::InsufficientPoints { available: 4, k: 5 })
             )
         };
-        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree] {
             for shards in [1, 2] {
                 let e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
                 for threads in [1, 2] {

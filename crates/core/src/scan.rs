@@ -65,16 +65,11 @@ impl ScanReport {
 /// block-of-queries × column streaming with reused top-k heaps,
 /// instead of `n` independent engine queries. The kernel folds
 /// per-dimension terms in the same ascending order and selects/sums in
-/// the same `(distance, id)` order as the exact engines, so on linear
-/// and X-tree miners, sharded or not, the ranked ODs are bit-identical
-/// to the per-point path; only the cost changes. HNSW is the
-/// exception: its candidates may miss a true neighbour, so its
-/// per-point ODs can only *over*-estimate the ranked (exact) ones.
-/// Every hit is therefore still an outlier on an HNSW miner, but a
-/// point whose exact OD falls below `T` is skipped even where HNSW's
-/// own estimate would reach it. The ranking stays on one thread: the
-/// worker pool is a single FIFO queue, so a fanned scan would queue
-/// concurrent query batches behind it.
+/// the same `(distance, id)` order as the engines, so on linear and
+/// X-tree miners, sharded or not, the ranked ODs are bit-identical to
+/// the per-point path; only the cost changes. The ranking stays on one
+/// thread: the worker pool is a single FIFO queue, so a fanned scan
+/// would queue concurrent query batches behind it.
 /// Engine `distance_evals` counters never observe the ranking pass —
 /// its work (exact folds plus quantized-admission rejects) is reported
 /// in [`ScanReport::ranking_evals`] / [`ScanReport::ranking_filtered`].
@@ -216,45 +211,6 @@ mod tests {
                     h.id
                 );
             }
-        }
-    }
-
-    /// On an HNSW miner the ranking is still the exact kernel, and
-    /// HNSW's own ODs only over-estimate it: every hit's full-space
-    /// OD through the HNSW engine is at least the ranked one, so every
-    /// hit is an outlier there too.
-    #[test]
-    fn hnsw_hits_are_outliers() {
-        use hos_index::Engine;
-        let (m, planted) = miner();
-        let ds = m.engine().dataset().clone();
-        let cfg = HosMinerConfig {
-            k: 5,
-            threshold: ThresholdPolicy::Fixed(m.threshold()),
-            sample_size: 0,
-            engine: Engine::Hnsw,
-            ..HosMinerConfig::default()
-        };
-        let hnsw = HosMiner::fit(ds.clone(), cfg).unwrap();
-        let report = scan_outliers(&hnsw, usize::MAX).unwrap();
-        for id in planted {
-            assert!(report.hit_ids().contains(&id), "planted {id} missing");
-        }
-        for h in &report.hits {
-            assert!(
-                h.outcome.is_outlier(),
-                "hit {} has no outlying subspace",
-                h.id
-            );
-            let approx = hnsw
-                .engine()
-                .od(ds.row(h.id), 5, ds.full_space(), Some(h.id));
-            assert!(
-                approx >= h.full_od,
-                "point {}: {approx} < {}",
-                h.id,
-                h.full_od
-            );
         }
     }
 

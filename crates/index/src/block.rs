@@ -41,9 +41,7 @@
 //! go through the shared `(pre, id)` order, so the ODs equal per-point
 //! [`crate::knn::KnnEngine::od`] calls on the exact engines **bit for
 //! bit**; the tests here assert that with `assert_eq!` across metrics,
-//! tombstones, query subsets and thread counts. HNSW's ODs are not
-//! pinned here: its candidates may miss a true neighbour, so its ODs
-//! can only over-estimate these.
+//! tombstones, query subsets and thread counts.
 //!
 //! # Errors and accounting
 //!

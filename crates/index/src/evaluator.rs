@@ -14,8 +14,8 @@
 //! * [`LazyContextEvaluator`] — the default implementation every
 //!   [`KnnEngine`] hands out: the engine's pre-distance cache is built
 //!   on the first OD call and every OD after it is a prefix-stack
-//!   walk over cached columns. Engines without a context (X-tree,
-//!   HNSW) stay on their own search for every call.
+//!   walk over cached columns. An engine without a context (the
+//!   X-tree) stays on its own search for every call.
 //!
 //! Engines with their own execution strategy override
 //! [`KnnEngine::evaluator`]: [`crate::sharded::ShardedEngine`] returns

@@ -17,16 +17,10 @@ pub struct Neighbor {
 
 /// A k-NN engine over a fixed dataset and metric.
 ///
-/// Implementations must report **exact** distances and ODs: HOS-Miner's
+/// Implementations must report **exact** distances and ODs and exact
+/// *recall* (the returned set is the true k-NN set): HOS-Miner's
 /// pruning arguments rely on true OD values, so an engine that
 /// estimated them would silently invalidate Property 1/2 reasoning.
-/// The exact-scan engines additionally guarantee exact *recall* (the
-/// returned set is the true k-NN set); [`crate::hnsw::HnswEngine`]
-/// relaxes only that half of the contract — its candidate set may miss
-/// a true neighbour, but every number attached to what it returns is
-/// computed with the same exact f64 arithmetic and `(distance, id)`
-/// ordering, and its recall is measured and gated by the recall-oracle
-/// tests.
 pub trait KnnEngine: Send + Sync {
     /// The indexed dataset.
     fn dataset(&self) -> &Dataset;
@@ -71,10 +65,10 @@ pub trait KnnEngine: Send + Sync {
     /// uses it transparently: one `n x d` pre-distance pass per query
     /// point replaces per-subspace raw-coordinate scans.
     ///
-    /// The default is `None`: engines with their own search structure
-    /// (the X-tree's pruning, HNSW's candidate graph) answer each query
-    /// through that structure, and a full-matrix cache would bypass
-    /// exactly what makes them worth having.
+    /// The default is `None`: an engine with its own search structure
+    /// (the X-tree's pruning) answers each query through that
+    /// structure, and a full-matrix cache would bypass exactly what
+    /// makes it worth having.
     fn query_context<'a>(&'a self, query: &[f64]) -> Option<QueryContext<'a>> {
         let _ = query;
         None
@@ -87,22 +81,6 @@ pub trait KnnEngine: Send + Sync {
     /// any result — only how many workers compute it.
     fn set_threads(&self, threads: usize) {
         let _ = threads;
-    }
-
-    /// Sets the candidate-pool width (`ef_search`) for engines whose
-    /// recall is tunable ([`crate::hnsw::HnswEngine`]; the sharded
-    /// engine forwards to its shards). Exact engines ignore it — their
-    /// recall is identically 1 at any width. Like
-    /// [`KnnEngine::set_threads`] this is a machine-tuning knob, not
-    /// part of the model: it is never persisted.
-    fn set_search_width(&self, ef: usize) {
-        let _ = ef;
-    }
-
-    /// The current candidate-pool width, or `None` for engines whose
-    /// recall is not width-tunable.
-    fn search_width(&self) -> Option<usize> {
-        None
     }
 
     /// An [`OdEvaluator`] for one `(engine, query)` pair: the object
@@ -228,9 +206,6 @@ pub enum Engine {
     Linear,
     /// X-tree index.
     XTree,
-    /// HNSW graph (approximate-recall candidate generation with exact
-    /// re-rank; see [`crate::hnsw`]).
-    Hnsw,
 }
 
 impl std::str::FromStr for Engine {
@@ -240,10 +215,7 @@ impl std::str::FromStr for Engine {
         match s.to_ascii_lowercase().as_str() {
             "linear" | "scan" => Ok(Engine::Linear),
             "xtree" | "x-tree" => Ok(Engine::XTree),
-            "hnsw" => Ok(Engine::Hnsw),
-            other => Err(format!(
-                "unknown engine {other:?} (expected linear|xtree|hnsw)"
-            )),
+            other => Err(format!("unknown engine {other:?} (expected linear|xtree)")),
         }
     }
 }
@@ -253,7 +225,6 @@ impl std::fmt::Display for Engine {
         match self {
             Engine::Linear => write!(f, "linear"),
             Engine::XTree => write!(f, "xtree"),
-            Engine::Hnsw => write!(f, "hnsw"),
         }
     }
 }
@@ -267,11 +238,6 @@ pub fn build_engine(engine: Engine, dataset: Dataset, metric: Metric) -> Box<dyn
             metric,
             crate::xtree::XTreeConfig::default(),
         )),
-        Engine::Hnsw => Box::new(crate::hnsw::HnswEngine::build(
-            dataset,
-            metric,
-            crate::hnsw::HnswConfig::default(),
-        )),
     }
 }
 
@@ -284,17 +250,14 @@ mod tests {
         assert_eq!("linear".parse::<Engine>().unwrap(), Engine::Linear);
         assert_eq!("XTREE".parse::<Engine>().unwrap(), Engine::XTree);
         assert_eq!("x-tree".parse::<Engine>().unwrap(), Engine::XTree);
-        assert_eq!("hnsw".parse::<Engine>().unwrap(), Engine::Hnsw);
-        assert_eq!("HNSW".parse::<Engine>().unwrap(), Engine::Hnsw);
         // Unknown and removed engine names fail typed, naming the
         // engines that do exist.
-        for name in ["quadtree", "vafile", "va", "VA-FILE"] {
+        for name in ["quadtree", "vafile", "va", "VA-FILE", "hnsw", "HNSW"] {
             let err = name.parse::<Engine>().unwrap_err();
-            assert!(err.contains("linear|xtree|hnsw"), "{name}: {err}");
+            assert!(err.contains("linear|xtree)"), "{name}: {err}");
         }
         assert_eq!(Engine::Linear.to_string(), "linear");
         assert_eq!(Engine::XTree.to_string(), "xtree");
-        assert_eq!(Engine::Hnsw.to_string(), "hnsw");
         assert_eq!(Engine::default(), Engine::Linear);
     }
 
@@ -313,7 +276,7 @@ mod tests {
     #[test]
     fn build_engine_returns_working_engines() {
         let ds = Dataset::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap();
-        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree] {
             let e = build_engine(kind, ds.clone(), Metric::L2);
             let nn = e.knn(&[0.1, 0.1], 1, Subspace::full(2), None);
             assert_eq!(nn[0].id, 0, "{kind}");
@@ -332,7 +295,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, (i % 3) as f64]).collect();
         let ds = Dataset::from_rows(&rows).unwrap();
         let s = Subspace::full(2);
-        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree] {
             for shards in [1usize, 3] {
                 let label = format!("{kind} shards={shards}");
                 let mut e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
@@ -412,7 +375,7 @@ mod tests {
     #[test]
     fn incremental_insert_into_empty_engine() {
         use crate::sharded::build_engine_sharded;
-        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree] {
             for shards in [1usize, 2] {
                 let mut e = build_engine_sharded(kind, Dataset::empty(), Metric::L2, shards, 1);
                 let inc = e.as_incremental().unwrap();

@@ -34,12 +34,6 @@
 //!   quantized `f32` admission filter that rejects provably-losing
 //!   pairs before any exact fold — bit-identical to per-point engine
 //!   queries, with typed errors and eval/filter accounting.
-//! * [`hnsw`] — the approximate-recall tier: a vendored, dependency-
-//!   free HNSW graph generates a sub-linear candidate pool per query,
-//!   and an exact re-rank recomputes every reported distance/OD with
-//!   the same f64 arithmetic and `(pre, id)` ordering as the exact
-//!   engines — only recall is approximate, tunable via `ef_search`
-//!   and measured by [`hnsw::calibrate_search_width`].
 //! * [`sharded`] — exact intra-query parallelism: [`ShardedEngine`]
 //!   fans each query over contiguous data shards and merges per-shard
 //!   top-k lists losslessly (bit-identical ODs).
@@ -59,7 +53,6 @@ pub mod block;
 pub mod context;
 pub mod error;
 pub mod evaluator;
-pub mod hnsw;
 pub mod knn;
 pub mod linear;
 pub mod pool;
@@ -76,7 +69,6 @@ pub use block::{
 pub use context::QueryContext;
 pub use error::IndexError;
 pub use evaluator::{LazyContextEvaluator, OdEvaluator};
-pub use hnsw::{calibrate_search_width, recall_at_k, HnswConfig, HnswEngine};
 pub use knn::{Engine, IncrementalEngine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
 pub use sharded::{build_engine_sharded, ShardedEngine};

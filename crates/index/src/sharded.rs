@@ -35,8 +35,8 @@
 //! each OD is a k-way merge of per-shard top-k lists from one prefix
 //! stack per shard, shards in parallel — so a single full-space OD
 //! also uses every core, which is precisely what the unsharded engine
-//! cannot do. Shards over context-less engines (X-tree, HNSW)
-//! answer every OD through their own search instead.
+//! cannot do. Shards over the context-less X-tree answer every OD
+//! through its own search instead.
 
 use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
@@ -254,16 +254,6 @@ impl KnnEngine for ShardedEngine {
         self.threads.store(threads.max(1), AtomicOrdering::Relaxed);
     }
 
-    fn set_search_width(&self, ef: usize) {
-        for sh in &self.shards {
-            sh.engine.set_search_width(ef);
-        }
-    }
-
-    fn search_width(&self) -> Option<usize> {
-        self.shards.iter().find_map(|sh| sh.engine.search_width())
-    }
-
     // No whole-dataset query context: a single `n x d` matrix would
     // serialise exactly the work sharding exists to spread. The
     // sharded evaluator below builds one context *per shard* instead.
@@ -308,7 +298,7 @@ struct ShardedOdEvaluator<'a> {
     shard_threads: usize,
     /// `None` until the first OD call; then one context per shard
     /// (slot `i` for shard `i`), or `Some(None)` when the sub-engines
-    /// offer none (X-tree, HNSW).
+    /// offer none (X-tree).
     ctxs: Option<Option<Vec<QueryContext<'a>>>>,
     /// One prefix stack per shard, reused across batches.
     stacks: Vec<PrefixStack>,

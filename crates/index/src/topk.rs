@@ -14,9 +14,9 @@
 //!   compares against the cached root, before any `Candidate` is
 //!   built or any heap operation runs. (The reject must use the full
 //!   `(pre, id)` order, not `pre` alone: a candidate *tying* the worst
-//!   pre-distance still wins when its id is smaller, and HNSW's
-//!   re-rank and the sharded merge offer candidates out of id order,
-//!   where that case is live.
+//!   pre-distance still wins when its id is smaller, and the sharded
+//!   merge offers candidates out of id order, where that case is
+//!   live.
 //!   `equal_pre_keeps_smaller_id_regardless_of_offer_order` pins it.)
 //! * **Reuse** — [`TopK::reset`] recycles the backing allocation, so a
 //!   walker evaluating thousands of lattice nodes performs zero heap
@@ -90,9 +90,10 @@ impl TopK {
     /// Offers one candidate; keeps it only if it beats the current
     /// worst (or the heap is not yet full). Eviction compares the
     /// full `(pre, id)` order, so the kept set — and the tie-break —
-    /// is independent of the order candidates are offered in (HNSW's
-    /// re-rank offers its pool in beam-heap order, the sharded merge
-    /// shard by shard — neither in id order).
+    /// is independent of the order candidates are offered in (the
+    /// sharded merge offers shard by shard, not in id order; the
+    /// X-tree's own heap, which visits leaves in tree order, keeps the
+    /// same rule so its lists equal these bit for bit).
     ///
     /// `inline(always)`: the chunked selection loop in
     /// `context::offer_bounded` offers up to eight candidates per
@@ -250,9 +251,9 @@ mod tests {
     #[test]
     fn equal_pre_keeps_smaller_id_regardless_of_offer_order() {
         // Ties resolve to the smaller id whether it arrives first
-        // (LinearScan/QueryContext offer in id order) or last (HNSW's
-        // re-rank and the sharded merge do not): the kept set depends
-        // only on the candidates, not their sequence. This is exactly
+        // (LinearScan/QueryContext offer in id order) or last (the
+        // sharded merge does not): the kept set depends only on the
+        // candidates, not their sequence. This is exactly
         // the case the bound fast path must NOT reject: pre == worst.pre
         // with a smaller id still enters the heap.
         for ids in [[0usize, 1], [1, 0]] {

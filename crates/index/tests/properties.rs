@@ -4,8 +4,8 @@
 
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{
-    all_points_full_od_counted, quantized_lower_bounds, Engine, HnswConfig, HnswEngine, KnnEngine,
-    LinearScan, QueryContext, ShardedEngine, XTree, XTreeConfig,
+    all_points_full_od_counted, quantized_lower_bounds, Engine, KnnEngine, LinearScan,
+    QueryContext, ShardedEngine, XTree, XTreeConfig,
 };
 use proptest::prelude::*;
 
@@ -244,41 +244,6 @@ proptest! {
         }
         // Lp admits no order-safe quantized bound: always exact-path.
         prop_assert!(quantized_lower_bounds(&ds, Metric::Lp(3.0), q).is_none());
-    }
-
-    /// The exactness escape hatch, pinned: `HnswEngine` at `ef = n`
-    /// (exhaustive pool) is **bit-identical** to `LinearScan` —
-    /// `assert_eq!` on ids AND distances, no tolerance — for arbitrary
-    /// data, metrics, k, subspaces and tombstone patterns. This is
-    /// what makes the approximation strictly opt-in: widen the pool to
-    /// the dataset and the engine IS the exact scan.
-    #[test]
-    fn hnsw_exhaustive_ef_bit_identical_to_linear(ds in arb_dataset(),
-                                                  q in prop::collection::vec(-60.0f64..60.0, D),
-                                                  k in 1usize..12,
-                                                  mask in 1u64..(1 << D),
-                                                  kill_seed in 0u64..u64::MAX,
-                                                  metric in arb_metric_all()) {
-        let mut ds = ds;
-        for i in 0..ds.len() {
-            if (kill_seed >> (i % 64)) & 1 == 1 && ds.live_len() > 1 {
-                ds.remove_row(i).unwrap();
-            }
-        }
-        let s = Subspace::from_mask(mask);
-        let hnsw = HnswEngine::build(ds.clone(), metric, HnswConfig::default());
-        hnsw.set_search_width(ds.len().max(1));
-        let lin = LinearScan::new(ds, metric);
-        prop_assert_eq!(hnsw.knn(&q, k, s, None), lin.knn(&q, k, s, None));
-        prop_assert_eq!(hnsw.od(&q, k, s, None), lin.od(&q, k, s, None));
-        prop_assert_eq!(hnsw.knn(&q, k, s, Some(0)), lin.knn(&q, k, s, Some(0)));
-        prop_assert_eq!(hnsw.od(&q, k, s, Some(0)), lin.od(&q, k, s, Some(0)));
-        // The evaluator seam inherits the exactness at ef = n too,
-        // through both its uncached and cached phases.
-        let subspaces: Vec<Subspace> = Subspace::all_nonempty(D).collect();
-        let expected: Vec<f64> = subspaces.iter().map(|&s| lin.od(&q, k, s, Some(0))).collect();
-        let mut ev = hnsw.evaluator(&q, k, Some(0));
-        prop_assert_eq!(ev.od_batch(&subspaces, 2), expected);
     }
 
     /// OD is monotone under subspace inclusion regardless of engine —

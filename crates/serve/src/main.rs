@@ -15,8 +15,7 @@ USAGE:
   hos-serve (--data FILE [--header] | --n 2000 --d 6) [--seed 0]
             [--model FILE] [--data-dir DIR]
             [--k 5] [--threshold T | --quantile 0.95]
-            [--engine linear|xtree|hnsw] [--metric l1|l2|linf]
-            [--ef N] [--recall-target 0.95]
+            [--engine linear|xtree] [--metric l1|l2|linf]
             [--threads 1] [--shards 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0]
             [--batch-window-ms 2] [--batch-max 64] [--queue-cap 1024]
@@ -38,9 +37,8 @@ The same listener also speaks hosbin, the length-prefixed binary
 protocol (DESIGN.md §13): a connection opening with the `\\0HSB`
 preamble switches to framed binary with identical semantics.
 --model FILE loads a model written by `hos-miner fit` instead of
-re-learning (the data flags still supply the rows). --engine hnsw
-serves approximate k-NN with exact distances; --ef fixes its
-candidate-pool width, --recall-target calibrates it.
+re-learning (the data flags still supply the rows). Both engines are
+exact: --engine picks how k-NN is searched, never what it returns.
 --data-dir DIR makes the server durable: on start it recovers the
 newest snapshot plus the WAL tail written there (by a previous serve
 run, `hos-miner stream --wal` or `fit --snapshot`); every applied
@@ -72,8 +70,6 @@ const VALUE_FLAGS: &[&str] = &[
     "quantile",
     "engine",
     "metric",
-    "ef",
-    "recall-target",
     "threads",
     "shards",
     "samples",
@@ -190,28 +186,6 @@ fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
         "linf" => Metric::LInf,
         other => return Err(format!("unknown metric {other:?}")),
     };
-    let ef = match flags.get("ef") {
-        None => None,
-        Some(v) => {
-            let ef: usize = v.parse().map_err(|_| format!("--ef: bad value {v:?}"))?;
-            if ef == 0 {
-                return Err("--ef must be positive".into());
-            }
-            Some(ef)
-        }
-    };
-    let recall_target = match flags.get("recall-target") {
-        None => None,
-        Some(v) => {
-            let t: f64 = v
-                .parse()
-                .map_err(|_| format!("--recall-target: bad value {v:?}"))?;
-            if !(t.is_finite() && t > 0.0 && t <= 1.0) {
-                return Err(format!("--recall-target {t} must be in (0, 1]"));
-            }
-            Some(t)
-        }
-    };
     Ok(HosMinerConfig {
         k: flags.num("k", 5)?,
         threshold,
@@ -221,8 +195,6 @@ fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
         threads: flags.num("threads", 1)?,
         shards: flags.num("shards", 1)?,
         seed: flags.num("seed", 0)?,
-        ef,
-        recall_target,
         ..HosMinerConfig::default()
     })
 }
@@ -247,24 +219,9 @@ fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<(HosMiner, Stri
 fn fit_or_load(flags: &Flags, config: &HosMinerConfig, ds: Dataset) -> Result<HosMiner, String> {
     if let Some(path) = flags.get("model") {
         let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
-        let miner = model
+        return model
             .into_miner_with(ds, config.shards, config.threads)
-            .map_err(|e| e.to_string())?;
-        // Search width is machine tuning, never part of the model
-        // file: honour the flags at load time, like the CLI does.
-        if let Some(ef) = config.ef {
-            miner.engine().set_search_width(ef);
-        }
-        if let Some(target) = config.recall_target {
-            hos_index::calibrate_search_width(
-                miner.engine(),
-                miner.config().k,
-                target,
-                16,
-                config.seed.wrapping_add(2),
-            );
-        }
-        return Ok(miner);
+            .map_err(|e| e.to_string());
     }
     HosMiner::fit(ds, *config).map_err(|e| e.to_string())
 }

@@ -289,14 +289,14 @@ impl Served {
     }
 }
 
-/// Satellite smoke for the approximate tier: the hos-serve BINARY
-/// with `--engine hnsw --ef N` must reach the HNSW engine (previously
-/// the flags were simply not parsed) and answer every endpoint. The
-/// binary prints its bound address, so an ephemeral port works.
+/// End-to-end smoke of the hos-serve BINARY after a fit: its
+/// `listening` line reports the fit's set-up phases, and every
+/// endpoint answers from healthz through retire. The binary prints
+/// its bound address, so an ephemeral port works.
 #[test]
-fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
+fn fitted_binary_reports_setup_phases_and_endpoints_answer() {
     let served = spawn_serve(&[
-        "--n", "300", "--d", "4", "--k", "4", "--seed", "7", "--engine", "hnsw", "--ef", "48",
+        "--n", "300", "--d", "4", "--k", "4", "--seed", "7", "--engine", "xtree",
     ]);
     for key in ["load_ms=", "fit_ms="] {
         assert!(
@@ -324,8 +324,8 @@ fn hnsw_flags_reach_the_binary_and_endpoints_answer() {
             String::from_utf8_lossy(&resp)
         );
     }
-    // The served engine must actually be approximate: queries went
-    // through and the row count reflects the write walk above.
+    // The row count and the write counter reflect the write walk
+    // above.
     let (_, body) = client_request(addr, "GET", "/stats", b"").unwrap();
     let stats = json(&body);
     assert_eq!(stats.get("live").unwrap().as_usize(), Some(301));
@@ -413,10 +413,11 @@ fn xtree_data_dir_restart_answers_byte_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The hos-serve BINARY refuses a misspelt flag, a repeated flag and a
-/// removed engine name with exit 2 and the offending name, instead of
-/// starting on defaults. Each case is killed after a deadline, so a
-/// binary that starts serving anyway fails rather than hangs.
+/// The hos-serve BINARY refuses a misspelt flag, a repeated flag, a
+/// removed flag and a removed engine name with exit 2 and the
+/// offending name, instead of starting on defaults. Each case is
+/// killed after a deadline, so a binary that starts serving anyway
+/// fails rather than hangs.
 #[test]
 fn bad_flags_make_the_binary_exit_2() {
     use std::process::{Command, Stdio};
@@ -431,7 +432,10 @@ fn bad_flags_make_the_binary_exit_2() {
         ),
         (&["--engine", "linear", "--engine", "xtree"], "--engine"),
         (&["--header", "--header"], "--header"),
-        (&["--engine", "vafile"], "linear|xtree|hnsw"),
+        (&["--engine", "vafile"], "(expected linear|xtree)"),
+        (&["--engine", "hnsw"], "(expected linear|xtree)"),
+        (&["--ef", "48"], "unknown flag --ef"),
+        (&["--recall-target", "0.9"], "unknown flag --recall-target"),
     ];
     for (extra, needle) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))

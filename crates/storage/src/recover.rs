@@ -2,7 +2,7 @@
 //! --wal`, `fit --snapshot` consumers and `hos-serve --data-dir`.
 //!
 //! The recovered miner must answer **bit-identically** to the process
-//! that wrote the snapshot and the tail, which pins three choices here:
+//! that wrote the snapshot and the tail, which pins two choices here:
 //!
 //! * the model (threshold, priors) comes from the embedded
 //!   [`hos_core::ModelFile`] text — never re-learned;
@@ -12,10 +12,7 @@
 //!   built once over the result. Every engine's build skips dead rows,
 //!   and answers never depend on index shape (DESIGN.md §7, "Why
 //!   incremental == rebuild"), so one build answers like the live
-//!   miner that absorbed the same ops one at a time;
-//! * a width-tunable engine gets the *persisted* resolved width, not a
-//!   fresh calibration — calibrating on the recovered window would
-//!   resolve a different `ef` than the original fit did.
+//!   miner that absorbed the same ops one at a time.
 
 use crate::snapshot::Snapshot;
 use crate::store::Recovery;
@@ -42,12 +39,6 @@ pub fn config_fingerprint(config: &HosMinerConfig, window: Option<usize>) -> Str
         config.prior_smoothing,
         config.seed,
     );
-    if let Some(ef) = config.ef {
-        s.push_str(&format!(" ef={ef}"));
-    }
-    if let Some(rt) = config.recall_target {
-        s.push_str(&format!(" recall-target={rt:?}"));
-    }
     if let Some(w) = window {
         s.push_str(&format!(" window={w}"));
     }
@@ -55,8 +46,8 @@ pub fn config_fingerprint(config: &HosMinerConfig, window: Option<usize>) -> Str
 }
 
 /// Rebuilds a ready-to-query miner from a snapshot alone: the
-/// snapshot's rows with its tombstones, one engine build, the embedded
-/// model, and the persisted search width. `config` supplies the live
+/// snapshot's rows with its tombstones, one engine build and the
+/// embedded model. `config` supplies the live
 /// threshold *policy* (so later re-estimation replays identically)
 /// and the machine knobs; everything learned comes from the snapshot.
 pub fn miner_from_snapshot(snap: &Snapshot, config: &HosMinerConfig) -> Result<HosMiner> {
@@ -78,7 +69,6 @@ pub fn recover_miner(recovery: &Recovery, config: &HosMinerConfig) -> Result<Hos
 /// [`Folded::into_miner`] builds the engine once.
 pub struct Folded {
     model: ModelFile,
-    search_width: u64,
     dataset: Dataset,
 }
 
@@ -114,36 +104,28 @@ impl Folded {
                 }
             }
         }
-        Ok(Folded {
-            model,
-            search_width: snap.meta().search_width,
-            dataset,
-        })
+        Ok(Folded { model, dataset })
     }
 
     /// Builds the engine once over the folded dataset (dead rows are
     /// skipped by every engine's build) and installs the snapshot's
-    /// model and persisted search width.
+    /// model.
     pub fn into_miner(self, config: &HosMinerConfig) -> Result<HosMiner> {
-        let mut cfg = *config;
-        // The persisted resolved width wins over both tuning flags;
-        // see the module docs.
-        cfg.ef = (self.search_width > 0).then_some(self.search_width as usize);
-        cfg.recall_target = None;
         let model = LearnedModel {
             priors: self.model.priors,
             samples: self.model.samples,
             threshold: self.model.threshold,
             total_stats: SearchStats::default(),
         };
-        HosMiner::from_parts(self.dataset, cfg, model).map_err(StorageError::Model)
+        HosMiner::from_parts(self.dataset, *config, model).map_err(StorageError::Model)
     }
 }
 
-/// The resolved search width of a miner's engine, in snapshot
-/// encoding (0 = the engine is not width-tunable).
-pub fn snapshot_search_width(miner: &HosMiner) -> u64 {
-    miner.engine().search_width().map_or(0, |w| w as u64)
+/// The snapshot's `search_width` field for a miner: always 0, since
+/// both engines are exact and neither has a search width. The v1
+/// layout keeps the field so existing data directories still open.
+pub fn snapshot_search_width(_miner: &HosMiner) -> u64 {
+    0
 }
 
 #[cfg(test)]
@@ -621,6 +603,21 @@ mod tests {
         let base = HosMinerConfig::default();
         let a = config_fingerprint(&base, None);
         assert_eq!(a, config_fingerprint(&base, None));
+        // The bytes existing data directories were written with.
+        assert_eq!(
+            a,
+            "v1 k=5 metric=L2 engine=linear threshold=FullSpaceQuantile \
+             { q: 0.95, sample: 200 } samples=20 smoothing=1.0 seed=0"
+        );
+        let xtree = HosMinerConfig {
+            engine: hos_index::Engine::XTree,
+            ..base
+        };
+        assert_eq!(
+            config_fingerprint(&xtree, None),
+            "v1 k=5 metric=L2 engine=xtree threshold=FullSpaceQuantile \
+             { q: 0.95, sample: 200 } samples=20 smoothing=1.0 seed=0"
+        );
         let mut k9 = base;
         k9.k = 9;
         assert_ne!(a, config_fingerprint(&k9, None));

@@ -70,11 +70,9 @@ pub struct SnapshotMeta {
     /// Input rows consumed so far — lets a restarted `stream` skip
     /// rows it already processed.
     pub rows_consumed: u64,
-    /// Resolved candidate-pool width (`ef`) of a width-tunable engine
-    /// at snapshot time, or 0. Recovery restores it directly instead
-    /// of re-calibrating — calibration on the *recovered* dataset
-    /// would pick a different width than the original run resolved at
-    /// fit time, silently breaking eval-count bit-identity.
+    /// Reserved by the v1 layout; written as 0 and ignored on read
+    /// (it held an approximate engine's search width, and neither
+    /// remaining engine has one).
     pub search_width: u64,
     /// Physical rows (including tombstones) and dimensionality.
     pub n: usize,

@@ -80,7 +80,8 @@ pub struct SnapshotState<'a> {
     pub base: u64,
     pub oldest: u64,
     pub rows_consumed: u64,
-    /// Resolved engine search width (0 = not width-tunable).
+    /// Reserved v1 snapshot field, always 0 (see
+    /// [`crate::snapshot::SnapshotMeta::search_width`]).
     pub search_width: u64,
 }
 

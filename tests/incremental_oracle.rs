@@ -3,9 +3,8 @@
 //!
 //! For proptest-generated sequences of insert/remove/query operations,
 //! the incrementally-maintained engine must be indistinguishable from
-//! a **cold rebuild** over the surviving rows — across every engine
-//! kind (linear scan, X-tree, HNSW at exhaustive width), every metric,
-//! and shard counts 1..=4:
+//! a **cold rebuild** over the surviving rows — across both engine
+//! kinds (linear scan, X-tree), every metric, and shard counts 1..=4:
 //!
 //! * **ODs bit-identical** (`assert_eq!` on `f64`, no epsilon): the
 //!   distances are computed by the same code over the same row bytes
@@ -19,23 +18,10 @@
 //! A deterministic miner-level differential test extends the statement
 //! end to end: `HosMiner::insert_point`/`retire_point` against a fresh
 //! `HosMiner::fit` on the compacted dataset.
-//!
-//! The approximate tier rides the same harness two ways. At exhaustive
-//! search width (`ef = usize::MAX`) `HnswEngine` *is* the exact scan
-//! (pinned by the `ef = n` property test), so it joins every
-//! bit-identity stream above — which drags its graph-insert and
-//! tombstone/rebuild machinery through the differential oracle for
-//! free. At its default width it keeps only a **recall contract**, so
-//! a dedicated churn stream checks the relaxed statement instead:
-//! reported distances stay bitwise-exact, mean recall@k against a cold
-//! exact rebuild clears the 0.95 contract, and widening back to
-//! exhaustive mid-stream restores bit-identity.
 
 use hos_miner::core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_miner::data::{Dataset, Metric, PointId};
-use hos_miner::index::{
-    build_engine_sharded, recall_at_k, Engine, HnswConfig, KnnEngine, Neighbor,
-};
+use hos_miner::index::{build_engine_sharded, Engine, KnnEngine};
 use hos_miner::Subspace;
 use proptest::prelude::*;
 
@@ -112,11 +98,6 @@ fn assert_equivalent(
 ) {
     let cold_ds = mirror.dataset();
     let cold = build_engine_sharded(kind, cold_ds, metric, shards, 2);
-    // The approximate engine only promises bit-identity at exhaustive
-    // width — the callers below set the incremental side to match.
-    if kind == Engine::Hnsw {
-        cold.set_search_width(usize::MAX);
-    }
     let ctx = format!("{kind} metric={metric:?} shards={shards} step={step}");
 
     // Queries: one external probe plus up to three live members.
@@ -239,15 +220,15 @@ proptest! {
 
     /// The headline property: after EVERY op in a random stream, the
     /// incremental engine state is bit-identical (ODs, neighbour
-    /// lists, evaluator batches) to a cold rebuild — for every engine
-    /// kind, metric, and shard count 1..=4.
+    /// lists, evaluator batches) to a cold rebuild — for both engine
+    /// kinds, every metric, and shard count 1..=4.
     #[test]
     fn incremental_state_equals_cold_rebuild(
         initial in prop::collection::vec(arb_row(), 8..20),
         ops in arb_ops(),
         metric in arb_metric(),
     ) {
-        for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+        for kind in [Engine::Linear, Engine::XTree] {
             for shards in 1usize..=4 {
                 let mut inc = build_engine_sharded(
                     kind,
@@ -256,9 +237,6 @@ proptest! {
                     shards,
                     2,
                 );
-                if kind == Engine::Hnsw {
-                    inc.set_search_width(usize::MAX);
-                }
                 let mut mirror = Mirror::new(&initial);
                 assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, 0);
                 for (step, op) in ops.iter().enumerate() {
@@ -271,9 +249,8 @@ proptest! {
 }
 
 /// Deterministic, denser long-run variant: hundreds of ops drive the
-/// X-tree through several bounded re-bulk-loads and the HNSW graph
-/// (at exhaustive width) through tombstone accumulation past its
-/// bounded-rebuild threshold; equivalence is checked at checkpoints.
+/// X-tree through several bounded re-bulk-loads; equivalence is
+/// checked at checkpoints.
 #[test]
 fn long_streams_with_rebuilds_stay_equivalent() {
     // A deterministic pseudo-stream with values drifting out of the
@@ -297,7 +274,7 @@ fn long_streams_with_rebuilds_stay_equivalent() {
             ]));
         }
     }
-    for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+    for kind in [Engine::Linear, Engine::XTree] {
         for shards in [1usize, 3] {
             for metric in [Metric::L2, Metric::LInf] {
                 let mut inc = build_engine_sharded(
@@ -307,9 +284,6 @@ fn long_streams_with_rebuilds_stay_equivalent() {
                     shards,
                     2,
                 );
-                if kind == Engine::Hnsw {
-                    inc.set_search_width(usize::MAX);
-                }
                 let mut mirror = Mirror::new(&initial);
                 for (step, op) in ops.iter().enumerate() {
                     apply(op, &mut inc, &mut mirror);
@@ -346,15 +320,12 @@ fn miner_incremental_equals_refit_on_compacted_data() {
         sample_size: 0, // uniform priors: fit is dataset-order invariant
         ..HosMinerConfig::default()
     };
-    for engine in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+    for engine in [Engine::Linear, Engine::XTree] {
         for shards in 1usize..=4 {
             let cfg = HosMinerConfig {
                 engine,
                 shards,
                 threads: 2,
-                // Exhaustive width makes the approximate tier exact, so
-                // the miner-level bit-identity statement covers it too.
-                ef: (engine == Engine::Hnsw).then_some(usize::MAX),
                 ..config
             };
             let mut inc = HosMiner::fit(Dataset::from_rows(&rows).unwrap(), cfg).unwrap();
@@ -404,137 +375,6 @@ fn miner_incremental_equals_refit_on_compacted_data() {
     }
 }
 
-/// Hash-derived pseudo-random row: continuous-ish values (two decimal
-/// places over [0, 100)) so exact distance ties — which would make
-/// id-based recall counting unfair to a correct candidate set — are
-/// vanishingly rare.
-fn hashed_row(i: usize) -> Vec<f64> {
-    (0..D)
-        .map(|j| {
-            let mut x = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((j as u64) << 32 | 0xABCD);
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^= x >> 31;
-            (x % 10_000) as f64 / 100.0
-        })
-        .collect()
-}
-
-/// The recall-contract oracle for the approximate tier at one
-/// checkpoint of a churn stream: reported distances are bitwise-exact
-/// recomputations, mean recall@k against a cold exact rebuild clears
-/// the 0.95 contract, and the exhaustive-width escape hatch restores
-/// full bit-identity mid-stream.
-fn assert_hnsw_contract(inc: &dyn KnnEngine, mirror: &Mirror, shards: usize, step: usize) {
-    let metric = Metric::L2;
-    let cold = build_engine_sharded(Engine::Linear, mirror.dataset(), metric, 1, 1);
-    let ctx = format!("hnsw shards={shards} step={step}");
-    let ds = inc.dataset();
-    let probes: Vec<usize> = (0..12).map(|i| i * mirror.live.len() / 12).collect();
-    let subspaces = [Subspace::full(D), Subspace::from_dims(&[0, 2])];
-
-    // Translate the exact oracle's compacted ids into the incremental
-    // engine's id space so recall counts true positives.
-    let exact_topk = |pos: usize, row: &[f64], s: Subspace| -> Vec<Neighbor> {
-        cold.knn(row, K, s, Some(pos))
-            .iter()
-            .map(|n| Neighbor {
-                id: mirror.live[n.id].0,
-                dist: n.dist,
-            })
-            .collect()
-    };
-
-    let (mut recall_sum, mut recall_n) = (0.0f64, 0usize);
-    for &pos in &probes {
-        let (inc_id, ref row) = mirror.live[pos];
-        for &s in &subspaces {
-            let approx = inc.knn(row, K, s, Some(inc_id));
-            for nb in &approx {
-                // Whatever the candidate set missed, what it reported
-                // is the true distance, bit for bit.
-                assert_eq!(
-                    nb.dist,
-                    metric.dist_sub(row, ds.row(nb.id), s),
-                    "{ctx} {s}: reported distance not exact"
-                );
-            }
-            recall_sum += recall_at_k(&exact_topk(pos, row, s), &approx);
-            recall_n += 1;
-        }
-    }
-    let mean = recall_sum / recall_n as f64;
-    assert!(mean >= 0.95, "{ctx}: mean recall {mean} below the contract");
-
-    // Escape hatch under churn: exhaustive width is bit-identical to
-    // the exact oracle, and the default width comes back afterwards.
-    inc.set_search_width(usize::MAX);
-    for &pos in &probes {
-        let (inc_id, ref row) = mirror.live[pos];
-        for &s in &subspaces {
-            assert_eq!(
-                inc.knn(row, K, s, Some(inc_id)),
-                exact_topk(pos, row, s),
-                "{ctx} {s}: exhaustive width not bit-identical"
-            );
-            assert_eq!(
-                inc.od(row, K, s, Some(inc_id)),
-                cold.od(row, K, s, Some(pos)),
-                "{ctx} {s}: exhaustive OD differs"
-            );
-        }
-    }
-    inc.set_search_width(HnswConfig::default().ef_search);
-}
-
-/// The relaxed-contract stream: a dataset large enough that the
-/// default search width genuinely approximates (live count stays above
-/// `ef` throughout), churned with ~2:1 removals-to-inserts so shard
-/// graphs accumulate tombstones and cross their bounded-rebuild
-/// threshold mid-stream. The recall contract must hold at every
-/// checkpoint — not just on the freshly built graph.
-#[test]
-fn hnsw_recall_contract_survives_churn() {
-    const N: usize = 360;
-    let initial: Vec<Vec<f64>> = (0..N).map(hashed_row).collect();
-    let mut ops = Vec::new();
-    for i in 0..150usize {
-        if i % 3 == 2 {
-            ops.push(Op::Insert(hashed_row(N + i)));
-        } else {
-            ops.push(Op::Remove(i * 13 + 5));
-        }
-    }
-    for shards in [1usize, 3] {
-        let mut inc = build_engine_sharded(
-            Engine::Hnsw,
-            Dataset::from_rows(&initial).unwrap(),
-            Metric::L2,
-            shards,
-            1,
-        );
-        let mut mirror = Mirror::new(&initial);
-        assert_hnsw_contract(inc.as_ref(), &mirror, shards, 0);
-        for (step, op) in ops.iter().enumerate() {
-            apply(op, &mut inc, &mut mirror);
-            if step % 50 == 49 || step + 1 == ops.len() {
-                assert_hnsw_contract(inc.as_ref(), &mirror, shards, step + 1);
-            }
-        }
-        // The stream never left the approximate regime: the contract
-        // checks above exercised real candidate generation, not the
-        // small-n exact fallback.
-        assert!(
-            inc.dataset().live_len() > HnswConfig::default().ef_search,
-            "shards={shards}: stream fell back to exact"
-        );
-    }
-}
-
 /// The k >= n / empty-dataset regression, exercised end to end at the
 /// workspace level: removals drive every engine below `k` and all the
 /// way to empty; checked queries return the typed error and unchecked
@@ -545,7 +385,7 @@ fn draining_every_engine_below_k_is_a_typed_error() {
     let rows: Vec<Vec<f64>> = (0..6)
         .map(|i| vec![i as f64, (i % 2) as f64, 0.0])
         .collect();
-    for kind in [Engine::Linear, Engine::XTree, Engine::Hnsw] {
+    for kind in [Engine::Linear, Engine::XTree] {
         for shards in 1usize..=4 {
             let mut e = build_engine_sharded(
                 kind,
