@@ -28,7 +28,7 @@ USAGE:
                      [--k 5] [--threshold T | --quantile 0.95]
                      [--engine linear|xtree] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
-                     [--smoothing 1.0] [--threads 1] [--shards 1]
+                     [--smoothing 1.0] [--threads 1] [--shards AUTO]
                      [--seed 0] [--header]
   hos-miner scan     --data FILE [--top 5] [--model FILE] [... tuning flags]
   hos-miner stream   [--data FILE]  (no --data: rows from stdin)
@@ -46,11 +46,14 @@ With --model, the threshold and learned priors come from a file written
 by `fit` and the per-dataset learning phase is skipped.
 With --ids, the queries are fanned out across --threads workers; the
 results are identical to running each --id query on its own.
---threads sets the worker count for OD batches and multi-query fan-out;
+--threads sets the worker count: the fit's samples and a batch's queries
+are fanned over it, and a single query runs its per-shard walks on it.
 --shards splits the dataset into that many partitions so a SINGLE query
-also runs in parallel (per-shard k-NN, exact merge). Neither flag
-changes any result: sharded and threaded answers are bit-identical to
-the serial ones.
+also runs in parallel (per-shard k-NN, exact merge). Without --shards
+the count is computed from the rows: one shard per thread for the
+linear engine, each at least 5000 rows, and always 1 for the X-tree.
+Neither flag changes any result: sharded and threaded answers are
+bit-identical to the serial ones.
 --engine picks the exact k-NN search (linear scan or X-tree); both
 return the same neighbours, distances and ODs.
 `bench serve` drives an in-process hos-serve instance with concurrent
@@ -161,6 +164,8 @@ pub(crate) mod tests {
             });
             assert!(documented, "{flag} missing from HELP");
         }
+        let floor = format!("at least {} rows", hos_index::MIN_SHARD_ROWS);
+        assert!(HELP.contains(&floor), "HELP must state the shard floor");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn cmd_fit(args: &Args) -> CmdResult {
     // snapshot store, the format `stream --wal` and `hos-serve
     // --data-dir` recover from.
     if let Some(dir) = args.get("snapshot") {
-        let config = miner_config(args)?;
+        let config = miner_config(args, miner.engine().dataset().len())?;
         let store_config = hos_storage::StoreConfig {
             meta: hos_storage::config_fingerprint(&config, None),
             ..Default::default()

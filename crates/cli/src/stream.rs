@@ -295,7 +295,7 @@ pub fn cmd_stream(args: &Args) -> CmdResult {
     let every = args.get_or("every", 200usize)?.max(1);
     let top = args.get_or("top", 3usize)?;
     let reestimate = args.switch("reestimate");
-    let config = miner_config(args)?;
+    let config = miner_config(args, window)?;
     if window <= config.k + 1 {
         return Err(format!(
             "--window {window} too small: need more than k + 1 = {} rows live",

@@ -7,7 +7,7 @@ use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::csv::{read_csv_path, CsvOptions};
 use hos_data::normalize::{normalize, NormKind, Normalizer};
 use hos_data::{Dataset, Metric};
-use hos_index::Engine;
+use hos_index::{shard_count, Engine};
 
 /// The flags [`load`], [`parse_normalizer`] and [`build_miner`] read
 /// besides the tuning flags, accepted by every subcommand that builds a
@@ -73,19 +73,25 @@ pub fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
         // Parallelism is machine-specific, not part of the fitted
         // model: honour --threads and --shards here too, as the help
         // promises.
+        let threads = args.get_or("threads", 1usize)?;
+        let shards = shards(args, model.engine, ds.len(), threads)?;
         return model
-            .into_miner_with(
-                ds,
-                args.get_or("shards", 1usize)?,
-                args.get_or("threads", 1usize)?,
-            )
+            .into_miner_with(ds, shards, threads)
             .map_err(|e| e.to_string());
     }
     fit_miner(args, ds)
 }
 
-/// Assembles a [`HosMinerConfig`] from the shared tuning flags.
-pub fn miner_config(args: &Args) -> Result<HosMinerConfig, String> {
+/// `--shards`, or when it is not given the count [`shard_count`] picks
+/// for `engine` over `rows` rows and `threads` workers.
+fn shards(args: &Args, engine: Engine, rows: usize, threads: usize) -> Result<usize, String> {
+    args.get_or("shards", shard_count(engine, rows, threads))
+}
+
+/// Assembles a [`HosMinerConfig`] from the shared tuning flags for a
+/// miner over `rows` rows (which sets the shard count when `--shards`
+/// is not given).
+pub fn miner_config(args: &Args, rows: usize) -> Result<HosMinerConfig, String> {
     let k = args.get_or("k", 5usize)?;
     let threshold = match (
         args.get_opt::<f64>("threshold")?,
@@ -105,6 +111,7 @@ pub fn miner_config(args: &Args) -> Result<HosMinerConfig, String> {
         .unwrap_or("linear")
         .parse()
         .map_err(|e: String| e)?;
+    let threads = args.get_or("threads", 1usize)?;
     Ok(HosMinerConfig {
         k,
         threshold,
@@ -112,14 +119,15 @@ pub fn miner_config(args: &Args) -> Result<HosMinerConfig, String> {
         engine,
         sample_size: args.get_or("samples", 20usize)?,
         prior_smoothing: args.get_or("smoothing", 1.0f64)?,
-        threads: args.get_or("threads", 1usize)?,
-        shards: args.get_or("shards", 1usize)?,
+        threads,
+        shards: shards(args, engine, rows, threads)?,
         seed: args.get_or("seed", 0u64)?,
     })
 }
 
 pub fn fit_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
-    HosMiner::fit(ds, miner_config(args)?).map_err(|e| e.to_string())
+    let config = miner_config(args, ds.len())?;
+    HosMiner::fit(ds, config).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

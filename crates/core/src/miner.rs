@@ -34,14 +34,17 @@ pub struct HosMinerConfig {
     /// (see `learning` module docs). `0` = the paper's literal
     /// average; default `1`.
     pub prior_smoothing: f64,
-    /// Worker threads for per-level OD batches.
+    /// Worker threads: for the fit's sample searches, for the specs of
+    /// a multi-query batch, and for the per-shard walks of a lone
+    /// query on a sharded engine.
     pub threads: usize,
     /// Data shards for intra-query parallelism: `> 1` splits the
     /// dataset into that many contiguous row partitions behind a
     /// `ShardedEngine` whose per-shard top-k merge reproduces the
     /// unsharded engine's ODs bit for bit (see
     /// `hos_index::sharded`). `1` (the default) keeps the plain
-    /// engine.
+    /// engine. Both binaries fill it from `hos_index::shard_count`
+    /// when `--shards` is not given.
     pub shards: usize,
     /// Seed for sampling (threshold + learning).
     pub seed: u64,
@@ -422,13 +425,16 @@ impl HosMiner {
     }
 
     /// Answers many member/point queries at once with per-item error
-    /// reporting: the specs are fanned out across `config.threads`
-    /// pooled workers, each validated and searched on its own (with
-    /// per-level parallelism off, so cross-query parallelism does not
-    /// oversubscribe the cores), and each slot gets either its outcome
-    /// or the same typed error the corresponding
-    /// [`HosMiner::query_id`] / [`HosMiner::query_point`] call would
-    /// return. Results are in input order.
+    /// reporting: each spec is validated and searched on its own, and
+    /// each slot gets either its outcome or the same typed error the
+    /// corresponding [`HosMiner::query_id`] / [`HosMiner::query_point`]
+    /// call would return. Results are in input order.
+    ///
+    /// A batch of one spec runs with all `config.threads`, which a
+    /// sharded engine spreads over its shards. A larger batch is
+    /// fanned out across `config.threads` pooled workers, one spec per
+    /// worker at a time; a worker's own searches then run serially,
+    /// since a pool region nested inside a worker does.
     ///
     /// This is the one batch path: the CLI's `query --ids` and the
     /// serving layer's admission batcher both call it. Because
@@ -437,6 +443,9 @@ impl HosMiner {
     /// query alone at any thread count — one slow or invalid request
     /// can neither change nor fail its batch-mates.
     pub fn query_each(&self, specs: &[QuerySpec]) -> Vec<Result<QueryOutcome>> {
+        if let [spec] = specs {
+            return vec![self.run(spec, self.config.threads)];
+        }
         parallel_map(specs, self.config.threads, |spec| self.run(spec, 1))
     }
 }

@@ -120,7 +120,9 @@ impl SearchOutcome {
 /// * `k`, `threshold` — the OD parameters.
 /// * `priors` — per-level pruning probabilities (uniform during
 ///   learning, learned for user queries).
-/// * `threads` — parallelism for per-level OD batches.
+/// * `threads` — workers for per-level OD batches; only a sharded
+///   engine's evaluator uses more than one (it walks its shards on
+///   them), every other evaluator runs the batch serially.
 ///
 /// # Panics
 /// Panics if `priors.dim()` differs from the dataset dimensionality,

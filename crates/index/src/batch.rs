@@ -1,11 +1,11 @@
 //! Order-preserving fan-out over the persistent [`crate::pool`].
 //!
-//! Every parallel region in the system — per-level OD batches in the
-//! evaluator, per-shard walks, threshold resolution and
-//! `HosMiner::query_each` across queries — splits its items into
-//! `threads` static chunks and runs them on the pooled workers:
-//! threads are spawned once per process and reused across every
-//! call, so a resident server pays no spawn/join latency per
+//! Every parallel region in the system — per-shard walks and merges,
+//! the blocked all-points scan, threshold resolution, learning's
+//! sample searches and `HosMiner::query_each` across queries — splits
+//! its items into `threads` static chunks and runs them on the pooled
+//! workers: threads are spawned once per process and reused across
+//! every call, so a resident server pays no spawn/join latency per
 //! admission batch.
 
 use crate::pool::run_scoped;
@@ -158,7 +158,7 @@ mod tests {
     fn cached_batch_identical_to_per_subspace_engine_queries() {
         // od_batch takes the QueryContext fast path for LinearScan;
         // it must agree bit for bit with one engine.od call per
-        // subspace (the uncached reference), serial and parallel.
+        // subspace (the uncached reference) at any requested width.
         let (engine, q, subspaces) = setup();
         let reference: Vec<f64> = subspaces
             .iter()

@@ -29,7 +29,6 @@
 //!
 //! [`QueryContext`]: crate::context::QueryContext
 
-use crate::batch::parallel_map;
 use crate::context::QueryContext;
 use crate::knn::KnnEngine;
 use crate::walker::{walk_order, PrefixStack};
@@ -50,8 +49,11 @@ pub trait OdEvaluator {
     fn od(&mut self, s: Subspace) -> f64;
 
     /// `OD(query, s)` for every subspace in `subspaces`, in input
-    /// order, fanned across up to `threads` worker threads. Equals
-    /// calling [`OdEvaluator::od`] per subspace, bit for bit,
+    /// order. `threads` bounds the fan-out over data shards, the one
+    /// way a single query uses more than one core: the sharded
+    /// evaluator spreads its per-shard walks over up to `threads`
+    /// workers, and every other evaluator runs the batch serially.
+    /// Equals calling [`OdEvaluator::od`] per subspace, bit for bit,
     /// regardless of `threads`. Batches are internally traversed in
     /// walker order ([`Subspace::walk_cmp`]) so the prefix-stack
     /// kernel pays `O(n)` per node; since every subspace's OD is a
@@ -70,7 +72,10 @@ pub trait OdEvaluator {
 }
 
 /// The default [`OdEvaluator`]: a per-query distance cache built on
-/// the first OD call, walked by the prefix-stack kernel.
+/// the first OD call, walked by the prefix-stack kernel. It runs every
+/// batch serially on the calling thread and ignores `threads`: a query
+/// that should use more cores is served by a sharded engine instead
+/// (DESIGN.md §6).
 ///
 /// # Cost model
 ///
@@ -94,9 +99,6 @@ pub struct LazyContextEvaluator<'a, E: KnnEngine + ?Sized> {
     stack: PrefixStack,
     /// Reused walk-order index scratch.
     order: Vec<usize>,
-    /// Node visits performed by throwaway per-chunk stacks on the
-    /// parallel path (the owned `stack` counts its own).
-    parallel_visits: u64,
 }
 
 impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
@@ -110,7 +112,6 @@ impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
             ctx: None,
             stack: PrefixStack::new(),
             order: Vec::new(),
-            parallel_visits: 0,
         }
     }
 }
@@ -127,7 +128,7 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
         }
     }
 
-    fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
+    fn od_batch(&mut self, subspaces: &[Subspace], _threads: usize) -> Vec<f64> {
         if subspaces.is_empty() {
             return Vec::new();
         }
@@ -141,46 +142,21 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
                 // invisible in the results.
                 walk_order(subspaces, &mut self.order);
                 let mut out = vec![0.0f64; subspaces.len()];
-                let threads = threads.max(1).min(subspaces.len());
-                if threads <= 1 {
-                    for &i in &self.order {
-                        self.stack.seek(ctx, subspaces[i]);
-                        out[i] = self.stack.od(ctx, k, exclude);
-                    }
-                } else {
-                    // Contiguous walk-order chunks, one throwaway
-                    // stack per worker: prefix sharing within each
-                    // chunk, allocation only on this (wide-batch)
-                    // path.
-                    let chunk = self.order.len().div_ceil(threads);
-                    let chunks: Vec<&[usize]> = self.order.chunks(chunk).collect();
-                    let ctx = &*ctx;
-                    let results = parallel_map(&chunks, threads, |&idx| {
-                        let mut stack = PrefixStack::new();
-                        let ods: Vec<(usize, f64)> = idx
-                            .iter()
-                            .map(|&i| {
-                                stack.seek(ctx, subspaces[i]);
-                                (i, stack.od(ctx, k, exclude))
-                            })
-                            .collect();
-                        (ods, stack.node_visits())
-                    });
-                    for (ods, visits) in results {
-                        self.parallel_visits += visits;
-                        for (i, od) in ods {
-                            out[i] = od;
-                        }
-                    }
+                for &i in &self.order {
+                    self.stack.seek(ctx, subspaces[i]);
+                    out[i] = self.stack.od(ctx, k, exclude);
                 }
                 out
             }
-            None => parallel_map(subspaces, threads, |&s| engine.od(query, k, s, exclude)),
+            None => subspaces
+                .iter()
+                .map(|&s| engine.od(query, k, s, exclude))
+                .collect(),
         }
     }
 
     fn node_visits(&self) -> u64 {
-        self.stack.node_visits() + self.parallel_visits
+        self.stack.node_visits()
     }
 }
 
@@ -307,10 +283,11 @@ mod tests {
         let again = ev.od_batch(&subspaces, 1);
         assert_eq!(again, ods);
         assert_eq!(ev.node_visits(), 2 * Subspace::lattice_size(d));
-        // The parallel path agrees exactly, whatever the chunking.
-        let mut ev_par = engine.evaluator(&q, 4, Some(3));
-        assert_eq!(ev_par.od_batch(&subspaces, 4), ods);
-        assert!(ev_par.node_visits() >= Subspace::lattice_size(d));
+        // Asking for more threads changes nothing: the batch still
+        // runs serially, one fold per node.
+        let mut ev_wide = engine.evaluator(&q, 4, Some(3));
+        assert_eq!(ev_wide.od_batch(&subspaces, 4), ods);
+        assert_eq!(ev_wide.node_visits(), Subspace::lattice_size(d));
     }
 
     #[test]

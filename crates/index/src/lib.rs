@@ -71,6 +71,6 @@ pub use error::IndexError;
 pub use evaluator::{LazyContextEvaluator, OdEvaluator};
 pub use knn::{Engine, IncrementalEngine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
-pub use sharded::{build_engine_sharded, ShardedEngine};
+pub use sharded::{build_engine_sharded, shard_count, ShardedEngine, MIN_SHARD_ROWS};
 pub use walker::{PrefixStack, PrefixWalker};
 pub use xtree::{XTree, XTreeConfig};

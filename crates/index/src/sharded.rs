@@ -314,17 +314,17 @@ struct ShardedOdEvaluator<'a> {
 
 impl ShardedOdEvaluator<'_> {
     /// Builds the per-shard contexts on first use: together one `n x d`
-    /// pass, fanned over the shards like every query. (Mapped over
-    /// `&'a Shard` refs so the returned contexts keep the evaluator's
-    /// lifetime rather than the worker closure's.) Returns whether the
-    /// sub-engines offered contexts.
-    fn ensure_contexts(&mut self) -> bool {
+    /// pass, fanned over the shards on up to `threads` workers — the
+    /// width of the call that needs them, so a batch asked to run on
+    /// one thread queues no pool jobs. (Mapped over `&'a Shard` refs
+    /// so the returned contexts keep the evaluator's lifetime rather
+    /// than the worker closure's.) Returns whether the sub-engines
+    /// offered contexts.
+    fn ensure_contexts(&mut self, threads: usize) -> bool {
         if self.ctxs.is_none() {
             let query = self.query;
             let shard_refs: Vec<&Shard> = self.shards.iter().collect();
-            let built = parallel_map(&shard_refs, self.shard_threads, |sh| {
-                sh.engine.query_context(query)
-            });
+            let built = parallel_map(&shard_refs, threads, |sh| sh.engine.query_context(query));
             self.ctxs = Some(built.into_iter().collect());
         }
         matches!(self.ctxs, Some(Some(_)))
@@ -343,7 +343,7 @@ impl ShardedOdEvaluator<'_> {
 
 impl OdEvaluator for ShardedOdEvaluator<'_> {
     fn od(&mut self, s: Subspace) -> f64 {
-        if self.ensure_contexts() {
+        if self.ensure_contexts(self.shard_threads) {
             self.od_batch_walked(&[s], self.shard_threads)[0]
         } else {
             self.od_merged(s, self.shard_threads)
@@ -354,7 +354,7 @@ impl OdEvaluator for ShardedOdEvaluator<'_> {
         if subspaces.is_empty() {
             return Vec::new();
         }
-        if self.ensure_contexts() {
+        if self.ensure_contexts(threads) {
             return self.od_batch_walked(subspaces, threads);
         }
         if subspaces.len() >= threads.max(1) {
@@ -582,6 +582,33 @@ pub fn build_engine_sharded(
         Box::new(ShardedEngine::build(
             dataset, metric, engine, shards, threads,
         ))
+    }
+}
+
+/// Least rows a shard is given when the shard count is left to
+/// [`shard_count`]: two shards start paying for their fan-out near
+/// twice this many rows. On 2 vCPUs, lone `query_each` calls on
+/// deep-search-shaped data (planted, d = 12, 70% displaced points),
+/// one call every 20 ms alternating one shard against two, both at 2
+/// threads, read p50s of 0.50 vs 0.83 ms at 2000 rows (two shards
+/// faster in 16 of 300 pairs), 0.64 vs 1.10 ms at 5000 (43/300), 0.80
+/// vs 0.99 ms at 8000 (251/600), 1.08 vs 1.18 ms at 10000 (362/600,
+/// median pair difference −0.04 ms), 1.15 vs 1.05 ms at 12000
+/// (401/600), 1.29 vs 1.08 ms at 15000 (499/600) and 1.74 vs 1.45 ms
+/// at 20000 (259/300).
+pub const MIN_SHARD_ROWS: usize = 5000;
+
+/// The shard count a served miner uses when none is asked for: as many
+/// shards as `threads`, but never fewer than [`MIN_SHARD_ROWS`] rows
+/// each, and at least one. Only the linear engine is split: the X-tree
+/// has no query context, so its shards could only fan whole k-NN
+/// searches, and it always gets 1. Answers are bit-identical at any
+/// count; this only decides whether a lone query's walks are spread
+/// over the cores.
+pub fn shard_count(engine: Engine, rows: usize, threads: usize) -> usize {
+    match engine {
+        Engine::Linear => threads.min(rows / MIN_SHARD_ROWS).max(1),
+        Engine::XTree => 1,
     }
 }
 
@@ -824,6 +851,23 @@ mod tests {
             .collect();
         let mut ev = e.evaluator(&q, 5, Some(0));
         assert_eq!(ev.od_batch(&subspaces, 2), reference);
+    }
+
+    #[test]
+    fn shard_count_splits_only_large_linear_inputs() {
+        let floor = MIN_SHARD_ROWS;
+        // Below two shards' worth of rows, one shard.
+        assert_eq!(shard_count(Engine::Linear, 2000, 2), 1);
+        assert_eq!(shard_count(Engine::Linear, 2 * floor - 1, 2), 1);
+        assert_eq!(shard_count(Engine::Linear, 2 * floor, 2), 2);
+        // Never more shards than threads, never fewer than one.
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 2), 2);
+        assert_eq!(shard_count(Engine::Linear, 3 * floor, 8), 3);
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 1), 1);
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 0), 1);
+        assert_eq!(shard_count(Engine::Linear, 0, 4), 1);
+        // The X-tree is never split.
+        assert_eq!(shard_count(Engine::XTree, 100 * floor, 8), 1);
     }
 
     #[test]

@@ -298,7 +298,7 @@ fn fitted_binary_reports_setup_phases_and_endpoints_answer() {
     let served = spawn_serve(&[
         "--n", "300", "--d", "4", "--k", "4", "--seed", "7", "--engine", "xtree",
     ]);
-    for key in ["load_ms=", "fit_ms="] {
+    for key in ["load_ms=", "fit_ms=", "shards=1 "] {
         assert!(
             served.listening.contains(key),
             "no {key} in {:?}",
@@ -331,6 +331,59 @@ fn fitted_binary_reports_setup_phases_and_endpoints_answer() {
     assert_eq!(stats.get("live").unwrap().as_usize(), Some(301));
     assert_eq!(stats.get("writes").unwrap().as_usize(), Some(2));
     served.shutdown();
+}
+
+/// Without `--shards`, a linear fit is split one shard per thread once
+/// every shard gets `MIN_SHARD_ROWS` rows, and the `listening` line
+/// says so; an explicit `--shards` wins, and the split server answers
+/// byte for byte like the unsplit one.
+#[test]
+fn linear_fit_reports_its_computed_shard_count() {
+    let shards_of = |served: &Served| {
+        served
+            .listening
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix("shards="))
+            .expect("shards= on the listening line")
+            .to_string()
+    };
+    let small = spawn_serve(&["--n", "2000", "--d", "4", "--threads", "2"]);
+    assert_eq!(shards_of(&small), "1", "{}", small.listening);
+    small.shutdown();
+
+    let n = (2 * hos_index::MIN_SHARD_ROWS).to_string();
+    let base = [
+        "--n",
+        n.as_str(),
+        "--d",
+        "4",
+        "--threads",
+        "2",
+        "--samples",
+        "2",
+    ];
+    // A batch, then a lone spec (the path that fans over the shards).
+    let queries: [&[u8]; 2] = [
+        br#"{"ids":[0,1,17,4000,9999,10000],"point":[9,9,9,9]}"#,
+        br#"{"ids":[10000]}"#,
+    ];
+    let mut bodies = Vec::new();
+    for (extra, want) in [(&[][..], "2"), (&["--shards", "1"][..], "1")] {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let served = spawn_serve(&args);
+        assert_eq!(shards_of(&served), want, "{}", served.listening);
+        for query in queries {
+            let (status, body) = client_request(served.addr, "POST", "/query", query).unwrap();
+            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+            bodies.push(body);
+        }
+        served.shutdown();
+    }
+    assert_eq!(
+        bodies[..2],
+        bodies[2..],
+        "sharded and unsharded answers differ"
+    );
 }
 
 /// A durable X-tree server killed after acknowledged writes restarts
@@ -406,6 +459,7 @@ fn xtree_data_dir_restart_answers_byte_identically() {
         );
     }
     assert!(keys.contains(&"ops=5"), "{:?}", second.listening);
+    assert!(keys.contains(&"shards=1"), "{:?}", second.listening);
     let (status, after) = client_request(second.addr, "POST", "/query", query).unwrap();
     assert_eq!(status, 200);
     assert_eq!(strip_version(&before), strip_version(&after));

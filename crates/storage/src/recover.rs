@@ -107,6 +107,12 @@ impl Folded {
         Ok(Folded { model, dataset })
     }
 
+    /// Rows of the folded dataset, dead ones included: what the engine
+    /// build partitions.
+    pub fn rows(&self) -> usize {
+        self.dataset.len()
+    }
+
     /// Builds the engine once over the folded dataset (dead rows are
     /// skipped by every engine's build) and installs the snapshot's
     /// model.

@@ -2,13 +2,15 @@
 //! multi-query path, must be indistinguishable from running every
 //! query alone — same answer sets, same minimal frontiers, and the
 //! same `SearchStats` evaluation accounting (everything except
-//! wall-clock seconds) at any thread count.
+//! wall-clock seconds) at any thread and shard count, whether a batch
+//! holds many specs or one.
 
 use hos_miner::core::search::{dynamic_search, SearchStats};
 use hos_miner::core::{
     minimal_subspaces, HosMiner, HosMinerConfig, QueryOutcome, QuerySpec, ThresholdPolicy,
 };
 use hos_miner::data::{Dataset, Metric};
+use hos_miner::index::MIN_SHARD_ROWS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,6 +27,18 @@ fn dataset(seed: u64, n: usize) -> Dataset {
 
 /// A miner with uniform priors (no learning) and a fixed threshold.
 fn miner(ds: Dataset, metric: Metric, k: usize, threshold: f64, threads: usize) -> HosMiner {
+    sharded_miner(ds, metric, k, threshold, threads, 1)
+}
+
+/// [`miner`] over `shards` data shards.
+fn sharded_miner(
+    ds: Dataset,
+    metric: Metric,
+    k: usize,
+    threshold: f64,
+    threads: usize,
+    shards: usize,
+) -> HosMiner {
     HosMiner::fit(
         ds,
         HosMinerConfig {
@@ -33,10 +47,27 @@ fn miner(ds: Dataset, metric: Metric, k: usize, threshold: f64, threads: usize) 
             metric,
             sample_size: 0,
             threads,
+            shards,
             ..HosMinerConfig::default()
         },
     )
     .unwrap()
+}
+
+/// Asserts that `miner` answers `specs` exactly as `serial` says,
+/// both as one batch and as one-spec batches.
+fn assert_batches_match(miner: &HosMiner, specs: &[QuerySpec], serial: &[QueryOutcome], at: &str) {
+    let batch = miner.query_each(specs);
+    assert_eq!(serial.len(), batch.len());
+    for (i, (a, b)) in serial.iter().zip(&batch).enumerate() {
+        assert_outcome_eq(a, b.as_ref().unwrap(), &format!("query {i} {at}"));
+    }
+    for (i, (spec, a)) in specs.iter().zip(serial).enumerate() {
+        let alone = miner.query_each(std::slice::from_ref(spec));
+        assert_eq!(alone.len(), 1);
+        let what = format!("query {i} alone {at}");
+        assert_outcome_eq(a, alone[0].as_ref().unwrap(), &what);
+    }
 }
 
 fn assert_stats_eq(a: &SearchStats, b: &SearchStats, what: &str) {
@@ -65,13 +96,34 @@ fn query_each_deterministic_across_thread_counts() {
         .into_iter()
         .map(Result::unwrap)
         .collect();
-    for threads in [2, 3, 8, 64] {
+    for threads in [1, 2, 3, 8, 64] {
         miner.set_threads(threads);
-        let parallel = miner.query_each(&specs);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            let what = format!("query {i} with {threads} threads");
-            assert_outcome_eq(a, b.as_ref().unwrap(), &what);
+        assert_batches_match(&miner, &specs, &serial, &format!("with {threads} threads"));
+    }
+
+    // Above the shard floor: a lone spec spreads its walks over the
+    // shards, and every outcome still equals the serial unsharded one.
+    let ds = dataset(21, 3 * MIN_SHARD_ROWS);
+    let n = ds.len();
+    let specs: Vec<QuerySpec> = [n - 2, n - 1, 0, 4321, n / 2]
+        .into_iter()
+        .map(QuerySpec::Member)
+        .chain([QuerySpec::Point(vec![5.0; D])])
+        .collect();
+    let fit = |shards| sharded_miner(ds.clone(), Metric::L2, 4, 8.0, 1, shards);
+    let serial: Vec<QueryOutcome> = fit(1)
+        .query_each(&specs)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+    assert!(serial[0].is_outlier() && serial[1].is_outlier());
+    assert!(serial.iter().any(|o| !o.is_outlier()));
+    for shards in [2, 3] {
+        let mut miner = fit(shards);
+        for threads in [1, 2, 3, 8] {
+            miner.set_threads(threads);
+            let at = format!("with {shards} shards and {threads} threads");
+            assert_batches_match(&miner, &specs, &serial, &at);
         }
     }
 }
