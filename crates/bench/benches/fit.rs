@@ -17,7 +17,8 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use hos_core::{learn_with_smoothing, ThresholdPolicy};
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::{Metric, Subspace};
-use hos_index::{build_engine_sharded, Engine};
+use hos_index::knn::build_engine;
+use hos_index::Engine;
 
 const K: usize = 5;
 
@@ -36,7 +37,7 @@ fn bench_fit_phases(c: &mut Criterion) {
         .unwrap()
         .dataset;
         let policy = ThresholdPolicy::default();
-        let engine = build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 1, 2);
+        let engine = build_engine(Engine::Linear, ds.clone(), Metric::L2);
         let t = policy.resolve(engine.as_ref(), K, 0, 1).unwrap();
 
         let mut group = c.benchmark_group(format!("fit_n{n}_d{d}_linear"));
@@ -44,7 +45,7 @@ fn bench_fit_phases(c: &mut Criterion) {
         group.bench_function("build", |b| {
             b.iter_batched(
                 || ds.clone(),
-                |ds| build_engine_sharded(Engine::Linear, ds, Metric::L2, 1, 2),
+                |ds| build_engine(Engine::Linear, ds, Metric::L2),
                 BatchSize::LargeInput,
             );
         });

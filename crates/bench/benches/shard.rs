@@ -1,29 +1,30 @@
-//! Shard-scaling benchmarks for the exact sharded execution layer.
+//! Range-scaling benchmarks for the split linear walk.
 //!
 //! The workload the ROADMAP cares about: ONE query against a large
-//! dataset (n = 50k, d = 10) — the case the per-subspace and per-query
-//! fan-outs cannot parallelise at all. `ShardedEngine` splits the scan
-//! across data shards and merges exactly, so the single-query latency
-//! should drop roughly with the shard count (the merge is k·shards
-//! work, noise next to the scans).
+//! dataset (n = 50k, d = 10) — the case the per-query fan-out cannot
+//! parallelise at all. `LinearScan::with_ranges` splits each cached
+//! walk into contiguous row ranges, one per worker, and merges the
+//! per-range top-k lists exactly, so the single-query latency should
+//! drop roughly with the range count up to the core count (the merge
+//! is k·ranges work, noise next to the walks).
 //!
-//! Two shapes per shard count:
+//! Two shapes per range count:
 //!
 //! * `od_full_space` — a single full-space OD through the evaluator
-//!   seam: the pure intra-query parallelism story. The 4-shard
-//!   configuration is the headline number (target: ≥ 1.5× over the
-//!   1-shard evaluator).
+//!   seam, on as many workers as ranges: the pure intra-query
+//!   parallelism story (context builds plus one fold per range).
 //! * `level5_batch` — one lattice level (all 252 five-dimensional
-//!   subspaces) through `od_batch` with 4 worker threads: shows the
-//!   evaluator switches to subspace-parallel fan-out for big batches
-//!   and sharding does not regress the batch path.
+//!   subspaces) through `od_batch` with 4 worker threads: the range
+//!   walks over a whole level, the shape a lone query's search runs.
 //!
-//! Results land in `bench-summary.json` (see the criterion stub) so
-//! the scaling trajectory is tracked across PRs.
+//! Every configuration must return the unsplit ODs bit for bit; the
+//! bench asserts that before timing. Results land in
+//! `bench-summary.json` (see the criterion stub) so the scaling
+//! trajectory is tracked across PRs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hos_data::{Dataset, Metric, Subspace};
-use hos_index::{Engine, KnnEngine, ShardedEngine};
+use hos_index::{KnnEngine, LinearScan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,39 +38,50 @@ fn dataset() -> Dataset {
     Dataset::from_flat(flat, D).unwrap()
 }
 
-fn bench_shard_scaling(c: &mut Criterion) {
+fn bench_range_scaling(c: &mut Criterion) {
     let ds = dataset();
     let query: Vec<f64> = ds.row(17).to_vec();
     let full = Subspace::full(D);
     let level5: Vec<Subspace> = Subspace::all_of_dim(D, 5).collect();
 
-    let engines: Vec<(usize, ShardedEngine)> = [1usize, 2, 4, 8]
+    let engines: Vec<(usize, LinearScan)> = [1usize, 2, 4, 8]
         .into_iter()
-        .map(|shards| {
+        .map(|ranges| {
             (
-                shards,
-                ShardedEngine::build(ds.clone(), Metric::L2, Engine::Linear, shards, shards),
+                ranges,
+                LinearScan::with_ranges(ds.clone(), Metric::L2, ranges),
             )
         })
         .collect();
 
-    // Sanity before timing: every configuration must agree bitwise.
+    // Sanity before timing: every configuration must agree bitwise
+    // with the unsplit engine, on both shapes.
     let reference = engines[0].1.od(&query, K, full, Some(17));
-    for (shards, engine) in &engines {
+    let level_reference: Vec<f64> = level5
+        .iter()
+        .map(|&s| engines[0].1.od(&query, K, s, Some(17)))
+        .collect();
+    for (ranges, engine) in &engines {
+        let mut ev = engine.evaluator(&query, K, Some(17));
         assert_eq!(
-            engine.od(&query, K, full, Some(17)),
-            reference,
-            "shards={shards} diverged"
+            ev.od_batch(&[full], *ranges)[0].to_bits(),
+            reference.to_bits(),
+            "ranges={ranges} diverged"
+        );
+        assert_eq!(
+            ev.od_batch(&level5, 4),
+            level_reference,
+            "ranges={ranges} level 5 diverged"
         );
     }
 
     let mut group = c.benchmark_group(format!("od_full_space_n{N}_d{D}_k{K}"));
     group.sample_size(10);
-    for (shards, engine) in &engines {
-        group.bench_function(format!("shards{shards}"), |b| {
+    for (ranges, engine) in &engines {
+        group.bench_function(format!("ranges{ranges}"), |b| {
             b.iter(|| {
                 let mut ev = engine.evaluator(&query, K, Some(17));
-                black_box(ev.od(full))
+                black_box(ev.od_batch(&[full], *ranges))
             });
         });
     }
@@ -77,8 +89,8 @@ fn bench_shard_scaling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("level5_batch_n{N}_d{D}_k{K}_threads4"));
     group.sample_size(10);
-    for (shards, engine) in &engines {
-        group.bench_function(format!("shards{shards}"), |b| {
+    for (ranges, engine) in &engines {
+        group.bench_function(format!("ranges{ranges}"), |b| {
             b.iter(|| {
                 let mut ev = engine.evaluator(&query, K, Some(17));
                 black_box(ev.od_batch(&level5, 4))
@@ -88,5 +100,5 @@ fn bench_shard_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_shard_scaling);
+criterion_group!(benches, bench_range_scaling);
 criterion_main!(benches);

@@ -16,12 +16,13 @@
 //!   steady-state mix.
 //!
 //! Results land in `bench-summary.json` (criterion stub) and CI
-//! uploads them next to the shard-scaling summary, so streaming
+//! uploads them next to the range-scaling summary, so streaming
 //! throughput is tracked across PRs alongside batch latency.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hos_data::{Dataset, Metric, Subspace};
-use hos_index::{build_engine_sharded, Engine};
+use hos_index::knn::build_engine;
+use hos_index::Engine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,15 +36,9 @@ fn dataset(n: usize, seed: u64) -> Dataset {
     Dataset::from_flat(flat, D).unwrap()
 }
 
-/// Engine configurations under test: every engine kind plus the
-/// sharded composition (per-shard routing is its own maintenance
-/// path).
-fn configs() -> Vec<(String, Engine, usize)> {
-    vec![
-        ("linear".into(), Engine::Linear, 1),
-        ("linear_shards4".into(), Engine::Linear, 4),
-        ("xtree".into(), Engine::XTree, 1),
-    ]
+/// Engine configurations under test: every engine kind.
+fn configs() -> [(&'static str, Engine); 2] {
+    [("linear", Engine::Linear), ("xtree", Engine::XTree)]
 }
 
 /// A rotating supply of fresh rows to insert.
@@ -73,11 +68,11 @@ fn bench_stream(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("stream_updates_w{W}_d{D}"));
     group.sample_size(10);
-    for (name, kind, shards) in configs() {
-        let mut engine = build_engine_sharded(kind, dataset(W, 1), Metric::L2, shards, shards);
+    for (name, kind) in configs() {
+        let mut engine = build_engine(kind, dataset(W, 1), Metric::L2);
         let mut feed = RowFeed::new(2);
         let mut oldest = 0usize;
-        group.bench_function(&name, |b| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let inc = engine.as_incremental().expect("incremental");
                 let id = inc.insert(feed.next()).expect("insert");
@@ -91,8 +86,8 @@ fn bench_stream(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("stream_queries_under_churn_w{W}_d{D}_k{K}"));
     group.sample_size(10);
-    for (name, kind, shards) in configs() {
-        let mut engine = build_engine_sharded(kind, dataset(W, 3), Metric::L2, shards, shards);
+    for (name, kind) in configs() {
+        let mut engine = build_engine(kind, dataset(W, 3), Metric::L2);
         // Churn 20% of the window first so tombstones, appended rows
         // and any rebuilds are in play when the queries run.
         let mut feed = RowFeed::new(4);
@@ -104,7 +99,7 @@ fn bench_stream(c: &mut Criterion) {
             }
         }
         let query: Vec<f64> = engine.dataset().row(W - 1).to_vec();
-        group.bench_function(&name, |b| {
+        group.bench_function(name, |b| {
             b.iter(|| black_box(engine.od(&query, K, full, Some(W - 1))));
         });
     }
@@ -112,11 +107,11 @@ fn bench_stream(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("stream_interleaved_w{W}_d{D}_k{K}"));
     group.sample_size(10);
-    for (name, kind, shards) in configs() {
-        let mut engine = build_engine_sharded(kind, dataset(W, 5), Metric::L2, shards, shards);
+    for (name, kind) in configs() {
+        let mut engine = build_engine(kind, dataset(W, 5), Metric::L2);
         let mut feed = RowFeed::new(6);
         let mut oldest = 0usize;
-        group.bench_function(&name, |b| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let mut last = 0usize;
                 {

@@ -28,7 +28,7 @@ USAGE:
                      [--k 5] [--threshold T | --quantile 0.95]
                      [--engine linear|xtree] [--samples 20]
                      [--metric l1|l2|linf] [--normalize none|minmax|zscore]
-                     [--smoothing 1.0] [--threads 1] [--shards AUTO]
+                     [--smoothing 1.0] [--threads 1]
                      [--seed 0] [--header]
   hos-miner scan     --data FILE [--top 5] [--model FILE] [... tuning flags]
   hos-miner stream   [--data FILE]  (no --data: rows from stdin)
@@ -47,12 +47,10 @@ by `fit` and the per-dataset learning phase is skipped.
 With --ids, the queries are fanned out across --threads workers; the
 results are identical to running each --id query on its own.
 --threads sets the worker count: the fit's samples and a batch's queries
-are fanned over it, and a single query runs its per-shard walks on it.
---shards splits the dataset into that many partitions so a SINGLE query
-also runs in parallel (per-shard k-NN, exact merge). Without --shards
-the count is computed from the rows: one shard per thread for the
-linear engine, each at least 5000 rows, and always 1 for the X-tree.
-Neither flag changes any result: sharded and threaded answers are
+are fanned over it, and a SINGLE query runs in parallel too: the linear
+engine splits its walk into one row range per thread, each range
+at least 5000 rows (per-range k-NN, exact merge); the X-tree is never
+split. No thread count changes any result: threaded answers are
 bit-identical to the serial ones.
 --engine picks the exact k-NN search (linear scan or X-tree); both
 return the same neighbours, distances and ODs.
@@ -165,7 +163,7 @@ pub(crate) mod tests {
             assert!(documented, "{flag} missing from HELP");
         }
         let floor = format!("at least {} rows", hos_index::MIN_SHARD_ROWS);
-        assert!(HELP.contains(&floor), "HELP must state the shard floor");
+        assert!(HELP.contains(&floor), "HELP must state the range floor");
     }
 
     #[test]

@@ -653,7 +653,7 @@ mod tests {
             "0.95",
         ])
         .unwrap();
-        // Reestimation, sharded engine, alternative index.
+        // Reestimation, two threads, alternative index.
         run(&[
             "stream",
             "--data",
@@ -665,8 +665,6 @@ mod tests {
             "--samples",
             "0",
             "--reestimate",
-            "--shards",
-            "3",
             "--threads",
             "2",
         ])

@@ -25,7 +25,6 @@ pub const TUNING_FLAGS: &[&str] = &[
     "samples",
     "smoothing",
     "threads",
-    "shards",
     "seed",
 ];
 
@@ -71,10 +70,9 @@ pub fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
     if let Some(path) = args.get("model") {
         let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
         // Parallelism is machine-specific, not part of the fitted
-        // model: honour --threads and --shards here too, as the help
-        // promises.
+        // model: honour --threads here too, as the help promises.
         let threads = args.get_or("threads", 1usize)?;
-        let shards = shards(args, model.engine, ds.len(), threads)?;
+        let shards = shard_count(model.engine, ds.len(), threads);
         return model
             .into_miner_with(ds, shards, threads)
             .map_err(|e| e.to_string());
@@ -82,15 +80,9 @@ pub fn build_miner(args: &Args, ds: Dataset) -> Result<HosMiner, String> {
     fit_miner(args, ds)
 }
 
-/// `--shards`, or when it is not given the count [`shard_count`] picks
-/// for `engine` over `rows` rows and `threads` workers.
-fn shards(args: &Args, engine: Engine, rows: usize, threads: usize) -> Result<usize, String> {
-    args.get_or("shards", shard_count(engine, rows, threads))
-}
-
 /// Assembles a [`HosMinerConfig`] from the shared tuning flags for a
-/// miner over `rows` rows (which sets the shard count when `--shards`
-/// is not given).
+/// miner over `rows` rows, which with `--threads` set the row-range
+/// count ([`shard_count`]).
 pub fn miner_config(args: &Args, rows: usize) -> Result<HosMinerConfig, String> {
     let k = args.get_or("k", 5usize)?;
     let threshold = match (
@@ -120,7 +112,7 @@ pub fn miner_config(args: &Args, rows: usize) -> Result<HosMinerConfig, String> 
         sample_size: args.get_or("samples", 20usize)?,
         prior_smoothing: args.get_or("smoothing", 1.0f64)?,
         threads,
-        shards: shards(args, engine, rows, threads)?,
+        shards: shard_count(engine, rows, threads),
         seed: args.get_or("seed", 0u64)?,
     })
 }
@@ -160,48 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_accepted_and_validated() {
-        let path = tmp("shards.csv");
-        run(&[
-            "generate", "--out", &path, "--n", "250", "--d", "5", "--seed", "7",
-        ])
-        .unwrap();
-        run(&[
-            "query",
-            "--data",
-            &path,
-            "--id",
-            "250",
-            "--samples",
-            "0",
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        run(&[
-            "scan",
-            "--data",
-            &path,
-            "--top",
-            "2",
-            "--samples",
-            "0",
-            "--shards",
-            "3",
-        ])
-        .unwrap();
-        // shards = 0 is a config error, not a panic.
-        assert!(run(&["query", "--data", &path, "--id", "0", "--shards", "0"]).is_err());
-        assert!(run(&["query", "--data", &path, "--id", "0", "--shards", "oops"]).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn model_load_honours_shards_and_threads() {
-        let data = tmp("sharded_model.csv");
-        let model = tmp("sharded.model");
+    fn model_load_honours_threads() {
+        let data = tmp("threaded_model.csv");
+        let model = tmp("threaded.model");
         run(&[
             "generate", "--out", &data, "--n", "250", "--d", "4", "--seed", "5",
         ])
@@ -226,8 +179,6 @@ mod tests {
             "250",
             "--model",
             &model,
-            "--shards",
-            "4",
             "--threads",
             "2",
         ])

@@ -276,71 +276,24 @@ fn threads_flag_on_query_and_fit() {
     std::fs::remove_file(model).ok();
 }
 
+/// The row-range count always comes from the rows and `--threads`
+/// (`hos_index::shard_count`), so an explicit count is an unknown flag.
 #[test]
-fn shards_flag_on_query_and_fit() {
+fn shards_flag_is_unknown() {
     let csv = tmp("shards.csv");
     let csv_s = csv.to_str().unwrap();
-    let model = tmp("shards.model");
-    let model_s = model.to_str().unwrap();
     assert!(
         run(&["generate", "--out", csv_s, "--n", "300", "--d", "5", "--seed", "9"])
             .status
             .success()
     );
-    // query --shards: intra-query parallel execution, identical
-    // output to the unsharded run.
-    let unsharded = run(&[
-        "query",
-        "--data",
-        csv_s,
-        "--id",
-        "300",
-        "--samples",
-        "3",
-        "--shards",
-        "1",
-    ]);
-    let sharded = run(&[
-        "query",
-        "--data",
-        csv_s,
-        "--id",
-        "300",
-        "--samples",
-        "3",
-        "--shards",
-        "4",
-        "--threads",
-        "2",
-    ]);
-    assert!(unsharded.status.success() && sharded.status.success());
-    assert_eq!(
-        strip_timing(&unsharded),
-        strip_timing(&sharded),
-        "--shards changed the answer"
-    );
-    // fit --shards: the sharded engine backs learning too.
-    let out = run(&[
-        "fit",
-        "--data",
-        csv_s,
-        "--save-model",
-        model_s,
-        "--samples",
-        "5",
-        "--shards",
-        "3",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // Invalid shard counts fail cleanly.
-    let out = run(&["query", "--data", csv_s, "--id", "0", "--shards", "0"]);
+    let out = run(&["query", "--data", csv_s, "--id", "0", "--shards", "2"]);
     assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown flag --shards for query (see hos-miner help)\n"
+    );
     std::fs::remove_file(csv).ok();
-    std::fs::remove_file(model).ok();
 }
 
 #[test]

@@ -400,20 +400,18 @@ mod tests {
 
     #[test]
     fn learned_priors_bit_identical_across_thread_counts() {
-        use hos_index::{build_engine_sharded, Engine};
+        use hos_index::knn::build_engine;
+        use hos_index::{Engine, KnnEngine, LinearScan};
         let ds = clustered_engine(21).dataset().clone();
-        let engines = [
+        let engines: [(&str, Box<dyn KnnEngine>); 3] = [
             (
                 "linear",
-                build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 1, 1),
+                build_engine(Engine::Linear, ds.clone(), Metric::L2),
             ),
-            (
-                "xtree",
-                build_engine_sharded(Engine::XTree, ds.clone(), Metric::L2, 1, 1),
-            ),
+            ("xtree", build_engine(Engine::XTree, ds.clone(), Metric::L2)),
             (
                 "linear x2",
-                build_engine_sharded(Engine::Linear, ds, Metric::L2, 2, 2),
+                Box::new(LinearScan::with_ranges(ds, Metric::L2, 2)),
             ),
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();

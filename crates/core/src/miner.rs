@@ -13,7 +13,8 @@ use crate::search::{dynamic_search, ScoredSubspace, SearchOutcome, SearchStats};
 use crate::Result;
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use hos_index::batch::parallel_map;
-use hos_index::{build_engine_sharded, Engine, IndexError, KnnEngine};
+use hos_index::knn::build_engine;
+use hos_index::{Engine, IndexError, KnnEngine, LinearScan};
 
 /// Configuration of a HOS-Miner instance.
 #[derive(Clone, Copy, Debug)]
@@ -35,16 +36,15 @@ pub struct HosMinerConfig {
     /// average; default `1`.
     pub prior_smoothing: f64,
     /// Worker threads: for the fit's sample searches, for the specs of
-    /// a multi-query batch, and for the per-shard walks of a lone
-    /// query on a sharded engine.
+    /// a multi-query batch, and for the per-range walks of a lone
+    /// query.
     pub threads: usize,
-    /// Data shards for intra-query parallelism: `> 1` splits the
-    /// dataset into that many contiguous row partitions behind a
-    /// `ShardedEngine` whose per-shard top-k merge reproduces the
-    /// unsharded engine's ODs bit for bit (see
-    /// `hos_index::sharded`). `1` (the default) keeps the plain
-    /// engine. Both binaries fill it from `hos_index::shard_count`
-    /// when `--shards` is not given.
+    /// Row ranges a linear engine splits each cached walk into, so a
+    /// lone query walks them on that many workers and merges the
+    /// per-range top-k lists bit-identically (`LinearScan::with_ranges`).
+    /// `1` (the default) is the serial walk; the X-tree has no walk to
+    /// split and must keep 1. Both binaries fill it from
+    /// `hos_index::shard_count`.
     pub shards: usize,
     /// Seed for sampling (threshold + learning).
     pub seed: u64,
@@ -100,7 +100,25 @@ fn validate_config(dataset: &Dataset, config: &HosMinerConfig) -> Result<()> {
     if config.shards == 0 {
         return Err(HosError::Config("shards must be positive".into()));
     }
+    if config.engine == Engine::XTree && config.shards > 1 {
+        return Err(HosError::Config(format!(
+            "the xtree engine has no cached walk to split; shards must be 1, not {}",
+            config.shards
+        )));
+    }
     Ok(())
+}
+
+/// The engine `config` asks for over `dataset` (validated first).
+fn engine_for(dataset: Dataset, config: &HosMinerConfig) -> Box<dyn KnnEngine> {
+    match config.engine {
+        Engine::Linear => Box::new(LinearScan::with_ranges(
+            dataset,
+            config.metric,
+            config.shards,
+        )),
+        Engine::XTree => build_engine(Engine::XTree, dataset, config.metric),
+    }
 }
 
 /// One query in a mixed service batch: either a dataset member
@@ -181,13 +199,7 @@ impl HosMiner {
     /// process over `dataset`.
     pub fn fit(dataset: Dataset, config: HosMinerConfig) -> Result<Self> {
         validate_config(&dataset, &config)?;
-        let engine = build_engine_sharded(
-            config.engine,
-            dataset,
-            config.metric,
-            config.shards,
-            config.threads,
-        );
+        let engine = engine_for(dataset, &config);
         let threshold =
             config
                 .threshold
@@ -231,13 +243,7 @@ impl HosMiner {
                 model.threshold
             )));
         }
-        let engine = build_engine_sharded(
-            config.engine,
-            dataset,
-            config.metric,
-            config.shards,
-            config.threads,
-        );
+        let engine = engine_for(dataset, &config);
         Ok(HosMiner {
             engine,
             config,
@@ -245,17 +251,17 @@ impl HosMiner {
         })
     }
 
-    /// Sets the worker-thread count for subsequent queries (per-level
-    /// OD batches, the [`HosMiner::query_each`] fan-out, and the
-    /// engine's own intra-query fan-out when it has one — the sharded
-    /// engine does). Used by callers that assemble a miner from a saved
-    /// model, where the persisted file carries no machine-specific
-    /// parallelism setting. At [`HosMiner::fit`] the configured count
-    /// also fans the threshold resolve and the learning samples (one
-    /// sample search per worker); neither changes a bit of the model.
+    /// Sets the worker-thread count for subsequent queries: the
+    /// [`HosMiner::query_each`] fan-out over specs, and the per-range
+    /// walks of a lone query (the range count itself stays
+    /// `config.shards`). Used by callers that assemble a miner from a
+    /// saved model, where the persisted file carries no
+    /// machine-specific parallelism setting. At [`HosMiner::fit`] the
+    /// configured count also fans the threshold resolve and the
+    /// learning samples (one sample search per worker); neither
+    /// changes a bit of the model.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads.max(1);
-        self.engine.set_threads(self.config.threads);
     }
 
     /// The resolved global threshold `T`.
@@ -431,7 +437,7 @@ impl HosMiner {
     /// call would return. Results are in input order.
     ///
     /// A batch of one spec runs with all `config.threads`, which a
-    /// sharded engine spreads over its shards. A larger batch is
+    /// range-split engine spreads over its ranges. A larger batch is
     /// fanned out across `config.threads` pooled workers, one spec per
     /// worker at a time; a worker's own searches then run serially,
     /// since a pool region nested inside a worker does.
@@ -512,11 +518,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_miner_bit_identical_to_unsharded() {
+    fn range_split_miner_bit_identical_to_unsplit() {
         // The whole pipeline — threshold resolution, learning, every
-        // query — must be unchanged by sharding: the sharded engine's
-        // per-shard top-k merge reproduces unsharded ODs bit for bit,
-        // and everything downstream is deterministic.
+        // query — must be unchanged by the range split: the per-range
+        // top-k merge reproduces unsplit ODs bit for bit, and
+        // everything downstream is deterministic.
         let (ds, truth) = planted();
         let base = HosMinerConfig {
             k: 5,
@@ -527,9 +533,9 @@ mod tests {
             sample_size: 10,
             ..HosMinerConfig::default()
         };
-        let unsharded = HosMiner::fit(ds.clone(), base).unwrap();
+        let unsplit = HosMiner::fit(ds.clone(), base).unwrap();
         for shards in [2, 4] {
-            let sharded = HosMiner::fit(
+            let split = HosMiner::fit(
                 ds.clone(),
                 HosMinerConfig {
                     shards,
@@ -538,19 +544,15 @@ mod tests {
                 },
             )
             .unwrap();
+            assert_eq!(split.threshold(), unsplit.threshold(), "shards={shards}");
             assert_eq!(
-                sharded.threshold(),
-                unsharded.threshold(),
-                "shards={shards}"
-            );
-            assert_eq!(
-                sharded.model().priors,
-                unsharded.model().priors,
+                split.model().priors,
+                unsplit.model().priors,
                 "shards={shards}"
             );
             for (id, _) in &truth {
-                let a = unsharded.query_id(*id).unwrap();
-                let b = sharded.query_id(*id).unwrap();
+                let a = unsplit.query_id(*id).unwrap();
+                let b = split.query_id(*id).unwrap();
                 assert_eq!(a.outlying, b.outlying, "shards={shards} point {id}");
                 assert_eq!(a.minimal, b.minimal, "shards={shards} point {id}");
                 assert_eq!(
@@ -625,6 +627,36 @@ mod tests {
             ..HosMinerConfig::default()
         };
         assert!(HosMiner::fit(ds2, zero_shards).is_err());
+    }
+
+    /// The X-tree has no cached walk to split into row ranges, so
+    /// `shards > 1` on it is a typed config error, at `fit` and at
+    /// `from_parts` alike, never a silently ignored knob.
+    #[test]
+    fn xtree_with_more_than_one_range_is_a_config_error() {
+        let (ds, _) = planted();
+        let one = HosMinerConfig {
+            engine: Engine::XTree,
+            threshold: ThresholdPolicy::Fixed(10.0),
+            sample_size: 0,
+            ..HosMinerConfig::default()
+        };
+        let two = HosMinerConfig { shards: 2, ..one };
+        let err = HosMiner::fit(ds.clone(), two)
+            .err()
+            .expect("fit must refuse");
+        assert!(
+            matches!(&err, HosError::Config(m) if m.contains("xtree")),
+            "{err}"
+        );
+        let model = HosMiner::fit(ds.clone(), one).unwrap().model().clone();
+        let err = HosMiner::from_parts(ds, two, model)
+            .err()
+            .expect("from_parts must refuse");
+        assert!(
+            matches!(&err, HosError::Config(m) if m.contains("xtree")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -921,7 +953,7 @@ mod tests {
 
     /// Fitting is independent of the worker count: the kernel-resolved
     /// threshold keeps its bits and the saved model its bytes at 1, 2
-    /// and 4 threads, on both engines sharded or not, and the
+    /// and 4 threads, on both engines and a range-split linear one, and the
     /// threshold is the quantile of per-point engine ODs over the same
     /// sampled ids.
     #[test]

@@ -191,10 +191,10 @@ impl ModelFile {
     }
 
     /// [`ModelFile::into_miner`] with machine-specific execution
-    /// parameters: `shards` data partitions for intra-query
-    /// parallelism and `threads` workers. Parallelism is not part of
-    /// the persisted model — the same file serves a laptop and a
-    /// 64-core box — so it is supplied at load time. Results are
+    /// parameters: `shards` row ranges for intra-query parallelism
+    /// (`HosMinerConfig::shards`) and `threads` workers. Parallelism is
+    /// not part of the persisted model — the same file serves a laptop
+    /// and a 64-core box — so it is supplied at load time. Results are
     /// bit-identical regardless of either value.
     pub fn into_miner_with(
         self,

@@ -257,7 +257,8 @@ mod tests {
     #[test]
     fn quantile_threshold_needs_more_than_k_live_points() {
         use crate::learning::resolve_and_learn;
-        use hos_index::{build_engine_sharded, Engine};
+        use hos_index::knn::build_engine;
+        use hos_index::{Engine, KnnEngine, LinearScan};
         let rows = vec![
             vec![0.0, 0.0],
             vec![3.0, 1.0],
@@ -273,24 +274,38 @@ mod tests {
                 HosError::Index(IndexError::InsufficientPoints { available: 4, k: 5 })
             )
         };
-        for kind in [Engine::Linear, Engine::XTree] {
-            for shards in [1, 2] {
-                let e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
-                for threads in [1, 2] {
-                    let got = policy.resolve(e.as_ref(), 5, 0, threads).unwrap_err();
-                    assert!(
-                        short(&got),
-                        "{kind} shards {shards} threads {threads}: {got}"
-                    );
-                    let got = resolve_and_learn(e.as_ref(), 5, policy, 2, 0, threads).unwrap_err();
-                    assert!(
-                        short(&got),
-                        "{kind} shards {shards} threads {threads}: {got}"
-                    );
-                }
-                // k = live - 1 is the boundary that still resolves.
-                assert!(policy.resolve(e.as_ref(), 4, 0, 1).unwrap() > 0.0);
+        let engines: [(Engine, usize, Box<dyn KnnEngine>); 3] = [
+            (
+                Engine::Linear,
+                1,
+                build_engine(Engine::Linear, ds.clone(), Metric::L2),
+            ),
+            (
+                Engine::XTree,
+                1,
+                build_engine(Engine::XTree, ds.clone(), Metric::L2),
+            ),
+            (
+                Engine::Linear,
+                2,
+                Box::new(LinearScan::with_ranges(ds, Metric::L2, 2)),
+            ),
+        ];
+        for (kind, shards, e) in engines {
+            for threads in [1, 2] {
+                let got = policy.resolve(e.as_ref(), 5, 0, threads).unwrap_err();
+                assert!(
+                    short(&got),
+                    "{kind} shards {shards} threads {threads}: {got}"
+                );
+                let got = resolve_and_learn(e.as_ref(), 5, policy, 2, 0, threads).unwrap_err();
+                assert!(
+                    short(&got),
+                    "{kind} shards {shards} threads {threads}: {got}"
+                );
             }
+            // k = live - 1 is the boundary that still resolves.
+            assert!(policy.resolve(e.as_ref(), 4, 0, 1).unwrap() > 0.0);
         }
     }
 }

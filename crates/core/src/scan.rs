@@ -7,7 +7,7 @@
 //! have at least one outlying subspace (full-space OD ≥ T) from points
 //! that have none — the latter need no search at all.
 
-use crate::miner::{HosMiner, QueryOutcome};
+use crate::miner::{HosMiner, QueryOutcome, QuerySpec};
 use crate::Result;
 use hos_data::PointId;
 
@@ -66,10 +66,15 @@ impl ScanReport {
 /// instead of `n` independent engine queries. The kernel folds
 /// per-dimension terms in the same ascending order and selects/sums in
 /// the same `(distance, id)` order as the engines, so on linear and
-/// X-tree miners, sharded or not, the ranked ODs are bit-identical to
-/// the per-point path; only the cost changes. The ranking stays on one
-/// thread: the worker pool is a single FIFO queue, so a fanned scan
+/// X-tree miners, range-split or not, the ranked ODs are bit-identical
+/// to the per-point path; only the cost changes. The ranking stays on
+/// one thread: the worker pool is a single FIFO queue, so a fanned scan
 /// would queue concurrent query batches behind it.
+///
+/// The hits are then searched as one [`HosMiner::query_each`] batch,
+/// one hit per worker (a lone hit gets every worker for its range
+/// walks), and reported in ranking order; the first hit whose search
+/// fails, in that order, fails the scan.
 /// Engine `distance_evals` counters never observe the ranking pass —
 /// its work (exact folds plus quantized-admission rejects) is reported
 /// in [`ScanReport::ranking_evals`] / [`ScanReport::ranking_filtered`].
@@ -88,37 +93,32 @@ pub fn scan_outliers(miner: &HosMiner, limit: usize) -> Result<ScanReport> {
     let mut ranked: Vec<(PointId, f64)> = scan.ods;
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
 
-    let total = ranked.len();
-    let mut hits = Vec::new();
-    let mut truncated = 0usize;
-    let mut skipped = 0usize;
-    for (idx, (id, full_od)) in ranked.iter().enumerate() {
-        if *full_od < t {
-            // Monotonicity: no subspace can reach T either, and the
-            // ranking is descending, so everything from here on is
-            // also below T.
-            skipped = total - idx;
-            break;
-        }
-        if hits.len() >= limit {
-            truncated += 1;
-            continue;
-        }
-        let outcome = miner.query_id(*id)?;
+    // Monotonicity: no subspace of a point below T can reach T, and
+    // the ranking is descending, so the points to search are a prefix
+    // and everything after it is skipped without a search.
+    let above = ranked.partition_point(|&(_, od)| od >= t);
+    let searched = above.min(limit);
+    let specs: Vec<QuerySpec> = ranked[..searched]
+        .iter()
+        .map(|&(id, _)| QuerySpec::Member(id))
+        .collect();
+    let mut hits = Vec::with_capacity(searched);
+    for (&(id, full_od), outcome) in ranked.iter().zip(miner.query_each(&specs)) {
+        let outcome = outcome?;
         debug_assert!(
             outcome.is_outlier(),
             "full OD >= T implies non-empty answer"
         );
         hits.push(ScanHit {
-            id: *id,
-            full_od: *full_od,
+            id,
+            full_od,
             outcome,
         });
     }
     Ok(ScanReport {
         hits,
-        truncated,
-        skipped,
+        truncated: above - searched,
+        skipped: ranked.len() - above,
         threshold: t,
         ranking_evals: scan.distance_evals,
         ranking_filtered: scan.filtered,
@@ -187,7 +187,7 @@ mod tests {
     fn blocked_ranking_bit_identical_to_per_point_engine_ods() {
         // The ranking phase now runs the blocked all-points kernel;
         // every reported full_od must still equal a per-point engine
-        // query bit for bit — across engines and shard counts, since
+        // query bit for bit — across engines, since
         // the scan serves whichever engine the miner was fitted with.
         use hos_index::Engine;
         let (m, _) = miner();
@@ -212,6 +212,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The hits are searched as one `query_each` batch: the report at
+    /// 1 and 2 threads is identical, hit for hit, to running
+    /// `query_id` on each hit alone.
+    #[test]
+    fn batched_hit_searches_equal_per_hit_queries() {
+        let (mut m, _) = miner();
+        let mut reports = Vec::new();
+        for threads in [1, 2] {
+            m.set_threads(threads);
+            let report = scan_outliers(&m, usize::MAX).unwrap();
+            assert!(
+                report.hits.len() > 1,
+                "need a batch, got {}",
+                report.hits.len()
+            );
+            for h in &report.hits {
+                let alone = m.query_id(h.id).unwrap();
+                assert_eq!(
+                    h.outcome.outlying, alone.outlying,
+                    "threads {threads} point {}",
+                    h.id
+                );
+                assert_eq!(
+                    h.outcome.minimal, alone.minimal,
+                    "threads {threads} point {}",
+                    h.id
+                );
+                assert_eq!(h.outcome.stats.od_evals, alone.stats.od_evals);
+                assert_eq!(h.outcome.stats.nodes_visited, alone.stats.nodes_visited);
+            }
+            let summary: Vec<_> = report
+                .hits
+                .iter()
+                .map(|h| (h.id, h.full_od.to_bits(), h.outcome.outlying.clone()))
+                .collect();
+            reports.push((summary, report.truncated, report.skipped));
+        }
+        assert_eq!(reports[0], reports[1]);
     }
 
     #[test]

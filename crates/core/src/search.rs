@@ -54,8 +54,8 @@ pub struct SearchStats {
     pub pruned_non_outlier: u64,
     /// Lattice nodes entered by the prefix-stack kernel: one per
     /// `O(n)` column fold (`hos_index::PrefixStack::node_visits`,
-    /// summed per shard for sharded engines, where each fold streams
-    /// `n / shards` rows). The testable cost claim of the kernel: a
+    /// summed over row ranges for a range-split engine, where each
+    /// fold streams `n / ranges` rows). The testable cost claim of the kernel: a
     /// direct per-subspace recombine would pay `Σ|s|` folds over the
     /// evaluated subspaces; walker-order traversal pays at most that,
     /// and exactly one fold per node on full-lattice walks. Stays 0 on
@@ -120,9 +120,9 @@ impl SearchOutcome {
 /// * `k`, `threshold` — the OD parameters.
 /// * `priors` — per-level pruning probabilities (uniform during
 ///   learning, learned for user queries).
-/// * `threads` — workers for per-level OD batches; only a sharded
-///   engine's evaluator uses more than one (it walks its shards on
-///   them), every other evaluator runs the batch serially.
+/// * `threads` — workers for per-level OD batches; only an engine
+///   split into row ranges uses more than one (it walks its ranges on
+///   them), an unsplit one runs the batch serially.
 ///
 /// # Panics
 /// Panics if `priors.dim()` differs from the dataset dimensionality,
@@ -150,9 +150,9 @@ pub fn dynamic_search(
     let mut wasted_evals = 0u64;
 
     // One OD evaluator for the whole search: it owns the per-query
-    // distance cache, built on the first batch (engines without a
-    // cache just answer queries directly; sharded engines fan each
-    // batch over their shards). See `hos_index::evaluator` for the
+    // distance caches, built on the first batch (engines without a
+    // cache just answer queries directly; a range-split engine walks
+    // each batch over its ranges). See `hos_index::evaluator` for the
     // seam.
     let mut evaluator = engine.evaluator(query, k, exclude);
 

@@ -444,81 +444,6 @@ impl Dataset {
             dead_count: 0,
         }
     }
-
-    /// Partitions the rows into `shards` contiguous, balanced slices,
-    /// preserving global [`PointId`]s: shard `i` holds the rows
-    /// `[offset_i, offset_i + len_i)` of `self` in order, so global id
-    /// `= offset + local id` and every row appears in exactly one
-    /// shard. The first `n % shards` shards hold one extra row.
-    ///
-    /// The partitioning is a pure function of `(n, shards)` —
-    /// deterministic across runs and machines — which is what lets a
-    /// sharded engine reproduce unsharded results bit for bit.
-    ///
-    /// `shards` is clamped to `1..=n` (at least one shard, never an
-    /// empty shard), except that an empty dataset yields one empty
-    /// shard.
-    pub fn shard(&self, shards: usize) -> Vec<DatasetShard> {
-        let shards = shards.clamp(1, self.n.max(1));
-        let base = self.n / shards;
-        let extra = self.n % shards;
-        let mut out = Vec::with_capacity(shards);
-        let mut offset = 0usize;
-        for i in 0..shards {
-            let len = base + usize::from(i < extra);
-            let mut dataset = Dataset::from_flat(
-                self.data[offset * self.d..(offset + len) * self.d].to_vec(),
-                self.d,
-            )
-            .expect("shard of a valid dataset is valid");
-            if let Some(names) = &self.names {
-                dataset = dataset
-                    .with_names(names.clone())
-                    .expect("names carry over to shards");
-            }
-            if self.dead_count > 0 {
-                for local in 0..len {
-                    if !self.is_live(offset + local) {
-                        dataset
-                            .remove_row(local)
-                            .expect("tombstone carries over to its shard");
-                    }
-                }
-            }
-            out.push(DatasetShard { dataset, offset });
-            offset += len;
-        }
-        debug_assert_eq!(offset, self.n);
-        out
-    }
-}
-
-/// One shard of a [`Dataset`]: a contiguous row slice plus the global
-/// [`PointId`] of its first row (see [`Dataset::shard`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DatasetShard {
-    /// The shard's rows, local ids `0..dataset.len()`.
-    pub dataset: Dataset,
-    /// Global id of local row `0`; global id = `offset` + local id.
-    pub offset: PointId,
-}
-
-impl DatasetShard {
-    /// Translates a global [`PointId`] to this shard's local id, if
-    /// the point lives here.
-    #[inline]
-    pub fn local_id(&self, global: PointId) -> Option<PointId> {
-        global
-            .checked_sub(self.offset)
-            .filter(|&local| local < self.dataset.len())
-    }
-
-    /// Translates a local row id back to its global [`PointId`].
-    #[inline]
-    pub fn global_id(&self, local: PointId) -> PointId {
-        debug_assert!(local < self.dataset.len());
-        self.offset + local
-    }
 }
 
 /// Incremental dataset construction with shape validation.
@@ -699,55 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_rows_contiguously_with_global_ids() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, -(i as f64)]).collect();
-        let ds = Dataset::from_rows(&rows).unwrap();
-        for shards in 1..=10 {
-            let parts = ds.shard(shards);
-            assert_eq!(parts.len(), shards);
-            // Every global row appears exactly once, in order, and the
-            // id arithmetic round-trips.
-            let mut seen = 0usize;
-            for part in &parts {
-                assert_eq!(part.offset, seen);
-                assert!(!part.dataset.is_empty(), "empty shard at {shards}");
-                for local in 0..part.dataset.len() {
-                    let global = part.global_id(local);
-                    assert_eq!(part.dataset.row(local), ds.row(global));
-                    assert_eq!(part.local_id(global), Some(local));
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, ds.len());
-            // Balance: sizes differ by at most one.
-            let sizes: Vec<usize> = parts.iter().map(|p| p.dataset.len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "unbalanced shards {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn shard_clamps_count_and_handles_edges() {
-        let ds = small();
-        // More shards than rows: clamped to one row per shard.
-        assert_eq!(ds.shard(99).len(), 3);
-        // Zero shards: clamped to one.
-        let one = ds.shard(0);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].dataset, ds);
-        assert_eq!(one[0].offset, 0);
-        // Empty dataset: one empty shard.
-        let empty = Dataset::empty().shard(4);
-        assert_eq!(empty.len(), 1);
-        assert!(empty[0].dataset.is_empty());
-        // Out-of-range global ids translate to None.
-        let parts = ds.shard(2);
-        assert_eq!(parts[1].local_id(0), None);
-        assert_eq!(parts[0].local_id(2), None);
-        assert_eq!(parts[1].local_id(2), Some(0));
-    }
-
-    #[test]
     fn remove_row_tombstones_without_moving_data() {
         let mut ds = small();
         assert_eq!(ds.live_len(), 3);
@@ -804,40 +680,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_project_carry_tombstones() {
+    fn project_carries_tombstones() {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, -(i as f64)]).collect();
         let mut ds = Dataset::from_rows(&rows).unwrap();
         ds.remove_row(2).unwrap();
         ds.remove_row(5).unwrap();
-        for shards in [1, 2, 3] {
-            let parts = ds.shard(shards);
-            let mut live = 0;
-            for part in &parts {
-                for local in 0..part.dataset.len() {
-                    let global = part.global_id(local);
-                    assert_eq!(
-                        part.dataset.is_live(local),
-                        ds.is_live(global),
-                        "shards={shards} global={global}"
-                    );
-                    live += usize::from(part.dataset.is_live(local));
-                }
-            }
-            assert_eq!(live, ds.live_len(), "shards={shards}");
-        }
         let p = ds.project(Subspace::from_dims(&[0])).unwrap();
         assert_eq!(p.live_len(), ds.live_len());
         assert!(!p.is_live(2) && !p.is_live(5));
-    }
-
-    #[test]
-    fn shard_preserves_names() {
-        let ds = small()
-            .with_names(vec!["a".into(), "b".into(), "c".into()])
-            .unwrap();
-        let parts = ds.shard(2);
-        for p in &parts {
-            assert_eq!(p.dataset.names(), ds.names());
-        }
     }
 }

@@ -36,7 +36,7 @@ pub mod subspace;
 pub mod synth;
 pub mod table;
 
-pub use dataset::{Dataset, DatasetBuilder, DatasetShard, PointId, QuantizedColumns};
+pub use dataset::{Dataset, DatasetBuilder, PointId, QuantizedColumns};
 pub use error::DataError;
 pub use metric::Metric;
 pub use subspace::Subspace;

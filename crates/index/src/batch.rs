@@ -1,6 +1,6 @@
 //! Order-preserving fan-out over the persistent [`crate::pool`].
 //!
-//! Every parallel region in the system — per-shard walks and merges,
+//! Every parallel region in the system — per-range walks and merges,
 //! the blocked all-points scan, threshold resolution, learning's
 //! sample searches and `HosMiner::query_each` across queries — splits
 //! its items into `threads` static chunks and runs them on the pooled
@@ -52,9 +52,9 @@ where
 
 /// [`parallel_map`] over mutable items: applies `f` to every item with
 /// exclusive access, fanned across up to `threads` pooled workers with
-/// static chunking; results are in input order. Used by the sharded
-/// evaluator to drive one mutable [`crate::walker::PrefixStack`] per
-/// shard in parallel.
+/// static chunking; results are in input order. Used by the evaluator
+/// to drive one mutable [`crate::walker::PrefixStack`] per row range
+/// in parallel.
 pub fn parallel_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,

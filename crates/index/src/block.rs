@@ -534,8 +534,8 @@ fn exact_pre(metric: Metric, q: &[f64], p: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::{build_engine, Engine};
-    use crate::sharded::build_engine_sharded;
+    use crate::knn::{build_engine, Engine, KnnEngine};
+    use crate::linear::LinearScan;
     use hos_data::Subspace;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -584,13 +584,10 @@ mod tests {
         // Dead rows neither rank nor serve as neighbours.
         assert_eq!(blocked.len(), 37);
         assert!(blocked.iter().all(|&(i, _)| ds.is_live(i)));
-        let engine = build_engine_sharded(Engine::Linear, ds.clone(), Metric::L2, 3, 2);
+        let engine = LinearScan::with_ranges(ds.clone(), Metric::L2, 3);
         for &(i, od) in &blocked {
-            assert_eq!(
-                od,
-                engine.od(ds.row(i), 4, Subspace::full(3), Some(i)),
-                "point {i}"
-            );
+            let mut ev = engine.evaluator(ds.row(i), 4, Some(i));
+            assert_eq!(od, ev.od(Subspace::full(3)), "point {i}");
         }
     }
 
@@ -756,10 +753,10 @@ mod tests {
         for (ds, metric) in cases {
             let full = Subspace::full(4);
             let live = ds.live_len() as u64;
-            let engines = [
+            let engines: [Box<dyn KnnEngine>; 3] = [
                 build_engine(Engine::Linear, ds.clone(), metric),
                 build_engine(Engine::XTree, ds.clone(), metric),
-                build_engine_sharded(Engine::Linear, ds.clone(), metric, 3, 2),
+                Box::new(LinearScan::with_ranges(ds.clone(), metric, 3)),
             ];
             for size in [31usize, 32, 33, 70] {
                 let mut ids: Vec<PointId> = ds.live_ids().collect();
@@ -772,7 +769,7 @@ mod tests {
                     assert_eq!(order, ids, "{metric:?} size {size} threads {threads}");
                     for &(i, od) in &scan.ods {
                         for engine in &engines {
-                            let want = engine.od(ds.row(i), k, full, Some(i));
+                            let want = engine.evaluator(ds.row(i), k, Some(i)).od(full);
                             assert_eq!(
                                 od.to_bits(),
                                 want.to_bits(),

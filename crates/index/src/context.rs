@@ -29,6 +29,7 @@ use crate::knn::Neighbor;
 use crate::topk::TopK;
 use crate::walker::PrefixWalker;
 use hos_data::{Dataset, Metric, PointId, Subspace};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// The cached `n x d` pre-distance matrix of one query point.
@@ -51,12 +52,18 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 /// ```
 pub struct QueryContext<'a> {
     metric: Metric,
+    /// Dataset id of the first cached row: the context covers rows
+    /// `base..base + n`, and every id it takes or reports is a dataset
+    /// id, so selections over different row ranges merge directly.
+    base: PointId,
     n: usize,
-    /// `cols[j * n + i]` = pre-distance term of point `i` in dim `j`.
+    /// `cols[j * n + i]` = pre-distance term of row `base + i` in dim
+    /// `j`.
     cols: Vec<f64>,
-    /// Tombstone snapshot at build time (empty = all rows live):
-    /// cached terms exist for every physical row, but dead rows never
-    /// enter selection — matching the live-only engine scans.
+    /// Tombstone snapshot of the cached rows at build time (empty = all
+    /// of them live): cached terms exist for every physical row, but
+    /// dead rows never enter selection — matching the live-only engine
+    /// scans.
     dead: Vec<bool>,
     /// The owning engine's distance-evaluation counter, so cached OD
     /// work stays visible to the efficiency experiments.
@@ -287,10 +294,31 @@ impl<'a> QueryContext<'a> {
     /// # Panics
     /// Panics if `query.len()` differs from `dataset.dim()`.
     pub fn build(dataset: &Dataset, metric: Metric, query: &[f64]) -> QueryContext<'a> {
-        let n = dataset.len();
+        Self::build_rows(dataset, metric, query, 0..dataset.len())
+    }
+
+    /// [`QueryContext::build`] over the physical rows `rows` of
+    /// `dataset` only: `rows.len() x d` terms, the tombstones of those
+    /// rows, and dataset ids in and out (an exclusion outside `rows`
+    /// excludes nothing here). The per-range selections of a split walk
+    /// are therefore plain top-k lists over one id space, and their
+    /// exact merge is the whole-dataset selection (DESIGN.md §6).
+    ///
+    /// # Panics
+    /// Panics if `query.len()` differs from `dataset.dim()` or `rows`
+    /// is not within `0..dataset.len()`.
+    pub fn build_rows(
+        dataset: &Dataset,
+        metric: Metric,
+        query: &[f64],
+        rows: Range<PointId>,
+    ) -> QueryContext<'a> {
         let d = dataset.dim();
         assert_eq!(query.len(), d, "query arity mismatch");
-        let (flat, buf) = (dataset.as_flat(), crate::scratch::take_cols());
+        assert!(rows.end <= dataset.len(), "rows {rows:?} out of bounds");
+        let n = rows.len();
+        let flat = &dataset.as_flat()[rows.start * d..rows.end * d];
+        let buf = crate::scratch::take_cols();
         let cols = match metric {
             Metric::L1 => column_terms(buf, flat, query, n, |g| Metric::L1.accumulate(0.0, g)),
             Metric::L2 => column_terms(buf, flat, query, n, |g| Metric::L2.accumulate(0.0, g)),
@@ -299,13 +327,16 @@ impl<'a> QueryContext<'a> {
                 column_terms(buf, flat, query, n, |g| Metric::Lp(p).accumulate(0.0, g))
             }
         };
-        let dead = if dataset.dead_count() > 0 {
-            (0..n).map(|i| !dataset.is_live(i)).collect()
+        // Only a range that holds a tombstone pays the liveness check
+        // on selection.
+        let dead = if dataset.dead_count() > 0 && rows.clone().any(|i| !dataset.is_live(i)) {
+            rows.clone().map(|i| !dataset.is_live(i)).collect()
         } else {
             Vec::new()
         };
         QueryContext {
             metric,
+            base: rows.start,
             n,
             cols,
             dead,
@@ -325,6 +356,13 @@ impl<'a> QueryContext<'a> {
     pub(crate) fn with_counter(mut self, evals: &'a AtomicU64) -> QueryContext<'a> {
         self.evals = Some(evals);
         self
+    }
+
+    /// The cached slot of dataset id `id`, when the id lies in this
+    /// context's rows.
+    #[inline]
+    fn slot(&self, id: PointId) -> Option<usize> {
+        id.checked_sub(self.base).filter(|&i| i < self.n)
     }
 
     /// Number of points in the cached matrix.
@@ -362,7 +400,7 @@ impl<'a> QueryContext<'a> {
     }
 
     /// The cached pre-distance column of dimension `j`: one term per
-    /// physical row, in row order.
+    /// cached row, in row order.
     #[inline]
     pub(crate) fn col(&self, j: usize) -> &[f64] {
         &self.cols[j * self.n..(j + 1) * self.n]
@@ -385,7 +423,7 @@ impl<'a> QueryContext<'a> {
     }
 
     /// Top-k selection over an externally accumulated pre-distance
-    /// vector (one slot per physical row) — the prefix-stack kernel's
+    /// vector (one slot per cached row) — the prefix-stack kernel's
     /// selection step. Applies exactly the same exclusion, liveness
     /// and eval-accounting rules as [`QueryContext::od`]'s own
     /// selection, into a caller-owned reusable [`TopK`]; the kept
@@ -409,23 +447,30 @@ impl<'a> QueryContext<'a> {
             // offer over each contiguous run. Offer order stays
             // ascending by id and skips only provably-rejected
             // elements, so the kept set and tie-break are unchanged.
-            let ex = exclude.unwrap_or(usize::MAX);
+            let ex = exclude.and_then(|e| self.slot(e)).unwrap_or(usize::MAX);
             let (head, tail, tail_base) = if ex < acc.len() {
                 (&acc[..ex], &acc[ex + 1..], ex + 1)
             } else {
                 (acc, &[][..], 0)
             };
-            offer_bounded(head, 0, top, true, f64::INFINITY);
-            offer_bounded(tail, tail_base, top, head.len() < SEL_WARMUP, f64::INFINITY);
+            offer_bounded(head, self.base, top, true, f64::INFINITY);
+            offer_bounded(
+                tail,
+                self.base + tail_base,
+                top,
+                head.len() < SEL_WARMUP,
+                f64::INFINITY,
+            );
             (head.len() + tail.len()) as u64
         } else {
+            let ex = exclude.and_then(|e| self.slot(e));
             let mut live = 0u64;
             for (i, &pre) in acc.iter().enumerate() {
-                if Some(i) == exclude || self.dead[i] {
+                if Some(i) == ex || self.dead[i] {
                     continue;
                 }
                 live += 1;
-                top.offer(pre, i);
+                top.offer(pre, self.base + i);
             }
             live
         };
@@ -493,18 +538,18 @@ impl<'a> QueryContext<'a> {
             return;
         }
         let col = self.col(dim);
-        let ex = exclude.unwrap_or(usize::MAX);
+        let ex = exclude.and_then(|e| self.slot(e)).unwrap_or(usize::MAX);
         // Seed admission bound from prior winners, when a full set of
         // k valid ids is on hand (see the doc comment).
         let mut w0 = f64::INFINITY;
         if !seeds.is_empty() {
             let mut m = f64::NEG_INFINITY;
             let mut cnt = 0usize;
-            for &id in seeds {
-                if id < self.n && id != ex {
+            for i in seeds.iter().filter_map(|&id| self.slot(id)) {
+                if i != ex {
                     let pre = match parent {
-                        Some(p) => self.combine(p[id], col[id]),
-                        None => col[id],
+                        Some(p) => self.combine(p[i], col[i]),
+                        None => col[i],
                     };
                     m = if pre > m { pre } else { m };
                     cnt += 1;
@@ -529,16 +574,16 @@ impl<'a> QueryContext<'a> {
             // selection whose bound is already tight.
             let warm = i == 0;
             if ex >= i && ex < end {
-                offer_bounded(&child[i..ex], i, top, warm, w0);
+                offer_bounded(&child[i..ex], self.base + i, top, warm, w0);
                 offer_bounded(
                     &child[ex + 1..end],
-                    ex + 1,
+                    self.base + ex + 1,
                     top,
                     warm && ex < SEL_WARMUP,
                     w0,
                 );
             } else {
-                offer_bounded(&child[i..end], i, top, warm, w0);
+                offer_bounded(&child[i..end], self.base + i, top, warm, w0);
             }
             i = end;
         }
@@ -572,9 +617,19 @@ impl<'a> QueryContext<'a> {
             .collect()
     }
 
-    /// Pre-metric distance of point `i` in subspace `s`, from cache.
+    /// Pre-metric distance of dataset point `id` in subspace `s`, from
+    /// cache.
+    ///
+    /// # Panics
+    /// Panics if `id` is not one of the cached rows.
     #[inline]
-    pub fn pre_dist(&self, i: PointId, s: Subspace) -> f64 {
+    pub fn pre_dist(&self, id: PointId, s: Subspace) -> f64 {
+        self.pre_slot(self.slot(id).expect("id outside the cached rows"), s)
+    }
+
+    /// [`QueryContext::pre_dist`] of cached slot `i`.
+    #[inline]
+    fn pre_slot(&self, i: usize, s: Subspace) -> f64 {
         let mut acc = 0.0f64;
         for j in s.dims() {
             acc = self.combine(acc, self.cols[j * self.n + i]);
@@ -615,12 +670,13 @@ impl<'a> QueryContext<'a> {
         }
         let mut top = TopK::new(k);
         let mut count = 0u64;
+        let ex = exclude.and_then(|e| self.slot(e));
         for i in 0..self.n {
-            if Some(i) == exclude || self.dead.get(i).copied().unwrap_or(false) {
+            if Some(i) == ex || self.dead.get(i).copied().unwrap_or(false) {
                 continue;
             }
             count += 1;
-            top.offer(self.pre_dist(i, s), i);
+            top.offer(self.pre_slot(i, s), self.base + i);
         }
         if let Some(evals) = self.evals {
             evals.fetch_add(count, AtomicOrdering::Relaxed);

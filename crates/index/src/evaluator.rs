@@ -3,40 +3,48 @@
 //! Every search layer in `hos-core` reduces to the same inner loop:
 //! given one `(engine, query)` pair, evaluate `OD(query, s)` for a
 //! stream of subspaces — one at a time or a whole lattice level per
-//! call. The per-query state that loop amortises (the distance cache,
-//! the prefix stack, per-shard fan-out) lives here once, behind a
-//! trait:
+//! call. The per-query state that loop amortises (the distance caches
+//! and the prefix stacks) lives here once, behind a trait:
 //!
 //! * [`OdEvaluator`] — one object per `(engine, query)` pair with
 //!   [`OdEvaluator::od`] and [`OdEvaluator::od_batch`] methods. The
 //!   evaluator owns [`QueryContext`] construction; callers just stream
 //!   subspaces at it.
-//! * [`LazyContextEvaluator`] — the default implementation every
-//!   [`KnnEngine`] hands out: the engine's pre-distance cache is built
-//!   on the first OD call and every OD after it is a prefix-stack
-//!   walk over cached columns. An engine without a context (the
-//!   X-tree) stays on its own search for every call.
+//! * [`LazyContextEvaluator`] — the evaluator every [`KnnEngine`]
+//!   hands out: the engine's pre-distance caches are built on the
+//!   first OD call and every OD after it is a prefix-stack walk over
+//!   cached columns. An engine without a context (the X-tree) stays on
+//!   its own search for every call.
 //!
-//! Engines with their own execution strategy override
-//! [`KnnEngine::evaluator`]: [`crate::sharded::ShardedEngine`] returns
-//! an evaluator that fans every OD over data shards with one
-//! `QueryContext` **per shard** and merges exact per-shard top-k lists.
+//! # Row ranges: the one intra-query parallelism
+//!
+//! An engine may ask for its walk to be split
+//! ([`KnnEngine::row_ranges`]; the linear scan built with
+//! [`crate::LinearScan::with_ranges`]). The evaluator then cuts the
+//! dataset's physical rows into that many contiguous, balanced ranges
+//! (worked out again for each query, so inserts need no routing),
+//! builds one [`QueryContext`] and one persistent [`PrefixStack`] per
+//! range, walks every batch on up to `threads` pool workers, one range
+//! per worker, and merges the per-range top-k lists exactly. One range
+//! is the plain serial walk.
 //!
 //! Exactness: evaluator results are bit-identical to calling
 //! [`KnnEngine::od`] per subspace — the cache is pinned by the
-//! context equivalence tests, and the evaluator-path equivalence tests
-//! in `tests/properties.rs` pin the context-less engines too.
-//!
-//! [`QueryContext`]: crate::context::QueryContext
+//! context equivalence tests, the merge by the range-split property
+//! tests (DESIGN.md §6), and the evaluator-path equivalence tests in
+//! `tests/properties.rs` pin the context-less engines too.
 
+use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
-use crate::knn::KnnEngine;
+use crate::knn::{Engine, KnnEngine};
+use crate::topk::TopK;
 use crate::walker::{walk_order, PrefixStack};
 use hos_data::{PointId, Subspace};
+use std::ops::Range;
 
 /// Evaluates the outlying degree of one fixed query point across many
 /// subspaces, amortising per-query state (distance caches, prefix
-/// stacks, per-shard fan-out) across calls.
+/// stacks) across calls.
 ///
 /// An evaluator is the unit the search layers program against: build
 /// one per `(engine, query)` pair via [`KnnEngine::evaluator`], then
@@ -49,20 +57,19 @@ pub trait OdEvaluator {
     fn od(&mut self, s: Subspace) -> f64;
 
     /// `OD(query, s)` for every subspace in `subspaces`, in input
-    /// order. `threads` bounds the fan-out over data shards, the one
-    /// way a single query uses more than one core: the sharded
-    /// evaluator spreads its per-shard walks over up to `threads`
-    /// workers, and every other evaluator runs the batch serially.
-    /// Equals calling [`OdEvaluator::od`] per subspace, bit for bit,
-    /// regardless of `threads`. Batches are internally traversed in
-    /// walker order ([`Subspace::walk_cmp`]) so the prefix-stack
-    /// kernel pays `O(n)` per node; since every subspace's OD is a
-    /// pure function of the subspace, traversal order never shows in
-    /// the results.
+    /// order. `threads` bounds the fan-out over row ranges, the one
+    /// way a single query uses more than one core: an engine split
+    /// into ranges walks them on up to `threads` workers, and an
+    /// unsplit one runs the batch serially. Equals calling
+    /// [`OdEvaluator::od`] per subspace, bit for bit, regardless of
+    /// `threads`. Batches are internally traversed in walker order
+    /// ([`Subspace::walk_cmp`]) so the prefix-stack kernel pays `O(n)`
+    /// per node; since every subspace's OD is a pure function of the
+    /// subspace, traversal order never shows in the results.
     fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64>;
 
     /// Lattice nodes entered by the prefix-stack kernel so far (one
-    /// per `O(n)` column fold; see
+    /// per column fold, summed over row ranges; see
     /// [`crate::walker::PrefixStack::node_visits`]). `0` for
     /// evaluators that never reached a cached phase — the uncached
     /// engine path does not use the kernel.
@@ -71,34 +78,85 @@ pub trait OdEvaluator {
     }
 }
 
-/// The default [`OdEvaluator`]: a per-query distance cache built on
-/// the first OD call, walked by the prefix-stack kernel. It runs every
-/// batch serially on the calling thread and ignores `threads`: a query
-/// that should use more cores is served by a sharded engine instead
-/// (DESIGN.md §6).
+/// Least rows a range is given when the range count is left to
+/// [`shard_count`]: two ranges start paying for their fan-out near
+/// twice this many rows. On 2 vCPUs, lone `query_each` calls on
+/// deep-search-shaped data (planted, d = 12, 70% displaced points),
+/// one call every 20 ms alternating one range against two, both at 2
+/// threads, read p50s of 0.50 vs 0.83 ms at 2000 rows (two ranges
+/// faster in 16 of 300 pairs), 0.64 vs 1.10 ms at 5000 (43/300), 0.80
+/// vs 0.99 ms at 8000 (251/600), 1.08 vs 1.18 ms at 10000 (362/600,
+/// median pair difference −0.04 ms), 1.15 vs 1.05 ms at 12000
+/// (401/600), 1.29 vs 1.08 ms at 15000 (499/600) and 1.74 vs 1.45 ms
+/// at 20000 (259/300).
+pub const MIN_SHARD_ROWS: usize = 5000;
+
+/// The row-range count a served miner uses (`HosMinerConfig::shards`):
+/// as many ranges as `threads`, but never fewer than
+/// [`MIN_SHARD_ROWS`] rows each, and at least one. Only the linear
+/// engine is split: the X-tree has no query context to cut, and always
+/// gets 1. Answers are bit-identical at any count; this only decides
+/// whether a lone query's walk is spread over the cores.
+pub fn shard_count(engine: Engine, rows: usize, threads: usize) -> usize {
+    match engine {
+        Engine::Linear => threads.min(rows / MIN_SHARD_ROWS).max(1),
+        Engine::XTree => 1,
+    }
+}
+
+/// Cuts the physical rows `0..rows` into `parts` contiguous ranges
+/// whose sizes differ by at most one (the first `rows % parts` hold
+/// the extra row). `parts` is clamped to `1..=rows`, so no range is
+/// empty, except that zero rows give the one range `0..0`.
+fn split_rows(rows: usize, parts: usize) -> Vec<Range<PointId>> {
+    let parts = parts.clamp(1, rows.max(1));
+    let mut lo = 0;
+    (0..parts)
+        .map(|i| {
+            let hi = lo + rows / parts + usize::from(i < rows % parts);
+            let range = lo..hi;
+            lo = hi;
+            range
+        })
+        .collect()
+}
+
+/// Walk-order positions per block on the split path: bounds the
+/// per-range top-k lists held at once to `ranges × WALK_BLOCK` instead
+/// of `ranges × batch`.
+const WALK_BLOCK: usize = 256;
+
+/// One row range's cached walk: its context and its prefix stack,
+/// reused across batches.
+struct Lane<'a> {
+    ctx: QueryContext<'a>,
+    stack: PrefixStack,
+}
+
+/// The [`OdEvaluator`] every engine hands out: per-range distance
+/// caches built on the first OD call, each walked by its own
+/// prefix-stack kernel (see the module docs for the range split).
 ///
 /// # Cost model
 ///
 /// A cached OD is one `O(n)` column fold per visited lattice node
-/// (DESIGN.md §8); an uncached linear-scan OD re-reads every row-major
-/// row whatever `|s|` is. The one-pass build costs less than one
-/// uncached full-space OD (≈ 0.4 vs 0.9 ms at 20000 × 12), so even a
-/// search that ends after the full-space OD comes out ahead by
-/// building first (DESIGN.md §3).
+/// (DESIGN.md §8), split `n / ranges` per worker; an uncached
+/// linear-scan OD re-reads every row-major row whatever `|s|` is. The
+/// one-pass build costs less than one uncached full-space OD (≈ 0.4 vs
+/// 0.9 ms at 20000 × 12), so even a search that ends after the
+/// full-space OD comes out ahead by building first (DESIGN.md §3).
 pub struct LazyContextEvaluator<'a, E: KnnEngine + ?Sized> {
     engine: &'a E,
     query: &'a [f64],
     k: usize,
     exclude: Option<PointId>,
-    /// `None` until the first OD call; then the engine's context, or
-    /// `Some(None)` for engines that offer none.
-    ctx: Option<Option<QueryContext<'a>>>,
-    /// The prefix-stack kernel state, reused across calls so
-    /// steady-state traversal allocates nothing (an owned sibling of
-    /// `ctx`, threaded into it per call — see [`PrefixStack`]).
-    stack: PrefixStack,
+    /// `None` until the first OD call; then one lane per row range, or
+    /// none for an engine that offers no context.
+    lanes: Option<Vec<Lane<'a>>>,
     /// Reused walk-order index scratch.
     order: Vec<usize>,
+    /// Reused heap for the per-subspace merge of the range lists.
+    merge: TopK,
 }
 
 impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
@@ -109,63 +167,103 @@ impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
             query,
             k,
             exclude,
-            ctx: None,
-            stack: PrefixStack::new(),
+            lanes: None,
             order: Vec::new(),
+            merge: TopK::new(0),
         }
     }
 }
 
 impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
     fn od(&mut self, s: Subspace) -> f64 {
-        let (engine, query) = (self.engine, self.query);
-        match self.ctx.get_or_insert_with(|| engine.query_context(query)) {
-            Some(ctx) => {
-                self.stack.seek(ctx, s);
-                self.stack.od(ctx, self.k, self.exclude)
-            }
-            None => engine.od(query, self.k, s, self.exclude),
-        }
+        self.od_batch(&[s], 1)[0]
     }
 
-    fn od_batch(&mut self, subspaces: &[Subspace], _threads: usize) -> Vec<f64> {
+    fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
         if subspaces.is_empty() {
             return Vec::new();
         }
         let (engine, query, k, exclude) = (self.engine, self.query, self.k, self.exclude);
-        match self.ctx.get_or_insert_with(|| engine.query_context(query)) {
-            Some(ctx) => {
-                // Prefix-stack kernel: traverse in walker order so
-                // consecutive subspaces share accumulator prefixes,
-                // scatter results back into input order. Each OD is a
-                // pure function of its subspace, so the reordering is
-                // invisible in the results.
-                walk_order(subspaces, &mut self.order);
-                let mut out = vec![0.0f64; subspaces.len()];
-                for &i in &self.order {
-                    self.stack.seek(ctx, subspaces[i]);
-                    out[i] = self.stack.od(ctx, k, exclude);
+        // Contexts are built on the first call, one per range, on up to
+        // `threads` workers (a one-range build runs inline).
+        let lanes = self.lanes.get_or_insert_with(|| {
+            let ranges = split_rows(engine.dataset().len(), engine.row_ranges());
+            parallel_map(&ranges, threads, |rows| {
+                engine.range_context(query, rows.clone())
+            })
+            .into_iter()
+            .map(|ctx| {
+                ctx.map(|ctx| Lane {
+                    ctx,
+                    stack: PrefixStack::new(),
+                })
+            })
+            .collect::<Option<Vec<Lane>>>()
+            .unwrap_or_default()
+        });
+        let mut out = vec![0.0f64; subspaces.len()];
+        match lanes.as_mut_slice() {
+            [] => {
+                for (o, &s) in out.iter_mut().zip(subspaces) {
+                    *o = engine.od(query, k, s, exclude);
                 }
-                out
             }
-            None => subspaces
-                .iter()
-                .map(|&s| engine.od(query, k, s, exclude))
-                .collect(),
+            // Prefix-stack kernel: traverse in walker order so
+            // consecutive subspaces share accumulator prefixes, and
+            // scatter results back into input order. Each OD is a pure
+            // function of its subspace, so the reordering is invisible
+            // in the results.
+            [Lane { ctx, stack }] => {
+                walk_order(subspaces, &mut self.order);
+                for &i in &self.order {
+                    stack.seek(ctx, subspaces[i]);
+                    out[i] = stack.od(ctx, k, exclude);
+                }
+            }
+            // Split walk: every range walks each block in walker order
+            // on its own stack, ranges in parallel; the exact
+            // `(distance, id)` merge then reduces each subspace.
+            // Ordering by finished distance equals ordering by
+            // pre-metric distance (`Metric::finish` is monotone), and
+            // the sum runs in the same ascending order as one range's.
+            lanes => {
+                walk_order(subspaces, &mut self.order);
+                for block in self.order.chunks(WALK_BLOCK) {
+                    let lists = parallel_map_mut(lanes, threads, |Lane { ctx, stack }| {
+                        block
+                            .iter()
+                            .map(|&i| {
+                                stack.seek(ctx, subspaces[i]);
+                                stack.knn(ctx, k, exclude)
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    for (pos, &i) in block.iter().enumerate() {
+                        self.merge.reset(k);
+                        for n in lists.iter().flat_map(|list| &list[pos]) {
+                            self.merge.offer(n.dist, n.id);
+                        }
+                        out[i] = self.merge.sorted().iter().map(|c| c.pre).sum();
+                    }
+                }
+            }
         }
+        out
     }
 
     fn node_visits(&self) -> u64 {
-        self.stack.node_visits()
+        self.lanes
+            .iter()
+            .flatten()
+            .map(|lane| lane.stack.node_visits())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::Engine;
     use crate::linear::LinearScan;
-    use crate::sharded::ShardedEngine;
     use crate::xtree::{XTree, XTreeConfig};
     use hos_data::{Dataset, Metric};
     use rand::rngs::StdRng;
@@ -215,34 +313,39 @@ mod tests {
 
         let linear = LinearScan::new(ds.clone(), Metric::L2);
         let mut ev = LazyContextEvaluator::new(&linear, &q, 3, Some(0));
-        assert!(ev.ctx.is_none(), "nothing happens before the first call");
+        assert!(ev.lanes.is_none(), "nothing happens before the first call");
         assert_eq!(ev.od(single), linear.od(&q, 3, single, Some(0)));
-        assert!(matches!(ev.ctx, Some(Some(_))), "built on the first od");
+        assert_eq!(
+            ev.lanes.as_ref().map(Vec::len),
+            Some(1),
+            "built on the first od"
+        );
         assert_eq!(ev.node_visits(), 1);
         let mut ev = LazyContextEvaluator::new(&linear, &q, 3, Some(0));
         ev.od_batch(&[single], 1);
-        assert!(
-            matches!(ev.ctx, Some(Some(_))),
+        assert_eq!(
+            ev.lanes.as_ref().map(Vec::len),
+            Some(1),
             "built on the first od_batch"
         );
 
-        let sharded = ShardedEngine::build(ds.clone(), Metric::L2, Engine::Linear, 3, 2);
-        let mut ev = sharded.evaluator(&q, 3, Some(0));
+        let split = LinearScan::with_ranges(ds.clone(), Metric::L2, 3);
+        let mut ev = split.evaluator(&q, 3, Some(0));
         assert_eq!(ev.od(single), linear.od(&q, 3, single, Some(0)));
-        assert_eq!(ev.node_visits(), 3, "one fold per shard context");
+        assert_eq!(ev.node_visits(), 3, "one fold per range context");
 
         let xtree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
-        let sharded_xtree = ShardedEngine::build(ds.clone(), Metric::L2, Engine::XTree, 3, 2);
-        let contextless: [&dyn KnnEngine; 2] = [&xtree, &sharded_xtree];
-        for engine in contextless {
-            let mut ev = engine.evaluator(&q, 3, Some(0));
-            ev.od(single);
-            ev.od_batch(&lattice, 2);
-            assert_eq!(ev.node_visits(), 0, "context-less engines never fold");
-        }
+        let mut ev = xtree.evaluator(&q, 3, Some(0));
+        ev.od(single);
+        ev.od_batch(&lattice, 2);
+        assert_eq!(ev.node_visits(), 0, "context-less engines never fold");
         let mut ev = LazyContextEvaluator::new(&xtree, &q, 3, Some(0));
         ev.od(single);
-        assert!(matches!(ev.ctx, Some(None)), "asked once, declined");
+        assert_eq!(
+            ev.lanes.as_ref().map(Vec::len),
+            Some(0),
+            "asked once, declined"
+        );
     }
 
     #[test]
@@ -309,5 +412,153 @@ mod tests {
         let s = Subspace::full(3);
         let mut ev = engine.evaluator(&q, 2, Some(1));
         assert_eq!(ev.od(s), engine.od(&q, 2, s, Some(1)));
+    }
+
+    /// Coarse grid values force plenty of distance ties, so the
+    /// `(distance, id)` merge tie-break is actually exercised.
+    fn grid(n: usize, d: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let flat: Vec<f64> = (0..n * d)
+            .map(|_| (rng.gen_range(0..8) as f64) * 0.5)
+            .collect();
+        Dataset::from_flat(flat, d).unwrap()
+    }
+
+    #[test]
+    fn split_rows_is_contiguous_balanced_and_clamped() {
+        for rows in [0usize, 1, 7, 10] {
+            for parts in 0..=12 {
+                let ranges = split_rows(rows, parts);
+                assert_eq!(ranges.len(), parts.clamp(1, rows.max(1)));
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, rows);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start, "{rows} rows, {parts} parts");
+                }
+                let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(hi - lo <= 1, "unbalanced {lens:?}");
+                assert!(rows == 0 || *lo > 0, "empty range in {lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_walk_matches_unsplit_singles_and_batches() {
+        // Single calls (the first builds the per-range contexts), then
+        // whole-lattice batches at several widths: every OD must equal
+        // the unsplit engine's bit for bit, for every metric.
+        let d = 5;
+        let ds = grid(120, d, 2);
+        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+        for metric in [Metric::L1, Metric::L2, Metric::LInf, Metric::Lp(3.0)] {
+            let linear = LinearScan::new(ds.clone(), metric);
+            let reference: Vec<f64> = subspaces
+                .iter()
+                .map(|&s| linear.od(ds.row(7), 5, s, Some(7)))
+                .collect();
+            for ranges in [2, 4, 7] {
+                let engine = LinearScan::with_ranges(ds.clone(), metric, ranges);
+                let q: Vec<f64> = ds.row(7).to_vec();
+                let mut ev = engine.evaluator(&q, 5, Some(7));
+                for (i, &s) in subspaces.iter().take(3).enumerate() {
+                    assert_eq!(ev.od(s), reference[i], "{metric:?} ranges={ranges} {s}");
+                }
+                for threads in [1, 4] {
+                    assert_eq!(
+                        ev.od_batch(&subspaces, threads),
+                        reference,
+                        "{metric:?} ranges={ranges} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walked_batch_across_blocks_stays_exact() {
+        // d = 9: 511 subspaces — more than one WALK_BLOCK, so the
+        // blocked loop crosses a boundary with the per-range stacks
+        // carried over. Must stay bit-identical to the unsplit walk.
+        let d = 9;
+        let ds = grid(140, d, 11);
+        let linear = LinearScan::new(ds.clone(), Metric::L2);
+        let q: Vec<f64> = ds.row(9).to_vec();
+        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+        assert!(subspaces.len() > WALK_BLOCK);
+        let reference: Vec<f64> = subspaces
+            .iter()
+            .map(|&s| linear.od(&q, 4, s, Some(9)))
+            .collect();
+        for ranges in [2usize, 3] {
+            let engine = LinearScan::with_ranges(ds.clone(), Metric::L2, ranges);
+            for threads in [1usize, ranges] {
+                let mut ev = engine.evaluator(&q, 4, Some(9));
+                assert_eq!(
+                    ev.od_batch(&subspaces, threads),
+                    reference,
+                    "ranges={ranges} threads={threads}"
+                );
+                assert!(ev.node_visits() > 0, "ranges={ranges} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_follow_inserts_and_retires() {
+        // The ranges are recomputed from the physical row count at each
+        // evaluator, so rows inserted after the build are split like
+        // any other and tombstones stay excluded in their range.
+        let d = 3;
+        let ds = grid(40, d, 8);
+        let mut split = LinearScan::with_ranges(ds.clone(), Metric::L2, 4);
+        let mut mirror = LinearScan::new(ds, Metric::L2);
+        let mut rng = StdRng::seed_from_u64(21);
+        for i in 0..60 {
+            let row: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..4.0)).collect();
+            for e in [&mut split, &mut mirror] {
+                e.as_incremental().unwrap().insert(&row).unwrap();
+                if i % 5 == 0 {
+                    e.as_incremental().unwrap().remove(i).unwrap();
+                }
+            }
+        }
+        let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+        for qid in [1usize, 46, 99] {
+            let q: Vec<f64> = mirror.dataset().row(qid).to_vec();
+            let reference: Vec<f64> = subspaces
+                .iter()
+                .map(|&s| mirror.od(&q, 5, s, Some(qid)))
+                .collect();
+            let mut ev = split.evaluator(&q, 5, Some(qid));
+            assert_eq!(ev.od_batch(&subspaces, 2), reference, "qid={qid}");
+        }
+    }
+
+    #[test]
+    fn split_contexts_count_every_row_once() {
+        let ds = grid(50, 3, 4);
+        let split = LinearScan::with_ranges(ds.clone(), Metric::L2, 5);
+        let q: Vec<f64> = ds.row(0).to_vec();
+        split.evaluator(&q, 3, Some(0)).od(Subspace::full(3));
+        // Every non-excluded point is touched exactly once in total.
+        assert_eq!(split.distance_evals(), 49);
+    }
+
+    #[test]
+    fn shard_count_splits_only_large_linear_inputs() {
+        let floor = MIN_SHARD_ROWS;
+        // Below two ranges' worth of rows, one range.
+        assert_eq!(shard_count(Engine::Linear, 2000, 2), 1);
+        assert_eq!(shard_count(Engine::Linear, 2 * floor - 1, 2), 1);
+        assert_eq!(shard_count(Engine::Linear, 2 * floor, 2), 2);
+        // Never more ranges than threads, never fewer than one.
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 2), 2);
+        assert_eq!(shard_count(Engine::Linear, 3 * floor, 8), 3);
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 1), 1);
+        assert_eq!(shard_count(Engine::Linear, 100 * floor, 0), 1);
+        assert_eq!(shard_count(Engine::Linear, 0, 4), 1);
+        // The X-tree is never split.
+        assert_eq!(shard_count(Engine::XTree, 100 * floor, 8), 1);
     }
 }

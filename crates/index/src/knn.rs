@@ -4,6 +4,7 @@ use crate::context::QueryContext;
 use crate::error::IndexError;
 use crate::evaluator::{LazyContextEvaluator, OdEvaluator};
 use hos_data::{Dataset, Metric, PointId, Subspace};
+use std::ops::Range;
 
 /// One neighbour returned by a query: the point and its distance to
 /// the query in the queried subspace.
@@ -59,37 +60,47 @@ pub trait KnnEngine: Send + Sync {
         0
     }
 
-    /// A per-query distance cache over this engine's dataset, when the
-    /// engine supports one (see [`QueryContext`]). The evaluator
+    /// A per-query distance cache over this engine's whole dataset,
+    /// when the engine supports one (see [`QueryContext`]): the
+    /// [`KnnEngine::range_context`] over every physical row.
+    fn query_context<'a>(&'a self, query: &[f64]) -> Option<QueryContext<'a>> {
+        self.range_context(query, 0..self.dataset().len())
+    }
+
+    /// A per-query distance cache over the physical rows `rows` of this
+    /// engine's dataset, reporting dataset ids, when the engine
+    /// supports one ([`QueryContext::build_rows`]). The evaluator
     /// ([`KnnEngine::evaluator`], behind `hos-core`'s `dynamic_search`)
-    /// uses it transparently: one `n x d` pre-distance pass per query
-    /// point replaces per-subspace raw-coordinate scans.
+    /// builds one per row range on its first OD call: one `n x d`
+    /// pre-distance pass per query point replaces per-subspace
+    /// raw-coordinate scans.
     ///
     /// The default is `None`: an engine with its own search structure
     /// (the X-tree's pruning) answers each query through that
     /// structure, and a full-matrix cache would bypass exactly what
     /// makes it worth having.
-    fn query_context<'a>(&'a self, query: &[f64]) -> Option<QueryContext<'a>> {
-        let _ = query;
+    fn range_context<'a>(
+        &'a self,
+        query: &[f64],
+        rows: Range<PointId>,
+    ) -> Option<QueryContext<'a>> {
+        let _ = (query, rows);
         None
     }
 
-    /// Sets the engine's *internal* fan-out width, for engines that
-    /// parallelise single queries themselves (the sharded engine fans
-    /// k-NN/range/OD calls over its shards). Plain engines answer
-    /// queries on the calling thread and ignore this. Never changes
-    /// any result — only how many workers compute it.
-    fn set_threads(&self, threads: usize) {
-        let _ = threads;
+    /// How many contiguous row ranges the evaluator splits a cached
+    /// walk into, so a lone query's walk runs on that many workers
+    /// (see [`crate::evaluator`]). Never changes a result. The default
+    /// is 1, the serial walk; an engine without a context ignores it.
+    fn row_ranges(&self) -> usize {
+        1
     }
 
     /// An [`OdEvaluator`] for one `(engine, query)` pair: the object
-    /// every search layer streams subspaces at. The default is the
-    /// [`LazyContextEvaluator`] (the engine's per-query distance cache,
-    /// built on the first OD call when the engine provides one; direct
-    /// engine queries otherwise); engines with their own execution
-    /// strategy override it — [`crate::sharded::ShardedEngine`]
-    /// returns a shard-fanning evaluator.
+    /// every search layer streams subspaces at — the
+    /// [`LazyContextEvaluator`] (the engine's per-query distance
+    /// caches, built on the first OD call when the engine provides
+    /// them; direct engine queries otherwise).
     fn evaluator<'a>(
         &'a self,
         query: &'a [f64],
@@ -283,90 +294,87 @@ mod tests {
         }
     }
 
-    /// Every engine (plain and sharded) exposes the incremental
-    /// capability, and the checked query path returns typed errors —
-    /// not panics, not silently short lists — once removals shrink the
-    /// live set below `k`, all the way down to empty.
+    /// Every engine exposes the incremental capability, and the
+    /// checked query path returns typed errors — not panics, not
+    /// silently short lists — once removals shrink the live set below
+    /// `k`, all the way down to empty.
     #[test]
     fn try_knn_k_edge_and_incremental_smoke_per_engine() {
         use crate::error::IndexError;
-        use crate::sharded::build_engine_sharded;
 
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, (i % 3) as f64]).collect();
         let ds = Dataset::from_rows(&rows).unwrap();
         let s = Subspace::full(2);
         for kind in [Engine::Linear, Engine::XTree] {
-            for shards in [1usize, 3] {
-                let label = format!("{kind} shards={shards}");
-                let mut e = build_engine_sharded(kind, ds.clone(), Metric::L2, shards, 2);
-                // Checked path agrees with the unchecked one when valid.
-                assert_eq!(
-                    e.try_knn(&[1.0, 1.0], 3, s, Some(0)).unwrap(),
-                    e.knn(&[1.0, 1.0], 3, s, Some(0)),
-                    "{label}"
-                );
-                // Malformed queries are typed errors.
-                assert_eq!(
-                    e.try_knn(&[1.0], 3, s, None),
-                    Err(IndexError::Shape {
-                        expected: 2,
-                        got: 1
-                    }),
-                    "{label}"
-                );
-                assert_eq!(
-                    e.try_knn(&[f64::NAN, 0.0], 3, s, None),
-                    Err(IndexError::NonFinite),
-                    "{label}"
-                );
-                // Shrink below k: 8 live, remove 3 → 5 live; k=5 with
-                // self-exclusion leaves only 4 candidates.
-                let inc = e.as_incremental().expect(&label);
-                for id in [1usize, 4, 6] {
-                    inc.remove(id).unwrap();
-                }
-                assert_eq!(inc.remove(4), Err(IndexError::DeadPoint(4)), "{label}");
-                assert_eq!(
-                    inc.remove(99),
-                    Err(IndexError::OutOfBounds { id: 99, len: 8 }),
-                    "{label}"
-                );
-                assert_eq!(
-                    e.try_knn(&[1.0, 1.0], 5, s, Some(0)),
-                    Err(IndexError::InsufficientPoints { available: 4, k: 5 }),
-                    "{label}"
-                );
-                assert!(e.try_od(&[1.0, 1.0], 4, s, Some(0)).is_ok(), "{label}");
-                // Remove everything: the empty edge is an error too.
-                for id in [0usize, 2, 3, 5, 7] {
-                    e.as_incremental().unwrap().remove(id).unwrap();
-                }
-                assert_eq!(
-                    e.try_knn(&[1.0, 1.0], 1, s, None),
-                    Err(IndexError::InsufficientPoints { available: 0, k: 1 }),
-                    "{label}"
-                );
-                assert!(e.knn(&[1.0, 1.0], 2, s, None).is_empty(), "{label}");
-                // Inserting revives the engine; mutation validation is
-                // typed as well.
-                let id = e.as_incremental().unwrap().insert(&[0.5, 0.5]).unwrap();
-                assert_eq!(id, 8, "{label}");
-                assert_eq!(
-                    e.as_incremental().unwrap().insert(&[0.5]),
-                    Err(IndexError::Shape {
-                        expected: 2,
-                        got: 1
-                    }),
-                    "{label}"
-                );
-                assert_eq!(
-                    e.as_incremental().unwrap().insert(&[f64::INFINITY, 0.0]),
-                    Err(IndexError::NonFinite),
-                    "{label}"
-                );
-                let nn = e.try_knn(&[0.0, 0.0], 1, s, None).unwrap();
-                assert_eq!(nn[0].id, 8, "{label}");
+            let label = kind.to_string();
+            let mut e = build_engine(kind, ds.clone(), Metric::L2);
+            // Checked path agrees with the unchecked one when valid.
+            assert_eq!(
+                e.try_knn(&[1.0, 1.0], 3, s, Some(0)).unwrap(),
+                e.knn(&[1.0, 1.0], 3, s, Some(0)),
+                "{label}"
+            );
+            // Malformed queries are typed errors.
+            assert_eq!(
+                e.try_knn(&[1.0], 3, s, None),
+                Err(IndexError::Shape {
+                    expected: 2,
+                    got: 1
+                }),
+                "{label}"
+            );
+            assert_eq!(
+                e.try_knn(&[f64::NAN, 0.0], 3, s, None),
+                Err(IndexError::NonFinite),
+                "{label}"
+            );
+            // Shrink below k: 8 live, remove 3 → 5 live; k=5 with
+            // self-exclusion leaves only 4 candidates.
+            let inc = e.as_incremental().expect(&label);
+            for id in [1usize, 4, 6] {
+                inc.remove(id).unwrap();
             }
+            assert_eq!(inc.remove(4), Err(IndexError::DeadPoint(4)), "{label}");
+            assert_eq!(
+                inc.remove(99),
+                Err(IndexError::OutOfBounds { id: 99, len: 8 }),
+                "{label}"
+            );
+            assert_eq!(
+                e.try_knn(&[1.0, 1.0], 5, s, Some(0)),
+                Err(IndexError::InsufficientPoints { available: 4, k: 5 }),
+                "{label}"
+            );
+            assert!(e.try_od(&[1.0, 1.0], 4, s, Some(0)).is_ok(), "{label}");
+            // Remove everything: the empty edge is an error too.
+            for id in [0usize, 2, 3, 5, 7] {
+                e.as_incremental().unwrap().remove(id).unwrap();
+            }
+            assert_eq!(
+                e.try_knn(&[1.0, 1.0], 1, s, None),
+                Err(IndexError::InsufficientPoints { available: 0, k: 1 }),
+                "{label}"
+            );
+            assert!(e.knn(&[1.0, 1.0], 2, s, None).is_empty(), "{label}");
+            // Inserting revives the engine; mutation validation is
+            // typed as well.
+            let id = e.as_incremental().unwrap().insert(&[0.5, 0.5]).unwrap();
+            assert_eq!(id, 8, "{label}");
+            assert_eq!(
+                e.as_incremental().unwrap().insert(&[0.5]),
+                Err(IndexError::Shape {
+                    expected: 2,
+                    got: 1
+                }),
+                "{label}"
+            );
+            assert_eq!(
+                e.as_incremental().unwrap().insert(&[f64::INFINITY, 0.0]),
+                Err(IndexError::NonFinite),
+                "{label}"
+            );
+            let nn = e.try_knn(&[0.0, 0.0], 1, s, None).unwrap();
+            assert_eq!(nn[0].id, 8, "{label}");
         }
     }
 
@@ -374,18 +382,15 @@ mod tests {
     /// (which fixes the arity) and answer queries afterwards.
     #[test]
     fn incremental_insert_into_empty_engine() {
-        use crate::sharded::build_engine_sharded;
         for kind in [Engine::Linear, Engine::XTree] {
-            for shards in [1usize, 2] {
-                let mut e = build_engine_sharded(kind, Dataset::empty(), Metric::L2, shards, 1);
-                let inc = e.as_incremental().unwrap();
-                assert_eq!(inc.insert(&[1.0, 2.0, 3.0]).unwrap(), 0);
-                assert_eq!(inc.insert(&[4.0, 5.0, 6.0]).unwrap(), 1);
-                let nn = e.knn(&[1.0, 2.0, 3.0], 2, Subspace::full(3), None);
-                assert_eq!(nn.len(), 2, "{kind} shards={shards}");
-                assert_eq!(nn[0].id, 0);
-                assert_eq!(nn[0].dist, 0.0);
-            }
+            let mut e = build_engine(kind, Dataset::empty(), Metric::L2);
+            let inc = e.as_incremental().unwrap();
+            assert_eq!(inc.insert(&[1.0, 2.0, 3.0]).unwrap(), 0);
+            assert_eq!(inc.insert(&[4.0, 5.0, 6.0]).unwrap(), 1);
+            let nn = e.knn(&[1.0, 2.0, 3.0], 2, Subspace::full(3), None);
+            assert_eq!(nn.len(), 2, "{kind}");
+            assert_eq!(nn[0].id, 0);
+            assert_eq!(nn[0].dist, 0.0);
         }
     }
 }

@@ -26,17 +26,17 @@
 //!   `O(n · |s|)` recombine, bit-identical to the direct path.
 //! * [`evaluator`] — the engine-agnostic OD-evaluation seam: one
 //!   [`evaluator::OdEvaluator`] per `(engine, query)` pair builds the
-//!   context on its first OD call and owns the walker traversal; every
-//!   search layer streams subspaces at it.
+//!   contexts on its first OD call and owns the walker traversal; every
+//!   search layer streams subspaces at it. It also holds the one
+//!   intra-query parallelism: a walk split into contiguous row ranges
+//!   ([`LinearScan::with_ranges`]), one per worker, with the per-range
+//!   top-k lists merged exactly (bit-identical ODs).
 //! * [`block`] — the blocked full-space OD kernel behind dataset-wide
 //!   scans and threshold resolution, fanned over threads by query
 //!   chunk: SoA layout, reused selection heaps, and a
 //!   quantized `f32` admission filter that rejects provably-losing
 //!   pairs before any exact fold — bit-identical to per-point engine
 //!   queries, with typed errors and eval/filter accounting.
-//! * [`sharded`] — exact intra-query parallelism: [`ShardedEngine`]
-//!   fans each query over contiguous data shards and merges per-shard
-//!   top-k lists losslessly (bit-identical ODs).
 //! * [`batch`] — multi-threaded batch OD evaluation over subspaces,
 //!   cache-accelerated when the engine provides a
 //!   [`context::QueryContext`].
@@ -57,7 +57,6 @@ pub mod knn;
 pub mod linear;
 pub mod pool;
 mod scratch;
-pub mod sharded;
 mod topk;
 pub mod walker;
 pub mod xtree;
@@ -68,9 +67,8 @@ pub use block::{
 };
 pub use context::QueryContext;
 pub use error::IndexError;
-pub use evaluator::{LazyContextEvaluator, OdEvaluator};
+pub use evaluator::{shard_count, LazyContextEvaluator, OdEvaluator, MIN_SHARD_ROWS};
 pub use knn::{Engine, IncrementalEngine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
-pub use sharded::{build_engine_sharded, shard_count, ShardedEngine, MIN_SHARD_ROWS};
 pub use walker::{PrefixStack, PrefixWalker};
 pub use xtree::{XTree, XTreeConfig};

@@ -11,6 +11,7 @@ use crate::error::{validate_insert, validate_remove, IndexError};
 use crate::knn::{IncrementalEngine, KnnEngine, Neighbor};
 use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, Subspace};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Brute-force exact k-NN engine.
@@ -31,15 +32,40 @@ pub struct LinearScan {
     dataset: Dataset,
     metric: Metric,
     evals: AtomicU64,
+    /// Row ranges a cached walk is split into ([`KnnEngine::row_ranges`]).
+    ranges: usize,
 }
 
 impl LinearScan {
     /// Wraps a dataset; no preprocessing needed.
     pub fn new(dataset: Dataset, metric: Metric) -> Self {
+        Self::with_ranges(dataset, metric, 1)
+    }
+
+    /// [`LinearScan::new`] whose evaluators split each cached walk into
+    /// `ranges` contiguous row ranges (at least 1), walked on that many
+    /// workers and merged exactly (see [`crate::evaluator`]). Every
+    /// answer is bit-identical to the unsplit scan's.
+    ///
+    /// ```
+    /// use hos_data::{Dataset, Metric, Subspace};
+    /// use hos_index::{KnnEngine, LinearScan};
+    ///
+    /// let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+    /// let ds = Dataset::from_rows(&rows).unwrap();
+    /// let split = LinearScan::with_ranges(ds.clone(), Metric::L2, 4);
+    /// let linear = LinearScan::new(ds, Metric::L2);
+    /// let s = Subspace::full(2);
+    /// let q = [3.0, 3.0];
+    /// let od = split.evaluator(&q, 5, None).od_batch(&[s], 2)[0];
+    /// assert_eq!(od, linear.od(&q, 5, s, None));
+    /// ```
+    pub fn with_ranges(dataset: Dataset, metric: Metric, ranges: usize) -> Self {
         LinearScan {
             dataset,
             metric,
             evals: AtomicU64::new(0),
+            ranges: ranges.max(1),
         }
     }
 }
@@ -110,8 +136,19 @@ impl KnnEngine for LinearScan {
         self.evals.load(AtomicOrdering::Relaxed)
     }
 
-    fn query_context<'a>(&'a self, query: &[f64]) -> Option<QueryContext<'a>> {
-        Some(QueryContext::build(&self.dataset, self.metric, query).with_counter(&self.evals))
+    fn range_context<'a>(
+        &'a self,
+        query: &[f64],
+        rows: Range<PointId>,
+    ) -> Option<QueryContext<'a>> {
+        Some(
+            QueryContext::build_rows(&self.dataset, self.metric, query, rows)
+                .with_counter(&self.evals),
+        )
+    }
+
+    fn row_ranges(&self) -> usize {
+        self.ranges
     }
 
     fn as_incremental(&mut self) -> Option<&mut dyn IncrementalEngine> {

@@ -14,9 +14,9 @@
 //!   compares against the cached root, before any `Candidate` is
 //!   built or any heap operation runs. (The reject must use the full
 //!   `(pre, id)` order, not `pre` alone: a candidate *tying* the worst
-//!   pre-distance still wins when its id is smaller, and the sharded
-//!   merge offers candidates out of id order, where that case is
-//!   live.
+//!   pre-distance still wins when its id is smaller, and the
+//!   row-range merge offers candidates out of id order, where that
+//!   case is live.
 //!   `equal_pre_keeps_smaller_id_regardless_of_offer_order` pins it.)
 //! * **Reuse** — [`TopK::reset`] recycles the backing allocation, so a
 //!   walker evaluating thousands of lattice nodes performs zero heap
@@ -91,7 +91,7 @@ impl TopK {
     /// worst (or the heap is not yet full). Eviction compares the
     /// full `(pre, id)` order, so the kept set — and the tie-break —
     /// is independent of the order candidates are offered in (the
-    /// sharded merge offers shard by shard, not in id order; the
+    /// range-split merge offers range by range; the
     /// X-tree's own heap, which visits leaves in tree order, keeps the
     /// same rule so its lists equal these bit for bit).
     ///
@@ -252,7 +252,7 @@ mod tests {
     fn equal_pre_keeps_smaller_id_regardless_of_offer_order() {
         // Ties resolve to the smaller id whether it arrives first
         // (LinearScan/QueryContext offer in id order) or last (the
-        // sharded merge does not): the kept set depends only on the
+        // row-range merge does not): the kept set depends only on the
         // candidates, not their sequence. This is exactly
         // the case the bound fast path must NOT reject: pre == worst.pre
         // with a smaller id still enters the heap.

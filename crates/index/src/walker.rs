@@ -33,7 +33,7 @@
 //! to the direct canonical combine. This extends the equivalence
 //! argument of DESIGN.md §3/§8; `walker_bit_identical_to_direct_combine`
 //! below and the workspace proptests pin it across metrics, engines,
-//! shard counts and incremental mutation.
+//! row-range splits and incremental mutation.
 //!
 //! # Amortised cost
 //!
@@ -53,7 +53,7 @@
 //! reused across nodes and across batches: after the first descent to
 //! a given depth, traversal is allocation-free. [`PrefixStack`] is a
 //! plain owned object (no borrow of the context), so evaluators store
-//! one per query — or one per shard — and thread the context in per
+//! one per query — or one per row range — and thread the context in per
 //! call; [`PrefixWalker`] bundles a stack with a borrowed context for
 //! ergonomic standalone use.
 

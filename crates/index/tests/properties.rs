@@ -1,11 +1,11 @@
 //! Property tests: the X-tree must be indistinguishable from the
 //! brute-force oracle on arbitrary data, metrics, subspaces and k —
-//! and so must the sharded execution layer and the evaluator seam.
+//! and so must the range-split walk and the evaluator seam.
 
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{
-    all_points_full_od_counted, quantized_lower_bounds, Engine, KnnEngine, LinearScan,
-    QueryContext, ShardedEngine, XTree, XTreeConfig,
+    all_points_full_od_counted, quantized_lower_bounds, KnnEngine, LinearScan, QueryContext, XTree,
+    XTreeConfig,
 };
 use proptest::prelude::*;
 
@@ -110,43 +110,46 @@ proptest! {
         prop_assert_eq!(ctx.knn(k, s, None), lin.knn(&q, k, s, None));
     }
 
-    /// The sharded engine is **bit-identical** to the unsharded scan:
-    /// for arbitrary data, queries, metrics, k and shard counts
-    /// 1..=8, the merged per-shard k-NN lists (ids AND distances) and
-    /// the ODs equal `LinearScan`'s exactly — `assert_eq!`, no
-    /// tolerance. This is the exactness contract of the whole sharded
-    /// execution layer.
+    /// The range-split linear engine is **bit-identical** to the
+    /// unsplit scan: for arbitrary data, queries, metrics, k and range
+    /// counts 1..=8, its k-NN lists (ids AND distances) and ODs — the
+    /// engine queries and the split evaluator's single ODs, whose
+    /// per-range top-k lists are merged — equal `LinearScan`'s exactly:
+    /// `assert_eq!`, no tolerance. This is the exactness contract of
+    /// the range split.
     #[test]
-    fn sharded_knn_and_od_equal_linear_bitwise(ds in arb_dataset(),
-                                               q in prop::collection::vec(-60.0f64..60.0, D),
-                                               k in 1usize..12,
-                                               shards in 1usize..=8,
-                                               mask in 1u64..(1 << D),
-                                               metric in arb_metric()) {
+    fn range_split_knn_and_od_equal_linear_bitwise(ds in arb_dataset(),
+                                                   q in prop::collection::vec(-60.0f64..60.0, D),
+                                                   k in 1usize..12,
+                                                   ranges in 1usize..=8,
+                                                   mask in 1u64..(1 << D),
+                                                   metric in arb_metric()) {
         let s = Subspace::from_mask(mask);
         let lin = LinearScan::new(ds.clone(), metric);
-        let sharded = ShardedEngine::build(ds, metric, Engine::Linear, shards, 2);
-        prop_assert_eq!(sharded.knn(&q, k, s, None), lin.knn(&q, k, s, None));
-        prop_assert_eq!(sharded.od(&q, k, s, None), lin.od(&q, k, s, None));
-        // Self-exclusion translates correctly into the owning shard.
-        prop_assert_eq!(sharded.knn(&q, k, s, Some(0)), lin.knn(&q, k, s, Some(0)));
-        prop_assert_eq!(sharded.od(&q, k, s, Some(0)), lin.od(&q, k, s, Some(0)));
+        let split = LinearScan::with_ranges(ds, metric, ranges);
+        prop_assert_eq!(split.knn(&q, k, s, None), lin.knn(&q, k, s, None));
+        prop_assert_eq!(split.od(&q, k, s, None), lin.od(&q, k, s, None));
+        prop_assert_eq!(split.evaluator(&q, k, None).od(s), lin.od(&q, k, s, None));
+        // Self-exclusion lands in the range that holds the point.
+        prop_assert_eq!(split.knn(&q, k, s, Some(0)), lin.knn(&q, k, s, Some(0)));
+        prop_assert_eq!(split.od(&q, k, s, Some(0)), lin.od(&q, k, s, Some(0)));
+        prop_assert_eq!(split.evaluator(&q, k, Some(0)).od(s), lin.od(&q, k, s, Some(0)));
     }
 
-    /// The sharded evaluator (per-shard lazy contexts + exact merge)
-    /// agrees with the unsharded scan over entire lattices, through
-    /// both its uncached and cached phases, bitwise.
+    /// The range-split evaluator (per-range lazy contexts + exact
+    /// merge) agrees with the unsplit scan over entire lattices,
+    /// bitwise.
     #[test]
-    fn sharded_evaluator_equals_linear_over_lattice(ds in arb_dataset(),
-                                                    q in prop::collection::vec(-60.0f64..60.0, D),
-                                                    k in 1usize..8,
-                                                    shards in 1usize..=8,
-                                                    metric in arb_metric()) {
+    fn range_split_evaluator_equals_linear_over_lattice(ds in arb_dataset(),
+                                                        q in prop::collection::vec(-60.0f64..60.0, D),
+                                                        k in 1usize..8,
+                                                        ranges in 1usize..=8,
+                                                        metric in arb_metric()) {
         let lin = LinearScan::new(ds.clone(), metric);
-        let sharded = ShardedEngine::build(ds, metric, Engine::Linear, shards, 2);
+        let split = LinearScan::with_ranges(ds, metric, ranges);
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(D).collect();
         let expected: Vec<f64> = subspaces.iter().map(|&s| lin.od(&q, k, s, Some(0))).collect();
-        let mut ev = sharded.evaluator(&q, k, Some(0));
+        let mut ev = split.evaluator(&q, k, Some(0));
         prop_assert_eq!(ev.od_batch(&subspaces, 2), expected);
     }
 

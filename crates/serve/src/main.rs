@@ -16,7 +16,7 @@ USAGE:
             [--model FILE] [--data-dir DIR]
             [--k 5] [--threshold T | --quantile 0.95]
             [--engine linear|xtree] [--metric l1|l2|linf]
-            [--threads 1] [--shards AUTO] [--samples 20]
+            [--threads 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0]
             [--batch-window-ms 2] [--batch-max 64] [--queue-cap 1024]
             [--fixed-window] [--query-weight 3] [--scan-weight 1]
@@ -36,13 +36,11 @@ cannot starve point queries (excess scans get 429 after a short wait).
 The same listener also speaks hosbin, the length-prefixed binary
 protocol (DESIGN.md §13): a connection opening with the `\\0HSB`
 preamble switches to framed binary with identical semantics.
---threads sets the worker count: a lone query runs its per-shard walks
-on it, and a batch of queries runs that many at once. --shards splits
-the rows into that many partitions; without it the count is computed
-from the loaded rows: one shard per thread for the linear engine, each
-at least 5000 rows, and always 1 for the X-tree. The listening line
-reports the count as shards=N. Answers are bit-identical at any thread
-or shard count.
+--threads sets the worker count: a batch of queries runs that many at
+once, and a lone query walks that many row ranges of the linear engine
+at once, one range per thread, each at least 5000 rows; the X-tree is
+never split. The listening line reports the range count as shards=N.
+Answers are bit-identical at any thread count.
 --model FILE loads a model written by `hos-miner fit` instead of
 re-learning (the data flags still supply the rows). Both engines are
 exact: --engine picks how k-NN is searched, never what it returns.
@@ -78,7 +76,6 @@ const VALUE_FLAGS: &[&str] = &[
     "engine",
     "metric",
     "threads",
-    "shards",
     "samples",
     "addr",
     "workers",
@@ -200,16 +197,11 @@ fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
         engine,
         sample_size: flags.num("samples", 20)?,
         threads: flags.num("threads", 1)?,
-        // `shards` is settled by [`shards`] once the rows are loaded.
+        // `shards` is settled by [`shard_count`] once the rows are
+        // loaded.
         seed: flags.num("seed", 0)?,
         ..HosMinerConfig::default()
     })
-}
-
-/// `--shards`, or when it is not given the count [`shard_count`]
-/// picks for `engine` over `rows` loaded rows and `threads` workers.
-fn shards(flags: &Flags, engine: Engine, rows: usize, threads: usize) -> Result<usize, String> {
-    flags.num("shards", shard_count(engine, rows, threads))
 }
 
 /// Milliseconds since `t`, for the start-up report.
@@ -232,12 +224,12 @@ fn build_miner(flags: &Flags, config: &HosMinerConfig) -> Result<(HosMiner, Stri
 fn fit_or_load(flags: &Flags, config: &HosMinerConfig, ds: Dataset) -> Result<HosMiner, String> {
     if let Some(path) = flags.get("model") {
         let model = hos_core::ModelFile::load(path).map_err(|e| e.to_string())?;
-        let shards = shards(flags, model.engine, ds.len(), config.threads)?;
+        let shards = shard_count(model.engine, ds.len(), config.threads);
         return model
             .into_miner_with(ds, shards, config.threads)
             .map_err(|e| e.to_string());
     }
-    let shards = shards(flags, config.engine, ds.len(), config.threads)?;
+    let shards = shard_count(config.engine, ds.len(), config.threads);
     HosMiner::fit(ds, HosMinerConfig { shards, ..*config }).map_err(|e| e.to_string())
 }
 
@@ -287,7 +279,7 @@ fn recover_or_fit(
         let folded = hos_storage::Folded::new(snap, &recovery.ops)
             .map_err(|e| format!("recovering from {dir}: {e}"))?;
         let replay_ms = ms_since(t);
-        let shards = shards(flags, config.engine, folded.rows(), config.threads)?;
+        let shards = shard_count(config.engine, folded.rows(), config.threads);
         let t = Instant::now();
         let miner = folded
             .into_miner(&HosMinerConfig { shards, ..*config })
@@ -418,6 +410,6 @@ mod tests {
             assert!(documented, "{flag} missing from HELP");
         }
         let floor = format!("at least {} rows", hos_index::MIN_SHARD_ROWS);
-        assert!(HELP.contains(&floor), "HELP must state the shard floor");
+        assert!(HELP.contains(&floor), "HELP must state the range floor");
     }
 }

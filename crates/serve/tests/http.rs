@@ -333,10 +333,10 @@ fn fitted_binary_reports_setup_phases_and_endpoints_answer() {
     served.shutdown();
 }
 
-/// Without `--shards`, a linear fit is split one shard per thread once
-/// every shard gets `MIN_SHARD_ROWS` rows, and the `listening` line
-/// says so; an explicit `--shards` wins, and the split server answers
-/// byte for byte like the unsplit one.
+/// A linear fit is split one row range per thread once every range
+/// gets `MIN_SHARD_ROWS` rows, and the `listening` line says so; the
+/// split server (2 threads, 2 ranges) answers byte for byte like the
+/// unsplit one (1 thread, 1 range).
 #[test]
 fn linear_fit_reports_its_computed_shard_count() {
     let shards_of = |served: &Served| {
@@ -352,24 +352,15 @@ fn linear_fit_reports_its_computed_shard_count() {
     small.shutdown();
 
     let n = (2 * hos_index::MIN_SHARD_ROWS).to_string();
-    let base = [
-        "--n",
-        n.as_str(),
-        "--d",
-        "4",
-        "--threads",
-        "2",
-        "--samples",
-        "2",
-    ];
-    // A batch, then a lone spec (the path that fans over the shards).
+    let base = ["--n", n.as_str(), "--d", "4", "--samples", "2"];
+    // A batch, then a lone spec (the path that walks the ranges).
     let queries: [&[u8]; 2] = [
         br#"{"ids":[0,1,17,4000,9999,10000],"point":[9,9,9,9]}"#,
         br#"{"ids":[10000]}"#,
     ];
     let mut bodies = Vec::new();
-    for (extra, want) in [(&[][..], "2"), (&["--shards", "1"][..], "1")] {
-        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+    for (threads, want) in [("2", "2"), ("1", "1")] {
+        let args: Vec<&str> = base.iter().copied().chain(["--threads", threads]).collect();
         let served = spawn_serve(&args);
         assert_eq!(shards_of(&served), want, "{}", served.listening);
         for query in queries {
@@ -379,11 +370,7 @@ fn linear_fit_reports_its_computed_shard_count() {
         }
         served.shutdown();
     }
-    assert_eq!(
-        bodies[..2],
-        bodies[2..],
-        "sharded and unsharded answers differ"
-    );
+    assert_eq!(bodies[..2], bodies[2..], "split and unsplit answers differ");
 }
 
 /// A durable X-tree server killed after acknowledged writes restarts
@@ -490,6 +477,7 @@ fn bad_flags_make_the_binary_exit_2() {
         (&["--engine", "hnsw"], "(expected linear|xtree)"),
         (&["--ef", "48"], "unknown flag --ef"),
         (&["--recall-target", "0.9"], "unknown flag --recall-target"),
+        (&["--shards", "2"], "unknown flag --shards"),
     ];
     for (extra, needle) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))

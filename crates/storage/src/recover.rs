@@ -26,8 +26,9 @@ use hos_data::Dataset;
 /// with a different fingerprint is a typed error: replaying ops under
 /// changed semantics (k, metric, engine, threshold policy, …) would
 /// silently produce a different miner than the one that logged them.
-/// Machine knobs that never change results (`--threads`, `--shards`)
-/// are deliberately absent, so a restart may re-tune them freely.
+/// Machine knobs that never change results (`threads`, and the
+/// `shards` row-range count derived from it) are deliberately absent,
+/// so a restart may re-tune them freely.
 pub fn config_fingerprint(config: &HosMinerConfig, window: Option<usize>) -> String {
     let mut s = format!(
         "v1 k={} metric={} engine={} threshold={:?} samples={} smoothing={:?} seed={}",
@@ -441,7 +442,8 @@ mod tests {
         miner
     }
 
-    /// The arms the fold must match: both exact engines, and shards.
+    /// The arms the fold must match: both exact engines, and the linear
+    /// scan split into two row ranges.
     fn arms() -> [HosMinerConfig; 3] {
         let base = HosMinerConfig {
             k: 4,
@@ -460,7 +462,7 @@ mod tests {
                 ..base
             },
             HosMinerConfig {
-                engine: hos_index::Engine::XTree,
+                engine: hos_index::Engine::Linear,
                 shards: 2,
                 ..base
             },

@@ -4,7 +4,8 @@
 //! For proptest-generated sequences of insert/remove/query operations,
 //! the incrementally-maintained engine must be indistinguishable from
 //! a **cold rebuild** over the surviving rows — across both engine
-//! kinds (linear scan, X-tree), every metric, and shard counts 1..=4:
+//! kinds (linear scan, X-tree), every metric, and the linear scan
+//! split into 1..=4 row ranges:
 //!
 //! * **ODs bit-identical** (`assert_eq!` on `f64`, no epsilon): the
 //!   distances are computed by the same code over the same row bytes
@@ -21,12 +22,31 @@
 
 use hos_miner::core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_miner::data::{Dataset, Metric, PointId};
-use hos_miner::index::{build_engine_sharded, Engine, KnnEngine};
+use hos_miner::index::knn::build_engine;
+use hos_miner::index::{Engine, KnnEngine, LinearScan};
 use hos_miner::Subspace;
 use proptest::prelude::*;
 
 const D: usize = 3;
 const K: usize = 3;
+
+/// The engine arms as `(kind, row ranges)`: the linear scan split into
+/// 1..=4 ranges, and the X-tree, which has no cached walk to split.
+const ARMS: [(Engine, usize); 5] = [
+    (Engine::Linear, 1),
+    (Engine::Linear, 2),
+    (Engine::Linear, 3),
+    (Engine::Linear, 4),
+    (Engine::XTree, 1),
+];
+
+/// One arm's engine over `ds`.
+fn build(kind: Engine, ds: Dataset, metric: Metric, shards: usize) -> Box<dyn KnnEngine> {
+    match kind {
+        Engine::Linear => Box::new(LinearScan::with_ranges(ds, metric, shards)),
+        Engine::XTree => build_engine(kind, ds, metric),
+    }
+}
 
 /// One step of a generated stream.
 #[derive(Clone, Debug)]
@@ -97,7 +117,7 @@ fn assert_equivalent(
     step: usize,
 ) {
     let cold_ds = mirror.dataset();
-    let cold = build_engine_sharded(kind, cold_ds, metric, shards, 2);
+    let cold = build(kind, cold_ds, metric, shards);
     let ctx = format!("{kind} metric={metric:?} shards={shards} step={step}");
 
     // Queries: one external probe plus up to three live members.
@@ -221,28 +241,21 @@ proptest! {
     /// The headline property: after EVERY op in a random stream, the
     /// incremental engine state is bit-identical (ODs, neighbour
     /// lists, evaluator batches) to a cold rebuild — for both engine
-    /// kinds, every metric, and shard count 1..=4.
+    /// kinds, every metric, and the linear scan split into 1..=4 row
+    /// ranges, recomputed after every op.
     #[test]
     fn incremental_state_equals_cold_rebuild(
         initial in prop::collection::vec(arb_row(), 8..20),
         ops in arb_ops(),
         metric in arb_metric(),
     ) {
-        for kind in [Engine::Linear, Engine::XTree] {
-            for shards in 1usize..=4 {
-                let mut inc = build_engine_sharded(
-                    kind,
-                    Dataset::from_rows(&initial).unwrap(),
-                    metric,
-                    shards,
-                    2,
-                );
-                let mut mirror = Mirror::new(&initial);
-                assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, 0);
-                for (step, op) in ops.iter().enumerate() {
-                    apply(op, &mut inc, &mut mirror);
-                    assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, step + 1);
-                }
+        for (kind, shards) in ARMS {
+            let mut inc = build(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
+            let mut mirror = Mirror::new(&initial);
+            assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, 0);
+            for (step, op) in ops.iter().enumerate() {
+                apply(op, &mut inc, &mut mirror);
+                assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, step + 1);
             }
         }
     }
@@ -274,26 +287,18 @@ fn long_streams_with_rebuilds_stay_equivalent() {
             ]));
         }
     }
-    for kind in [Engine::Linear, Engine::XTree] {
-        for shards in [1usize, 3] {
-            for metric in [Metric::L2, Metric::LInf] {
-                let mut inc = build_engine_sharded(
-                    kind,
-                    Dataset::from_rows(&initial).unwrap(),
-                    metric,
-                    shards,
-                    2,
-                );
-                let mut mirror = Mirror::new(&initial);
-                for (step, op) in ops.iter().enumerate() {
-                    apply(op, &mut inc, &mut mirror);
-                    if step % 20 == 19 || step + 1 == ops.len() {
-                        assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, step + 1);
-                    }
+    for (kind, shards) in [(Engine::Linear, 1), (Engine::Linear, 3), (Engine::XTree, 1)] {
+        for metric in [Metric::L2, Metric::LInf] {
+            let mut inc = build(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
+            let mut mirror = Mirror::new(&initial);
+            for (step, op) in ops.iter().enumerate() {
+                apply(op, &mut inc, &mut mirror);
+                if step % 20 == 19 || step + 1 == ops.len() {
+                    assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, step + 1);
                 }
-                // The stream kept a healthy live set throughout.
-                assert!(inc.dataset().live_len() > K, "{kind} shards={shards}");
             }
+            // The stream kept a healthy live set throughout.
+            assert!(inc.dataset().live_len() > K, "{kind} shards={shards}");
         }
     }
 }
@@ -320,58 +325,56 @@ fn miner_incremental_equals_refit_on_compacted_data() {
         sample_size: 0, // uniform priors: fit is dataset-order invariant
         ..HosMinerConfig::default()
     };
-    for engine in [Engine::Linear, Engine::XTree] {
-        for shards in 1usize..=4 {
-            let cfg = HosMinerConfig {
-                engine,
-                shards,
-                threads: 2,
-                ..config
-            };
-            let mut inc = HosMiner::fit(Dataset::from_rows(&rows).unwrap(), cfg).unwrap();
-            let mut mirror = Mirror::new(&rows);
-            // Stream: retire a band of early rows, insert replacements
-            // plus a fresh outlier along dim 2.
-            for id in [3usize, 9, 17, 25, 33] {
-                inc.retire_point(id).unwrap();
-                let pos = mirror.live.iter().position(|(mid, _)| *mid == id).unwrap();
-                mirror.live.remove(pos);
-            }
-            for j in 0..6 {
-                let row = vec![(j % 4) as f64 * 0.25, (j % 3) as f64 * 0.25, 0.25];
-                let id = inc.insert_point(&row).unwrap();
-                mirror.live.push((id, row));
-            }
-            let out_row = vec![0.5, 0.25, 60.0];
-            let out_id = inc.insert_point(&out_row).unwrap();
-            mirror.live.push((out_id, out_row));
+    for (engine, shards) in ARMS {
+        let cfg = HosMinerConfig {
+            engine,
+            shards,
+            threads: 2,
+            ..config
+        };
+        let mut inc = HosMiner::fit(Dataset::from_rows(&rows).unwrap(), cfg).unwrap();
+        let mut mirror = Mirror::new(&rows);
+        // Stream: retire a band of early rows, insert replacements
+        // plus a fresh outlier along dim 2.
+        for id in [3usize, 9, 17, 25, 33] {
+            inc.retire_point(id).unwrap();
+            let pos = mirror.live.iter().position(|(mid, _)| *mid == id).unwrap();
+            mirror.live.remove(pos);
+        }
+        for j in 0..6 {
+            let row = vec![(j % 4) as f64 * 0.25, (j % 3) as f64 * 0.25, 0.25];
+            let id = inc.insert_point(&row).unwrap();
+            mirror.live.push((id, row));
+        }
+        let out_row = vec![0.5, 0.25, 60.0];
+        let out_id = inc.insert_point(&out_row).unwrap();
+        mirror.live.push((out_id, out_row));
 
-            let cold = HosMiner::fit(mirror.dataset(), cfg).unwrap();
-            assert_eq!(inc.threshold(), cold.threshold());
-            // Every live member: identical outcome through the id map.
-            for (cold_id, (inc_id, _)) in mirror.live.iter().enumerate() {
-                let a = inc.query_id(*inc_id).unwrap();
-                let b = cold.query_id(cold_id).unwrap();
-                assert_eq!(
-                    a.outlying, b.outlying,
-                    "{engine} shards={shards} id={inc_id}"
-                );
-                assert_eq!(a.minimal, b.minimal, "{engine} shards={shards} id={inc_id}");
-                assert_eq!(
-                    a.stats.od_evals, b.stats.od_evals,
-                    "{engine} shards={shards} id={inc_id}"
-                );
-            }
-            // The fresh outlier is found exactly where it was planted.
-            let out = inc.query_id(out_id).unwrap();
-            assert_eq!(out.minimal, vec![Subspace::from_dims(&[2])], "{engine}");
-            // External probes agree without any id mapping.
-            let probe = vec![0.1, 0.2, 0.3];
+        let cold = HosMiner::fit(mirror.dataset(), cfg).unwrap();
+        assert_eq!(inc.threshold(), cold.threshold());
+        // Every live member: identical outcome through the id map.
+        for (cold_id, (inc_id, _)) in mirror.live.iter().enumerate() {
+            let a = inc.query_id(*inc_id).unwrap();
+            let b = cold.query_id(cold_id).unwrap();
             assert_eq!(
-                inc.query_point(&probe).unwrap().outlying,
-                cold.query_point(&probe).unwrap().outlying
+                a.outlying, b.outlying,
+                "{engine} shards={shards} id={inc_id}"
+            );
+            assert_eq!(a.minimal, b.minimal, "{engine} shards={shards} id={inc_id}");
+            assert_eq!(
+                a.stats.od_evals, b.stats.od_evals,
+                "{engine} shards={shards} id={inc_id}"
             );
         }
+        // The fresh outlier is found exactly where it was planted.
+        let out = inc.query_id(out_id).unwrap();
+        assert_eq!(out.minimal, vec![Subspace::from_dims(&[2])], "{engine}");
+        // External probes agree without any id mapping.
+        let probe = vec![0.1, 0.2, 0.3];
+        assert_eq!(
+            inc.query_point(&probe).unwrap().outlying,
+            cold.query_point(&probe).unwrap().outlying
+        );
     }
 }
 
@@ -385,47 +388,39 @@ fn draining_every_engine_below_k_is_a_typed_error() {
     let rows: Vec<Vec<f64>> = (0..6)
         .map(|i| vec![i as f64, (i % 2) as f64, 0.0])
         .collect();
-    for kind in [Engine::Linear, Engine::XTree] {
-        for shards in 1usize..=4 {
-            let mut e = build_engine_sharded(
-                kind,
-                Dataset::from_rows(&rows).unwrap(),
-                Metric::L2,
-                shards,
-                1,
-            );
-            let s = Subspace::full(3);
-            for id in 0..6 {
-                let removed = 6 - e.dataset().live_len();
-                let expect_err = e.dataset().live_len() < K;
-                let got = e.try_knn(&[0.0; 3], K, s, None);
-                if expect_err {
-                    assert_eq!(
-                        got,
-                        Err(IndexError::InsufficientPoints {
-                            available: e.dataset().live_len(),
-                            k: K
-                        }),
-                        "{kind} shards={shards} removed={removed}"
-                    );
-                } else {
-                    assert_eq!(got.unwrap().len(), K, "{kind} shards={shards}");
-                }
-                // Unchecked queries degrade to shorter lists, no panic.
+    for (kind, shards) in ARMS {
+        let mut e = build(kind, Dataset::from_rows(&rows).unwrap(), Metric::L2, shards);
+        let s = Subspace::full(3);
+        for id in 0..6 {
+            let removed = 6 - e.dataset().live_len();
+            let expect_err = e.dataset().live_len() < K;
+            let got = e.try_knn(&[0.0; 3], K, s, None);
+            if expect_err {
                 assert_eq!(
-                    e.knn(&[0.0; 3], K, s, None).len(),
-                    K.min(e.dataset().live_len()),
-                    "{kind} shards={shards}"
+                    got,
+                    Err(IndexError::InsufficientPoints {
+                        available: e.dataset().live_len(),
+                        k: K
+                    }),
+                    "{kind} shards={shards} removed={removed}"
                 );
-                e.as_incremental().unwrap().remove(id).unwrap();
+            } else {
+                assert_eq!(got.unwrap().len(), K, "{kind} shards={shards}");
             }
-            // Fully drained: empty results, typed error on the checked path.
-            assert!(e.knn(&[0.0; 3], K, s, None).is_empty());
-            assert!(e.range(&[0.0; 3], 100.0, s, None).is_empty());
+            // Unchecked queries degrade to shorter lists, no panic.
             assert_eq!(
-                e.try_knn(&[0.0; 3], 1, s, None),
-                Err(IndexError::InsufficientPoints { available: 0, k: 1 })
+                e.knn(&[0.0; 3], K, s, None).len(),
+                K.min(e.dataset().live_len()),
+                "{kind} shards={shards}"
             );
+            e.as_incremental().unwrap().remove(id).unwrap();
         }
+        // Fully drained: empty results, typed error on the checked path.
+        assert!(e.knn(&[0.0; 3], K, s, None).is_empty());
+        assert!(e.range(&[0.0; 3], 100.0, s, None).is_empty());
+        assert_eq!(
+            e.try_knn(&[0.0; 3], 1, s, None),
+            Err(IndexError::InsufficientPoints { available: 0, k: 1 })
+        );
     }
 }
