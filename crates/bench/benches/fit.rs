@@ -14,7 +14,7 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use hos_core::{learn_with_smoothing, ThresholdPolicy};
+use hos_core::{learn, FractionMode, ThresholdPolicy};
 use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::{Metric, Subspace};
 use hos_index::knn::build_engine;
@@ -37,7 +37,7 @@ fn bench_fit_phases(c: &mut Criterion) {
         .unwrap()
         .dataset;
         let policy = ThresholdPolicy::default();
-        let engine = build_engine(Engine::Linear, ds.clone(), Metric::L2);
+        let engine = build_engine(Engine::Linear, ds.clone(), Metric::L2, 1);
         let t = policy.resolve(engine.as_ref(), K, 0, 1).unwrap();
 
         let mut group = c.benchmark_group(format!("fit_n{n}_d{d}_linear"));
@@ -45,7 +45,7 @@ fn bench_fit_phases(c: &mut Criterion) {
         group.bench_function("build", |b| {
             b.iter_batched(
                 || ds.clone(),
-                |ds| build_engine(Engine::Linear, ds, Metric::L2),
+                |ds| build_engine(Engine::Linear, ds, Metric::L2, 1),
                 BatchSize::LargeInput,
             );
         });
@@ -57,9 +57,8 @@ fn bench_fit_phases(c: &mut Criterion) {
         for threads in [1usize, 2] {
             group.bench_function(format!("learn_t{threads}"), |b| {
                 b.iter(|| {
-                    black_box(
-                        learn_with_smoothing(engine.as_ref(), K, t, 20, 1, threads, 1.0).unwrap(),
-                    )
+                    let mode = FractionMode::EvaluatedOnly;
+                    black_box(learn(engine.as_ref(), K, t, 20, 1, threads, 1.0, mode).unwrap())
                 });
             });
         }

@@ -35,7 +35,7 @@ fn bench_knn(c: &mut Criterion) {
     let n = 8000;
     let d = 12;
     let ds = dataset(n, d);
-    let xtree = build_engine(Engine::XTree, ds.clone(), Metric::L2);
+    let xtree = build_engine(Engine::XTree, ds.clone(), Metric::L2, 1);
     let linear = LinearScan::new(ds.clone(), Metric::L2);
     let query: Vec<f64> = ds.row(17).to_vec();
 
@@ -63,7 +63,7 @@ fn bench_build(c: &mut Criterion) {
     let ds = dataset(4000, 8);
     let insert = || XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
     // The served build: `build_engine` bulk-loads the tree.
-    let bulk = || build_engine(Engine::XTree, ds.clone(), Metric::L2);
+    let bulk = || build_engine(Engine::XTree, ds.clone(), Metric::L2, 1);
 
     // Equivalence guard: both trees answer every subspace OD of a few
     // points bit for bit, so the floor never compares different work.
@@ -97,7 +97,7 @@ fn bench_build(c: &mut Criterion) {
 
 fn bench_range(c: &mut Criterion) {
     let ds = dataset(8000, 8);
-    let xtree = build_engine(Engine::XTree, ds.clone(), Metric::L2);
+    let xtree = build_engine(Engine::XTree, ds.clone(), Metric::L2, 1);
     let linear = LinearScan::new(ds.clone(), Metric::L2);
     let query: Vec<f64> = ds.row(3).to_vec();
     let s = Subspace::full(8);

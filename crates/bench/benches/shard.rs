@@ -10,9 +10,12 @@
 //!
 //! Two shapes per range count:
 //!
-//! * `od_full_space` — a single full-space OD through the evaluator
-//!   seam, on as many workers as ranges: the pure intra-query
-//!   parallelism story (context builds plus one fold per range).
+//! * `od_full_space` — full-space ODs of a fixed batch of
+//!   [`MEMBERS`] member queries, one fresh evaluator each, on as many
+//!   workers as ranges: the pure intra-query parallelism story
+//!   (context builds plus one fold per range). One OD takes about a
+//!   millisecond, too little for one timed sample to read steadily, so
+//!   each sample times the whole batch.
 //! * `level5_batch` — one lattice level (all 252 five-dimensional
 //!   subspaces) through `od_batch` with 4 worker threads: the range
 //!   walks over a whole level, the shape a lone query's search runs.
@@ -24,13 +27,15 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hos_data::{Dataset, Metric, Subspace};
-use hos_index::{KnnEngine, LinearScan};
+use hos_index::{KnnEngine, LazyContextEvaluator, LinearScan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const N: usize = 50_000;
 const D: usize = 10;
 const K: usize = 10;
+/// Member queries per `od_full_space` sample.
+const MEMBERS: usize = 32;
 
 fn dataset() -> Dataset {
     let mut rng = StdRng::seed_from_u64(42);
@@ -56,18 +61,32 @@ fn bench_range_scaling(c: &mut Criterion) {
 
     // Sanity before timing: every configuration must agree bitwise
     // with the unsplit engine, on both shapes.
-    let reference = engines[0].1.od(&query, K, full, Some(17));
+    let members: Vec<usize> = (0..MEMBERS).map(|i| i * (N / MEMBERS) + 17).collect();
+    // Full-space ODs of the member batch, one fresh evaluator each.
+    let member_ods = |engine: &LinearScan, ranges: usize| -> Vec<f64> {
+        members
+            .iter()
+            .map(|&id| {
+                LazyContextEvaluator::new(engine, ds.row(id), K, Some(id)).od_batch(&[full], ranges)
+                    [0]
+            })
+            .collect()
+    };
+    let reference: Vec<f64> = members
+        .iter()
+        .map(|&id| engines[0].1.od(ds.row(id), K, full, Some(id)))
+        .collect();
     let level_reference: Vec<f64> = level5
         .iter()
         .map(|&s| engines[0].1.od(&query, K, s, Some(17)))
         .collect();
     for (ranges, engine) in &engines {
-        let mut ev = engine.evaluator(&query, K, Some(17));
         assert_eq!(
-            ev.od_batch(&[full], *ranges)[0].to_bits(),
-            reference.to_bits(),
+            member_ods(engine, *ranges),
+            reference,
             "ranges={ranges} diverged"
         );
+        let mut ev = LazyContextEvaluator::new(engine, &query, K, Some(17));
         assert_eq!(
             ev.od_batch(&level5, 4),
             level_reference,
@@ -75,14 +94,11 @@ fn bench_range_scaling(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group(format!("od_full_space_n{N}_d{D}_k{K}"));
-    group.sample_size(10);
+    let mut group = c.benchmark_group(format!("od_full_space_n{N}_d{D}_k{K}_members{MEMBERS}"));
+    group.sample_size(20);
     for (ranges, engine) in &engines {
         group.bench_function(format!("ranges{ranges}"), |b| {
-            b.iter(|| {
-                let mut ev = engine.evaluator(&query, K, Some(17));
-                black_box(ev.od_batch(&[full], *ranges))
-            });
+            b.iter(|| black_box(member_ods(engine, *ranges)));
         });
     }
     group.finish();
@@ -92,7 +108,7 @@ fn bench_range_scaling(c: &mut Criterion) {
     for (ranges, engine) in &engines {
         group.bench_function(format!("ranges{ranges}"), |b| {
             b.iter(|| {
-                let mut ev = engine.evaluator(&query, K, Some(17));
+                let mut ev = LazyContextEvaluator::new(engine, &query, K, Some(17));
                 black_box(ev.od_batch(&level5, 4))
             });
         });

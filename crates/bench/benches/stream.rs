@@ -69,14 +69,13 @@ fn bench_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("stream_updates_w{W}_d{D}"));
     group.sample_size(10);
     for (name, kind) in configs() {
-        let mut engine = build_engine(kind, dataset(W, 1), Metric::L2);
+        let mut engine = build_engine(kind, dataset(W, 1), Metric::L2, 1);
         let mut feed = RowFeed::new(2);
         let mut oldest = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
-                let inc = engine.as_incremental().expect("incremental");
-                let id = inc.insert(feed.next()).expect("insert");
-                inc.remove(oldest).expect("remove");
+                let id = engine.insert(feed.next()).expect("insert");
+                engine.remove(oldest).expect("remove");
                 oldest += 1;
                 black_box(id)
             });
@@ -87,16 +86,13 @@ fn bench_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("stream_queries_under_churn_w{W}_d{D}_k{K}"));
     group.sample_size(10);
     for (name, kind) in configs() {
-        let mut engine = build_engine(kind, dataset(W, 3), Metric::L2);
+        let mut engine = build_engine(kind, dataset(W, 3), Metric::L2, 1);
         // Churn 20% of the window first so tombstones, appended rows
         // and any rebuilds are in play when the queries run.
         let mut feed = RowFeed::new(4);
-        {
-            let inc = engine.as_incremental().expect("incremental");
-            for oldest in 0..W / 5 {
-                inc.insert(feed.next()).expect("insert");
-                inc.remove(oldest).expect("remove");
-            }
+        for oldest in 0..W / 5 {
+            engine.insert(feed.next()).expect("insert");
+            engine.remove(oldest).expect("remove");
         }
         let query: Vec<f64> = engine.dataset().row(W - 1).to_vec();
         group.bench_function(name, |b| {
@@ -108,19 +104,16 @@ fn bench_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("stream_interleaved_w{W}_d{D}_k{K}"));
     group.sample_size(10);
     for (name, kind) in configs() {
-        let mut engine = build_engine(kind, dataset(W, 5), Metric::L2);
+        let mut engine = build_engine(kind, dataset(W, 5), Metric::L2, 1);
         let mut feed = RowFeed::new(6);
         let mut oldest = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut last = 0usize;
-                {
-                    let inc = engine.as_incremental().expect("incremental");
-                    for _ in 0..10 {
-                        last = inc.insert(feed.next()).expect("insert");
-                        inc.remove(oldest).expect("remove");
-                        oldest += 1;
-                    }
+                for _ in 0..10 {
+                    last = engine.insert(feed.next()).expect("insert");
+                    engine.remove(oldest).expect("remove");
+                    oldest += 1;
                 }
                 let query: Vec<f64> = engine.dataset().row(last).to_vec();
                 black_box(engine.od(&query, K, full, Some(last)))

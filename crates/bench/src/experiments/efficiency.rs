@@ -257,7 +257,7 @@ pub fn e4_sampling(dir: &Path) {
     // queries; report both regimes separately. The WholeLevel rows
     // reproduce the paper's literal fraction definition, whose
     // near-zero p_up degrades outlier queries (learning module docs).
-    use hos_core::learning::{learn_full, FractionMode};
+    use hos_core::learning::{learn, FractionMode};
     use hos_core::priors::Priors;
     use hos_core::search::dynamic_search;
     use hos_index::LinearScan;
@@ -315,7 +315,7 @@ pub fn e4_sampling(dir: &Path) {
                 "learned, whole-level (paper literal)",
             ),
         ] {
-            let model = learn_full(&engine, k, threshold, s, 1, 1, 1.0, mode).expect("learn");
+            let model = learn(&engine, k, threshold, s, 1, 1, 1.0, mode).expect("learn");
             row(label, s, &model.priors, model.total_stats.od_evals);
         }
     }

@@ -33,17 +33,8 @@ pub fn cmd_fit(args: &Args) -> CmdResult {
         };
         let (mut store, _) = hos_storage::Store::open(std::path::Path::new(dir), store_config)
             .map_err(|e| format!("opening snapshot dir {dir}: {e}"))?;
-        let model_text = model.to_text();
         let n = miner.engine().dataset().len() as u64;
-        store
-            .snapshot(&hos_storage::store::SnapshotState {
-                dataset: miner.engine().dataset(),
-                model: Some(&model_text),
-                base: 0,
-                oldest: 0,
-                rows_consumed: n,
-                search_width: hos_storage::snapshot_search_width(&miner),
-            })
+        hos_storage::snapshot_miner(&mut store, &miner, (0, 0, n))
             .map_err(|e| format!("writing snapshot: {e}"))?;
         println!("snapshot written to {dir} at seq {}", store.last_seq());
     }

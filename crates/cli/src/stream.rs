@@ -17,8 +17,7 @@ use crate::tuning::miner_config;
 use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::table::fmt_f64;
 use hos_data::Dataset;
-use hos_storage::store::SnapshotState;
-use hos_storage::{miner_from_snapshot, snapshot_search_width, Op, Recovery, Store};
+use hos_storage::{miner_from_snapshot, snapshot_miner, Op, Recovery, Store};
 
 /// A state transition worth reporting to the console.
 #[derive(Debug, PartialEq)]
@@ -211,17 +210,8 @@ impl StreamState {
         let Some(m) = &self.miner else {
             return Ok(());
         };
-        let model_text = hos_core::ModelFile::from_miner(m).to_text();
-        store
-            .snapshot(&SnapshotState {
-                dataset: m.engine().dataset(),
-                model: Some(&model_text),
-                base: self.base,
-                oldest: self.oldest,
-                rows_consumed: self.rows_consumed,
-                search_width: snapshot_search_width(m),
-            })
-            .map_err(|e| format!("writing snapshot: {e}"))?;
+        let carry = (self.base, self.oldest, self.rows_consumed);
+        snapshot_miner(store, m, carry).map_err(|e| format!("writing snapshot: {e}"))?;
         Ok(())
     }
 

@@ -30,7 +30,7 @@
 
 use crate::search::SearchStats;
 use hos_data::{PointId, Subspace};
-use hos_index::KnnEngine;
+use hos_index::{KnnEngine, LazyContextEvaluator};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -74,9 +74,9 @@ pub fn frontier_search(
     let mut minimal: Vec<Subspace> = Vec::new();
 
     // One OD evaluator for the whole search: the per-query cache lives
-    // behind the `hos_index::evaluator` seam, shared with
+    // in `hos_index::LazyContextEvaluator`, shared with
     // `dynamic_search`.
-    let mut evaluator = engine.evaluator(query, k, exclude);
+    let mut evaluator = LazyContextEvaluator::new(engine, query, k, exclude);
 
     // Inlier fast path: the full space has the maximum OD.
     let full = Subspace::full(d);

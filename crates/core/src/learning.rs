@@ -26,13 +26,14 @@
 //!    reading is the default.)
 //! 2. **Smoothing.** Even evaluated-only fractions are noisy at small
 //!    `S`, so the per-level averages are Laplace-smoothed toward the
-//!    0.5 prior with pseudo-count `alpha` (default 1). `alpha = 0`
-//!    gives the unsmoothed average.
+//!    0.5 prior with pseudo-count `alpha` (default 1, from
+//!    `HosMinerConfig::prior_smoothing`). `alpha = 0` gives the
+//!    unsmoothed average.
 
+use crate::error::HosError;
 use crate::priors::Priors;
 use crate::search::{dynamic_search, SearchStats};
 use crate::Result;
-use crate::{error::HosError, od::ThresholdPolicy};
 use hos_index::batch::parallel_map;
 use hos_index::{IndexError, KnnEngine};
 use rand::rngs::StdRng;
@@ -67,49 +68,13 @@ pub enum FractionMode {
     WholeLevel,
 }
 
-/// Runs the learning process with the default smoothing
-/// (`alpha = 1`). See [`learn_with_smoothing`].
-pub fn learn(
-    engine: &dyn KnnEngine,
-    k: usize,
-    threshold: f64,
-    sample_size: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<LearnedModel> {
-    learn_with_smoothing(engine, k, threshold, sample_size, seed, threads, 1.0)
-}
-
-/// Runs the learning process with explicit smoothing. See
-/// [`learn_full`].
-pub fn learn_with_smoothing(
-    engine: &dyn KnnEngine,
-    k: usize,
-    threshold: f64,
-    sample_size: usize,
-    seed: u64,
-    threads: usize,
-    alpha: f64,
-) -> Result<LearnedModel> {
-    learn_full(
-        engine,
-        k,
-        threshold,
-        sample_size,
-        seed,
-        threads,
-        alpha,
-        FractionMode::EvaluatedOnly,
-    )
-}
-
 /// Runs the learning process.
 ///
 /// * `sample_size` — `S`; capped at the dataset size. `0` is allowed
 ///   and yields the uniform priors (useful as the "no learning"
 ///   ablation in experiment E4).
 /// * `threshold` — the already-resolved global `T` (see
-///   [`ThresholdPolicy`]).
+///   [`crate::ThresholdPolicy`]).
 /// * `threads` — workers the sample searches are fanned over, one
 ///   search per worker at a time. Every search and the sample-order
 ///   fold are independent of it, so the priors keep every bit at any
@@ -123,7 +88,7 @@ pub fn learn_with_smoothing(
 /// `sample_size > 0` and fewer than `k` live points remain besides a
 /// sample, so no sample could have a full `k`-neighbourhood.
 #[allow(clippy::too_many_arguments)]
-pub fn learn_full(
+pub fn learn(
     engine: &dyn KnnEngine,
     k: usize,
     threshold: f64,
@@ -217,22 +182,10 @@ pub fn learn_full(
     })
 }
 
-/// Convenience: resolve a threshold policy and learn in one step.
-pub fn resolve_and_learn(
-    engine: &dyn KnnEngine,
-    k: usize,
-    policy: ThresholdPolicy,
-    sample_size: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<LearnedModel> {
-    let t = policy.resolve(engine, k, seed, threads)?;
-    learn(engine, k, t, sample_size, seed, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::od::ThresholdPolicy;
     use hos_data::{Dataset, Metric};
     use hos_index::LinearScan;
     use rand::Rng;
@@ -257,7 +210,7 @@ mod tests {
     #[test]
     fn zero_samples_returns_uniform() {
         let e = clustered_engine(3);
-        let m = learn(&e, 3, 1.0, 0, 0, 1).unwrap();
+        let m = learn(&e, 3, 1.0, 0, 0, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
         assert_eq!(m.samples, 0);
         assert_eq!(m.priors, Priors::uniform(4));
         assert_eq!(m.total_stats.od_evals, 0);
@@ -266,7 +219,7 @@ mod tests {
     #[test]
     fn learned_priors_are_valid_probabilities() {
         let e = clustered_engine(5);
-        let m = learn(&e, 3, 2.0, 12, 7, 1).unwrap();
+        let m = learn(&e, 3, 2.0, 12, 7, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
         assert_eq!(m.samples, 12);
         let d = 4;
         for lvl in 1..=d {
@@ -288,7 +241,7 @@ mod tests {
         // level except d is never evaluated, so the unsmoothed learned
         // p_up stays at the initialised 0.5.
         let e = clustered_engine(9);
-        let m = learn_with_smoothing(&e, 3, 1e12, 6, 3, 1, 0.0).unwrap();
+        let m = learn(&e, 3, 1e12, 6, 3, 1, 0.0, FractionMode::EvaluatedOnly).unwrap();
         for lvl in 2..4 {
             assert!(
                 (m.priors.up(lvl) - 0.5).abs() < 1e-12,
@@ -303,8 +256,8 @@ mod tests {
     #[test]
     fn smoothing_pulls_toward_half() {
         let e = clustered_engine(9);
-        let raw = learn_with_smoothing(&e, 3, 2.0, 10, 3, 1, 0.0).unwrap();
-        let smooth = learn_with_smoothing(&e, 3, 2.0, 10, 3, 1, 4.0).unwrap();
+        let raw = learn(&e, 3, 2.0, 10, 3, 1, 0.0, FractionMode::EvaluatedOnly).unwrap();
+        let smooth = learn(&e, 3, 2.0, 10, 3, 1, 4.0, FractionMode::EvaluatedOnly).unwrap();
         for lvl in 1..4 {
             let r = raw.priors.up(lvl);
             let s = smooth.priors.up(lvl);
@@ -313,23 +266,23 @@ mod tests {
                 "level {lvl}: smoothed {s} farther from 0.5 than raw {r}"
             );
         }
-        assert!(learn_with_smoothing(&e, 3, 2.0, 4, 0, 1, -1.0).is_err());
+        assert!(learn(&e, 3, 2.0, 4, 0, 1, -1.0, FractionMode::EvaluatedOnly).is_err());
     }
 
     #[test]
     fn sample_size_capped_at_dataset() {
         let e = clustered_engine(1);
-        let m = learn(&e, 3, 2.0, 10_000, 0, 1).unwrap();
+        let m = learn(&e, 3, 2.0, 10_000, 0, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
         assert_eq!(m.samples, e.dataset().len());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let e = clustered_engine(2);
-        let a = learn(&e, 3, 2.0, 8, 42, 1).unwrap();
-        let b = learn(&e, 3, 2.0, 8, 42, 1).unwrap();
+        let a = learn(&e, 3, 2.0, 8, 42, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
+        let b = learn(&e, 3, 2.0, 8, 42, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
         assert_eq!(a.priors, b.priors);
-        let c = learn(&e, 3, 2.0, 8, 43, 1).unwrap();
+        let c = learn(&e, 3, 2.0, 8, 43, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
         // Different seed → different sample → (almost surely) different
         // priors; only check it does not crash and stays valid.
         assert_eq!(c.samples, 8);
@@ -338,9 +291,9 @@ mod tests {
     #[test]
     fn validation() {
         let e = clustered_engine(2);
-        assert!(learn(&e, 0, 2.0, 4, 0, 1).is_err());
+        assert!(learn(&e, 0, 2.0, 4, 0, 1, 1.0, FractionMode::EvaluatedOnly).is_err());
         let empty = LinearScan::new(Dataset::empty(), Metric::L2);
-        assert!(learn(&empty, 3, 2.0, 4, 0, 1).is_err());
+        assert!(learn(&empty, 3, 2.0, 4, 0, 1, 1.0, FractionMode::EvaluatedOnly).is_err());
     }
 
     #[test]
@@ -355,7 +308,7 @@ mod tests {
         ];
         let e = LinearScan::new(Dataset::from_rows(&rows).unwrap(), Metric::L2);
         for k in [3, 5] {
-            let err = learn(&e, k, 1.0, 3, 0, 1).unwrap_err();
+            let err = learn(&e, k, 1.0, 3, 0, 1, 1.0, FractionMode::EvaluatedOnly).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -366,8 +319,13 @@ mod tests {
             );
         }
         // k = 2 fits exactly, and S = 0 never searches.
-        assert!(learn(&e, 2, 1.0, 3, 0, 1).is_ok());
-        assert_eq!(learn(&e, 5, 1.0, 0, 0, 1).unwrap().samples, 0);
+        assert!(learn(&e, 2, 1.0, 3, 0, 1, 1.0, FractionMode::EvaluatedOnly).is_ok());
+        assert_eq!(
+            learn(&e, 5, 1.0, 0, 0, 1, 1.0, FractionMode::EvaluatedOnly)
+                .unwrap()
+                .samples,
+            0
+        );
         // Tombstones count: 6 rows with 4 retired leave 2 live.
         let mut ds = Dataset::from_rows(&[rows.to_vec(), rows.to_vec()].concat()).unwrap();
         for id in 0..4 {
@@ -375,7 +333,7 @@ mod tests {
         }
         let e = LinearScan::new(ds.clone(), Metric::L2);
         assert!(matches!(
-            learn(&e, 2, 1.0, 3, 0, 1),
+            learn(&e, 2, 1.0, 3, 0, 1, 1.0, FractionMode::EvaluatedOnly),
             Err(HosError::Index(IndexError::InsufficientPoints {
                 available: 1,
                 k: 2
@@ -401,18 +359,18 @@ mod tests {
     #[test]
     fn learned_priors_bit_identical_across_thread_counts() {
         use hos_index::knn::build_engine;
-        use hos_index::{Engine, KnnEngine, LinearScan};
+        use hos_index::{Engine, KnnEngine};
         let ds = clustered_engine(21).dataset().clone();
         let engines: [(&str, Box<dyn KnnEngine>); 3] = [
             (
                 "linear",
-                build_engine(Engine::Linear, ds.clone(), Metric::L2),
+                build_engine(Engine::Linear, ds.clone(), Metric::L2, 1),
             ),
-            ("xtree", build_engine(Engine::XTree, ds.clone(), Metric::L2)),
             (
-                "linear x2",
-                Box::new(LinearScan::with_ranges(ds, Metric::L2, 2)),
+                "xtree",
+                build_engine(Engine::XTree, ds.clone(), Metric::L2, 1),
             ),
+            ("linear x2", build_engine(Engine::Linear, ds, Metric::L2, 2)),
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         for (name, e) in &engines {
@@ -420,7 +378,7 @@ mod tests {
             for samples in [20, 7] {
                 for mode in [FractionMode::EvaluatedOnly, FractionMode::WholeLevel] {
                     let run = |threads| {
-                        learn_full(e.as_ref(), 3, 0.6, samples, 9, threads, 1.0, mode).unwrap()
+                        learn(e.as_ref(), 3, 0.6, samples, 9, threads, 1.0, mode).unwrap()
                     };
                     let base = run(1);
                     assert_eq!(base.samples, samples);
@@ -446,17 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_learn_pipeline() {
+    fn resolved_threshold_then_learn_pipeline() {
         let e = clustered_engine(11);
-        let m = resolve_and_learn(
-            &e,
-            3,
-            ThresholdPolicy::FullSpaceQuantile { q: 0.9, sample: 50 },
-            6,
-            5,
-            1,
-        )
-        .unwrap();
+        let policy = ThresholdPolicy::FullSpaceQuantile { q: 0.9, sample: 50 };
+        let t = policy.resolve(&e, 3, 5, 1).unwrap();
+        let m = learn(&e, 3, t, 6, 5, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
+        assert_eq!(m.threshold, t);
         assert!(m.threshold > 0.0);
         assert_eq!(m.samples, 6);
     }

@@ -37,7 +37,7 @@ pub use error::HosError;
 pub use explain::{explain, Explanation};
 pub use filter::minimal_subspaces;
 pub use frontier::{frontier_search, FrontierOutcome};
-pub use learning::{learn, learn_full, learn_with_smoothing, FractionMode, LearnedModel};
+pub use learning::{learn, FractionMode, LearnedModel};
 pub use miner::{HosMiner, HosMinerConfig, QueryOutcome, QuerySpec};
 pub use model_io::ModelFile;
 pub use od::{OdMode, ThresholdPolicy};

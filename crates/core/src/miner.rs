@@ -7,14 +7,14 @@
 
 use crate::error::HosError;
 use crate::filter::minimal_subspaces;
-use crate::learning::LearnedModel;
+use crate::learning::{FractionMode, LearnedModel};
 use crate::od::ThresholdPolicy;
 use crate::search::{dynamic_search, ScoredSubspace, SearchOutcome, SearchStats};
 use crate::Result;
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use hos_index::batch::parallel_map;
 use hos_index::knn::build_engine;
-use hos_index::{Engine, IndexError, KnnEngine, LinearScan};
+use hos_index::{Engine, IndexError, KnnEngine};
 
 /// Configuration of a HOS-Miner instance.
 #[derive(Clone, Copy, Debug)]
@@ -109,18 +109,6 @@ fn validate_config(dataset: &Dataset, config: &HosMinerConfig) -> Result<()> {
     Ok(())
 }
 
-/// The engine `config` asks for over `dataset` (validated first).
-fn engine_for(dataset: Dataset, config: &HosMinerConfig) -> Box<dyn KnnEngine> {
-    match config.engine {
-        Engine::Linear => Box::new(LinearScan::with_ranges(
-            dataset,
-            config.metric,
-            config.shards,
-        )),
-        Engine::XTree => build_engine(Engine::XTree, dataset, config.metric),
-    }
-}
-
 /// One query in a mixed service batch: either a dataset member
 /// (excluded from its own neighbourhoods) or an arbitrary point.
 ///
@@ -199,12 +187,12 @@ impl HosMiner {
     /// process over `dataset`.
     pub fn fit(dataset: Dataset, config: HosMinerConfig) -> Result<Self> {
         validate_config(&dataset, &config)?;
-        let engine = engine_for(dataset, &config);
+        let engine = build_engine(config.engine, dataset, config.metric, config.shards);
         let threshold =
             config
                 .threshold
                 .resolve(engine.as_ref(), config.k, config.seed, config.threads)?;
-        let model = crate::learning::learn_with_smoothing(
+        let model = crate::learning::learn(
             engine.as_ref(),
             config.k,
             threshold,
@@ -212,6 +200,7 @@ impl HosMiner {
             config.seed.wrapping_add(1),
             config.threads,
             config.prior_smoothing,
+            FractionMode::EvaluatedOnly,
         )?;
         Ok(HosMiner {
             engine,
@@ -243,7 +232,7 @@ impl HosMiner {
                 model.threshold
             )));
         }
-        let engine = engine_for(dataset, &config);
+        let engine = build_engine(config.engine, dataset, config.metric, config.shards);
         Ok(HosMiner {
             engine,
             config,
@@ -310,11 +299,7 @@ impl HosMiner {
     ///
     /// Returns the new point's id (stable across later mutations).
     pub fn insert_point(&mut self, row: &[f64]) -> Result<PointId> {
-        let inc = self
-            .engine
-            .as_incremental()
-            .ok_or(HosError::Index(IndexError::Immutable("configured engine")))?;
-        Ok(inc.insert(row)?)
+        Ok(self.engine.insert(row)?)
     }
 
     /// Retires (removes) dataset member `id`: the point stops
@@ -322,11 +307,7 @@ impl HosMiner {
     /// typed error. Its id stays allocated (tombstone), so ids held by
     /// callers never shift.
     pub fn retire_point(&mut self, id: PointId) -> Result<()> {
-        let inc = self
-            .engine
-            .as_incremental()
-            .ok_or(HosError::Index(IndexError::Immutable("configured engine")))?;
-        Ok(inc.remove(id)?)
+        Ok(self.engine.remove(id)?)
     }
 
     /// Re-resolves the configured [`ThresholdPolicy`] over the current

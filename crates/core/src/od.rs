@@ -256,9 +256,9 @@ mod tests {
     /// threshold summed over `live - 1` neighbours.
     #[test]
     fn quantile_threshold_needs_more_than_k_live_points() {
-        use crate::learning::resolve_and_learn;
+        use crate::learning::{learn, FractionMode};
         use hos_index::knn::build_engine;
-        use hos_index::{Engine, KnnEngine, LinearScan};
+        use hos_index::Engine;
         let rows = vec![
             vec![0.0, 0.0],
             vec![3.0, 1.0],
@@ -274,31 +274,25 @@ mod tests {
                 HosError::Index(IndexError::InsufficientPoints { available: 4, k: 5 })
             )
         };
-        let engines: [(Engine, usize, Box<dyn KnnEngine>); 3] = [
-            (
-                Engine::Linear,
-                1,
-                build_engine(Engine::Linear, ds.clone(), Metric::L2),
-            ),
-            (
-                Engine::XTree,
-                1,
-                build_engine(Engine::XTree, ds.clone(), Metric::L2),
-            ),
-            (
-                Engine::Linear,
-                2,
-                Box::new(LinearScan::with_ranges(ds, Metric::L2, 2)),
-            ),
-        ];
-        for (kind, shards, e) in engines {
+        for (kind, shards) in [(Engine::Linear, 1), (Engine::XTree, 1), (Engine::Linear, 2)] {
+            let e = build_engine(kind, ds.clone(), Metric::L2, shards);
             for threads in [1, 2] {
                 let got = policy.resolve(e.as_ref(), 5, 0, threads).unwrap_err();
                 assert!(
                     short(&got),
                     "{kind} shards {shards} threads {threads}: {got}"
                 );
-                let got = resolve_and_learn(e.as_ref(), 5, policy, 2, 0, threads).unwrap_err();
+                let got = learn(
+                    e.as_ref(),
+                    5,
+                    1.0,
+                    2,
+                    0,
+                    threads,
+                    1.0,
+                    FractionMode::EvaluatedOnly,
+                )
+                .unwrap_err();
                 assert!(
                     short(&got),
                     "{kind} shards {shards} threads {threads}: {got}"

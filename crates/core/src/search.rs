@@ -18,7 +18,7 @@
 
 use crate::priors::Priors;
 use hos_data::{PointId, Subspace};
-use hos_index::KnnEngine;
+use hos_index::{KnnEngine, LazyContextEvaluator};
 use hos_lattice::{Lattice, SubspaceState, TsfComputer};
 use std::time::Instant;
 
@@ -152,9 +152,8 @@ pub fn dynamic_search(
     // One OD evaluator for the whole search: it owns the per-query
     // distance caches, built on the first batch (engines without a
     // cache just answer queries directly; a range-split engine walks
-    // each batch over its ranges). See `hos_index::evaluator` for the
-    // seam.
-    let mut evaluator = engine.evaluator(query, k, exclude);
+    // each batch over its ranges). See `hos_index::evaluator`.
+    let mut evaluator = LazyContextEvaluator::new(engine, query, k, exclude);
 
     while !lattice.is_complete() {
         // Pick the open level with the highest TSF; ties break toward
@@ -523,7 +522,6 @@ mod tests {
         // exactly what the same search reports when it runs first on a
         // fresh thread, whose spare slot is empty — through growth,
         // tombstones and a second engine of another shape.
-        use hos_index::IncrementalEngine;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 

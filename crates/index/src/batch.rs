@@ -91,6 +91,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::LazyContextEvaluator;
     use crate::knn::KnnEngine;
     use crate::linear::LinearScan;
     use hos_data::{Dataset, Metric, PointId, Subspace};
@@ -117,9 +118,7 @@ mod tests {
         exclude: Option<PointId>,
         threads: usize,
     ) -> Vec<f64> {
-        engine
-            .evaluator(query, k, exclude)
-            .od_batch(subspaces, threads)
+        LazyContextEvaluator::new(engine, query, k, exclude).od_batch(subspaces, threads)
     }
 
     #[test]

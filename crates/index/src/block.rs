@@ -534,6 +534,7 @@ fn exact_pre(metric: Metric, q: &[f64], p: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::LazyContextEvaluator;
     use crate::knn::{build_engine, Engine, KnnEngine};
     use crate::linear::LinearScan;
     use hos_data::Subspace;
@@ -562,7 +563,7 @@ mod tests {
             let blocked = all_points_full_od(&ds, metric, 5).unwrap();
             assert_eq!(blocked.len(), 70);
             for kind in [Engine::Linear, Engine::XTree] {
-                let engine = build_engine(kind, ds.clone(), metric);
+                let engine = build_engine(kind, ds.clone(), metric, 1);
                 for &(i, od) in &blocked {
                     assert_eq!(
                         od,
@@ -586,7 +587,7 @@ mod tests {
         assert!(blocked.iter().all(|&(i, _)| ds.is_live(i)));
         let engine = LinearScan::with_ranges(ds.clone(), Metric::L2, 3);
         for &(i, od) in &blocked {
-            let mut ev = engine.evaluator(ds.row(i), 4, Some(i));
+            let mut ev = LazyContextEvaluator::new(&engine, ds.row(i), 4, Some(i));
             assert_eq!(od, ev.od(Subspace::full(3)), "point {i}");
         }
     }
@@ -614,7 +615,7 @@ mod tests {
         let err = all_points_full_od(&ds, Metric::L2, 5).unwrap_err();
         assert_eq!(err, IndexError::InsufficientPoints { available: 4, k: 5 });
         for kind in [Engine::Linear, Engine::XTree] {
-            let engine = build_engine(kind, ds.clone(), Metric::L2);
+            let engine = build_engine(kind, ds.clone(), Metric::L2, 1);
             let per_point = engine
                 .try_od(ds.row(0), 5, Subspace::full(2), Some(0))
                 .unwrap_err();
@@ -754,9 +755,9 @@ mod tests {
             let full = Subspace::full(4);
             let live = ds.live_len() as u64;
             let engines: [Box<dyn KnnEngine>; 3] = [
-                build_engine(Engine::Linear, ds.clone(), metric),
-                build_engine(Engine::XTree, ds.clone(), metric),
-                Box::new(LinearScan::with_ranges(ds.clone(), metric, 3)),
+                build_engine(Engine::Linear, ds.clone(), metric, 1),
+                build_engine(Engine::XTree, ds.clone(), metric, 1),
+                build_engine(Engine::Linear, ds.clone(), metric, 3),
             ];
             for size in [31usize, 32, 33, 70] {
                 let mut ids: Vec<PointId> = ds.live_ids().collect();
@@ -769,7 +770,9 @@ mod tests {
                     assert_eq!(order, ids, "{metric:?} size {size} threads {threads}");
                     for &(i, od) in &scan.ods {
                         for engine in &engines {
-                            let want = engine.evaluator(ds.row(i), k, Some(i)).od(full);
+                            let want =
+                                LazyContextEvaluator::new(engine.as_ref(), ds.row(i), k, Some(i))
+                                    .od(full);
                             assert_eq!(
                                 od.to_bits(),
                                 want.to_bits(),

@@ -12,7 +12,8 @@ use hos_data::PointId;
 use std::fmt;
 
 /// Errors produced by checked engine queries ([`crate::knn::KnnEngine::try_knn`])
-/// and incremental mutation ([`crate::knn::IncrementalEngine`]).
+/// and incremental mutation ([`crate::knn::KnnEngine::insert`],
+/// [`crate::knn::KnnEngine::remove`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IndexError {
     /// A row or query had the wrong arity for the engine's dataset.
@@ -42,8 +43,6 @@ pub enum IndexError {
         /// The `k` that was asked for.
         k: usize,
     },
-    /// The engine does not support incremental mutation.
-    Immutable(&'static str),
     /// A data-layer failure surfaced through an engine mutation.
     Data(String),
 }
@@ -63,9 +62,6 @@ impl fmt::Display for IndexError {
                 f,
                 "k-NN needs k = {k} candidates but only {available} live points are available"
             ),
-            IndexError::Immutable(what) => {
-                write!(f, "engine {what} does not support incremental updates")
-            }
             IndexError::Data(msg) => write!(f, "data error: {msg}"),
         }
     }
@@ -122,7 +118,6 @@ mod tests {
             .to_string()
             .contains("k = 5"));
         assert!(IndexError::DeadPoint(7).to_string().contains('7'));
-        assert!(IndexError::Immutable("x").to_string().contains('x'));
         assert!(IndexError::NonFinite.to_string().contains("finite"));
         assert!(IndexError::OutOfBounds { id: 9, len: 4 }
             .to_string()

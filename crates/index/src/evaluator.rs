@@ -1,20 +1,16 @@
-//! The engine-agnostic OD-evaluation seam.
+//! The OD evaluator every search layer streams subspaces at.
 //!
 //! Every search layer in `hos-core` reduces to the same inner loop:
 //! given one `(engine, query)` pair, evaluate `OD(query, s)` for a
 //! stream of subspaces — one at a time or a whole lattice level per
 //! call. The per-query state that loop amortises (the distance caches
-//! and the prefix stacks) lives here once, behind a trait:
-//!
-//! * [`OdEvaluator`] — one object per `(engine, query)` pair with
-//!   [`OdEvaluator::od`] and [`OdEvaluator::od_batch`] methods. The
-//!   evaluator owns [`QueryContext`] construction; callers just stream
-//!   subspaces at it.
-//! * [`LazyContextEvaluator`] — the evaluator every [`KnnEngine`]
-//!   hands out: the engine's pre-distance caches are built on the
-//!   first OD call and every OD after it is a prefix-stack walk over
-//!   cached columns. An engine without a context (the X-tree) stays on
-//!   its own search for every call.
+//! and the prefix stacks) lives here once, in [`LazyContextEvaluator`]:
+//! one per `(engine, query)` pair, with [`LazyContextEvaluator::od`]
+//! and [`LazyContextEvaluator::od_batch`]. It builds the engine's
+//! pre-distance caches ([`KnnEngine::range_context`]) on the first OD
+//! call, and every OD after it is a prefix-stack walk over cached
+//! columns. An engine without a context (the X-tree) stays on its own
+//! search for every call.
 //!
 //! # Row ranges: the one intra-query parallelism
 //!
@@ -32,7 +28,7 @@
 //! [`KnnEngine::od`] per subspace — the cache is pinned by the
 //! context equivalence tests, the merge by the range-split property
 //! tests (DESIGN.md §6), and the evaluator-path equivalence tests in
-//! `tests/properties.rs` pin the context-less engines too.
+//! `tests/properties.rs` pin the context-less engine too.
 
 use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
@@ -41,42 +37,6 @@ use crate::topk::TopK;
 use crate::walker::{walk_order, PrefixStack};
 use hos_data::{PointId, Subspace};
 use std::ops::Range;
-
-/// Evaluates the outlying degree of one fixed query point across many
-/// subspaces, amortising per-query state (distance caches, prefix
-/// stacks) across calls.
-///
-/// An evaluator is the unit the search layers program against: build
-/// one per `(engine, query)` pair via [`KnnEngine::evaluator`], then
-/// stream subspaces at it level by level. Evaluators are stateful
-/// (`&mut self`) so they can build caches lazily, but their *results*
-/// are pure: every call returns exactly what [`KnnEngine::od`] would.
-pub trait OdEvaluator {
-    /// `OD(query, s)`: the sum of distances from the query to its `k`
-    /// nearest neighbours in subspace `s`.
-    fn od(&mut self, s: Subspace) -> f64;
-
-    /// `OD(query, s)` for every subspace in `subspaces`, in input
-    /// order. `threads` bounds the fan-out over row ranges, the one
-    /// way a single query uses more than one core: an engine split
-    /// into ranges walks them on up to `threads` workers, and an
-    /// unsplit one runs the batch serially. Equals calling
-    /// [`OdEvaluator::od`] per subspace, bit for bit, regardless of
-    /// `threads`. Batches are internally traversed in walker order
-    /// ([`Subspace::walk_cmp`]) so the prefix-stack kernel pays `O(n)`
-    /// per node; since every subspace's OD is a pure function of the
-    /// subspace, traversal order never shows in the results.
-    fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64>;
-
-    /// Lattice nodes entered by the prefix-stack kernel so far (one
-    /// per column fold, summed over row ranges; see
-    /// [`crate::walker::PrefixStack::node_visits`]). `0` for
-    /// evaluators that never reached a cached phase — the uncached
-    /// engine path does not use the kernel.
-    fn node_visits(&self) -> u64 {
-        0
-    }
-}
 
 /// Least rows a range is given when the range count is left to
 /// [`shard_count`]: two ranges start paying for their fan-out near
@@ -133,9 +93,15 @@ struct Lane<'a> {
     stack: PrefixStack,
 }
 
-/// The [`OdEvaluator`] every engine hands out: per-range distance
-/// caches built on the first OD call, each walked by its own
+/// Evaluates the outlying degree of one fixed query point across many
+/// subspaces, amortising per-query state across calls: per-range
+/// distance caches built on the first OD call, each walked by its own
 /// prefix-stack kernel (see the module docs for the range split).
+///
+/// Build one per `(engine, query)` pair, then stream subspaces at it
+/// level by level. The evaluator is stateful (`&mut self`) so it can
+/// build its caches lazily, but its *results* are pure: every call
+/// returns exactly what [`KnnEngine::od`] would.
 ///
 /// # Cost model
 ///
@@ -145,8 +111,8 @@ struct Lane<'a> {
 /// one-pass build costs less than one uncached full-space OD (≈ 0.4 vs
 /// 0.9 ms at 20000 × 12), so even a search that ends after the
 /// full-space OD comes out ahead by building first (DESIGN.md §3).
-pub struct LazyContextEvaluator<'a, E: KnnEngine + ?Sized> {
-    engine: &'a E,
+pub struct LazyContextEvaluator<'a> {
+    engine: &'a dyn KnnEngine,
     query: &'a [f64],
     k: usize,
     exclude: Option<PointId>,
@@ -159,9 +125,14 @@ pub struct LazyContextEvaluator<'a, E: KnnEngine + ?Sized> {
     merge: TopK,
 }
 
-impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
+impl<'a> LazyContextEvaluator<'a> {
     /// Creates the evaluator; no work happens until the first OD call.
-    pub fn new(engine: &'a E, query: &'a [f64], k: usize, exclude: Option<PointId>) -> Self {
+    pub fn new(
+        engine: &'a dyn KnnEngine,
+        query: &'a [f64],
+        k: usize,
+        exclude: Option<PointId>,
+    ) -> Self {
         LazyContextEvaluator {
             engine,
             query,
@@ -172,14 +143,25 @@ impl<'a, E: KnnEngine + ?Sized> LazyContextEvaluator<'a, E> {
             merge: TopK::new(0),
         }
     }
-}
 
-impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
-    fn od(&mut self, s: Subspace) -> f64 {
+    /// `OD(query, s)`: the sum of distances from the query to its `k`
+    /// nearest neighbours in subspace `s`.
+    pub fn od(&mut self, s: Subspace) -> f64 {
         self.od_batch(&[s], 1)[0]
     }
 
-    fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
+    /// `OD(query, s)` for every subspace in `subspaces`, in input
+    /// order. `threads` bounds the fan-out over row ranges, the one
+    /// way a single query uses more than one core: an engine split
+    /// into ranges walks them on up to `threads` workers, and an
+    /// unsplit one runs the batch serially. Equals calling
+    /// [`LazyContextEvaluator::od`] per subspace, bit for bit,
+    /// regardless of `threads`. Batches are internally traversed in
+    /// walker order ([`Subspace::walk_cmp`]) so the prefix-stack kernel
+    /// pays `O(n)` per node; since every subspace's OD is a pure
+    /// function of the subspace, traversal order never shows in the
+    /// results.
+    pub fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
         if subspaces.is_empty() {
             return Vec::new();
         }
@@ -251,7 +233,12 @@ impl<E: KnnEngine + ?Sized> OdEvaluator for LazyContextEvaluator<'_, E> {
         out
     }
 
-    fn node_visits(&self) -> u64 {
+    /// Lattice nodes entered by the prefix-stack kernel so far (one
+    /// per column fold, summed over row ranges; see
+    /// [`crate::walker::PrefixStack::node_visits`]). `0` until a cached
+    /// phase is reached: the uncached engine path does not use the
+    /// kernel.
+    pub fn node_visits(&self) -> u64 {
         self.lanes
             .iter()
             .flatten()
@@ -290,7 +277,7 @@ mod tests {
                 .iter()
                 .map(|&s| engine.od(&q, 4, s, Some(3)))
                 .collect();
-            let mut ev = engine.evaluator(&q, 4, Some(3));
+            let mut ev = LazyContextEvaluator::new(&engine, &q, 4, Some(3));
             for (i, &s) in subspaces.iter().take(4).enumerate() {
                 assert_eq!(ev.od(s), reference[i], "{metric:?} {s}");
             }
@@ -330,12 +317,12 @@ mod tests {
         );
 
         let split = LinearScan::with_ranges(ds.clone(), Metric::L2, 3);
-        let mut ev = split.evaluator(&q, 3, Some(0));
+        let mut ev = LazyContextEvaluator::new(&split, &q, 3, Some(0));
         assert_eq!(ev.od(single), linear.od(&q, 3, single, Some(0)));
         assert_eq!(ev.node_visits(), 3, "one fold per range context");
 
         let xtree = XTree::build(ds.clone(), Metric::L2, XTreeConfig::default());
-        let mut ev = xtree.evaluator(&q, 3, Some(0));
+        let mut ev = LazyContextEvaluator::new(&xtree, &q, 3, Some(0));
         ev.od(single);
         ev.od_batch(&lattice, 2);
         assert_eq!(ev.node_visits(), 0, "context-less engines never fold");
@@ -359,7 +346,7 @@ mod tests {
             .iter()
             .map(|&s| xtree.od(&q, 3, s, Some(5)))
             .collect();
-        let mut ev = xtree.evaluator(&q, 3, Some(5));
+        let mut ev = LazyContextEvaluator::new(&xtree, &q, 3, Some(5));
         assert_eq!(ev.od_batch(&subspaces, 2), reference);
         // Repeat batch: still correct with the context resolved to none.
         assert_eq!(ev.od_batch(&subspaces, 1), reference);
@@ -375,7 +362,7 @@ mod tests {
         let ds = dataset(50, d, 9);
         let engine = LinearScan::new(ds.clone(), Metric::L2);
         let q: Vec<f64> = ds.row(3).to_vec();
-        let mut ev = engine.evaluator(&q, 4, Some(3));
+        let mut ev = LazyContextEvaluator::new(&engine, &q, 4, Some(3));
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(d).collect();
         let ods = ev.od_batch(&subspaces, 1);
         assert_eq!(ods.len(), subspaces.len());
@@ -388,7 +375,7 @@ mod tests {
         assert_eq!(ev.node_visits(), 2 * Subspace::lattice_size(d));
         // Asking for more threads changes nothing: the batch still
         // runs serially, one fold per node.
-        let mut ev_wide = engine.evaluator(&q, 4, Some(3));
+        let mut ev_wide = LazyContextEvaluator::new(&engine, &q, 4, Some(3));
         assert_eq!(ev_wide.od_batch(&subspaces, 4), ods);
         assert_eq!(ev_wide.node_visits(), Subspace::lattice_size(d));
     }
@@ -399,7 +386,7 @@ mod tests {
         let engine = LinearScan::new(ds.clone(), Metric::L2);
         let q: Vec<f64> = ds.row(0).to_vec();
         let before = engine.distance_evals();
-        let mut ev = engine.evaluator(&q, 2, None);
+        let mut ev = LazyContextEvaluator::new(&engine, &q, 2, None);
         assert!(ev.od_batch(&[], 4).is_empty());
         assert_eq!(engine.distance_evals(), before);
     }
@@ -410,7 +397,7 @@ mod tests {
         let engine: Box<dyn KnnEngine> = Box::new(LinearScan::new(ds.clone(), Metric::L1));
         let q: Vec<f64> = ds.row(1).to_vec();
         let s = Subspace::full(3);
-        let mut ev = engine.evaluator(&q, 2, Some(1));
+        let mut ev = LazyContextEvaluator::new(engine.as_ref(), &q, 2, Some(1));
         assert_eq!(ev.od(s), engine.od(&q, 2, s, Some(1)));
     }
 
@@ -460,7 +447,7 @@ mod tests {
             for ranges in [2, 4, 7] {
                 let engine = LinearScan::with_ranges(ds.clone(), metric, ranges);
                 let q: Vec<f64> = ds.row(7).to_vec();
-                let mut ev = engine.evaluator(&q, 5, Some(7));
+                let mut ev = LazyContextEvaluator::new(&engine, &q, 5, Some(7));
                 for (i, &s) in subspaces.iter().take(3).enumerate() {
                     assert_eq!(ev.od(s), reference[i], "{metric:?} ranges={ranges} {s}");
                 }
@@ -493,7 +480,7 @@ mod tests {
         for ranges in [2usize, 3] {
             let engine = LinearScan::with_ranges(ds.clone(), Metric::L2, ranges);
             for threads in [1usize, ranges] {
-                let mut ev = engine.evaluator(&q, 4, Some(9));
+                let mut ev = LazyContextEvaluator::new(&engine, &q, 4, Some(9));
                 assert_eq!(
                     ev.od_batch(&subspaces, threads),
                     reference,
@@ -517,9 +504,9 @@ mod tests {
         for i in 0..60 {
             let row: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..4.0)).collect();
             for e in [&mut split, &mut mirror] {
-                e.as_incremental().unwrap().insert(&row).unwrap();
+                e.insert(&row).unwrap();
                 if i % 5 == 0 {
-                    e.as_incremental().unwrap().remove(i).unwrap();
+                    e.remove(i).unwrap();
                 }
             }
         }
@@ -530,7 +517,7 @@ mod tests {
                 .iter()
                 .map(|&s| mirror.od(&q, 5, s, Some(qid)))
                 .collect();
-            let mut ev = split.evaluator(&q, 5, Some(qid));
+            let mut ev = LazyContextEvaluator::new(&split, &q, 5, Some(qid));
             assert_eq!(ev.od_batch(&subspaces, 2), reference, "qid={qid}");
         }
     }
@@ -540,7 +527,7 @@ mod tests {
         let ds = grid(50, 3, 4);
         let split = LinearScan::with_ranges(ds.clone(), Metric::L2, 5);
         let q: Vec<f64> = ds.row(0).to_vec();
-        split.evaluator(&q, 3, Some(0)).od(Subspace::full(3));
+        LazyContextEvaluator::new(&split, &q, 3, Some(0)).od(Subspace::full(3));
         // Every non-excluded point is touched exactly once in total.
         assert_eq!(split.distance_evals(), 49);
     }

@@ -2,7 +2,6 @@
 
 use crate::context::QueryContext;
 use crate::error::IndexError;
-use crate::evaluator::{LazyContextEvaluator, OdEvaluator};
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use std::ops::Range;
 
@@ -16,18 +15,52 @@ pub struct Neighbor {
     pub dist: f64,
 }
 
-/// A k-NN engine over a fixed dataset and metric.
+/// A k-NN engine over a dataset and metric: the one contract both
+/// engines ([`crate::LinearScan`], [`crate::XTree`]) implement.
 ///
 /// Implementations must report **exact** distances and ODs and exact
 /// *recall* (the returned set is the true k-NN set): HOS-Miner's
 /// pruning arguments rely on true OD values, so an engine that
 /// estimated them would silently invalidate Property 1/2 reasoning.
+///
+/// # Equivalence contract
+///
+/// After any sequence of [`KnnEngine::insert`]/[`KnnEngine::remove`]
+/// calls, every query result (`knn`, `range`, `od`, evaluator paths)
+/// must be **bit-identical** to a cold rebuild of the same engine kind
+/// over the surviving rows — same distances, same `(distance, id)`
+/// ordering, with incremental ids related to cold-rebuild ids by the
+/// order-preserving compaction map. `tests/incremental_oracle.rs`
+/// (workspace root) pins this for every engine under randomized op
+/// sequences.
+///
+/// Ids are append-only: `insert` returns `dataset().len() - 1` and
+/// `remove` tombstones without renumbering, so callers can hold ids
+/// across mutations.
 pub trait KnnEngine: Send + Sync {
     /// The indexed dataset.
     fn dataset(&self) -> &Dataset;
 
+    /// Consumes the engine and returns its dataset **without copying**
+    /// — every engine owns its `Dataset` outright. This is what lets
+    /// callers compact or snapshot a windowed dataset at peak-memory
+    /// moments (the 3:1 tombstone valve) without first cloning the
+    /// full matrix.
+    fn into_dataset(self: Box<Self>) -> Dataset;
+
     /// The distance metric.
     fn metric(&self) -> Metric;
+
+    /// Number of distance computations performed so far (used by the
+    /// efficiency experiments and the search statistics).
+    fn distance_evals(&self) -> u64;
+
+    /// Appends one point, returning its id.
+    fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError>;
+
+    /// Removes (tombstones) one point. The id stays allocated; using
+    /// it again yields [`IndexError::DeadPoint`].
+    fn remove(&mut self, id: PointId) -> Result<(), IndexError>;
 
     /// The `k` nearest neighbours of `query` in subspace `s`, sorted
     /// by ascending distance. `exclude` removes one point id from
@@ -54,12 +87,6 @@ pub trait KnnEngine: Send + Sync {
         self.knn(query, k, s, exclude).iter().map(|n| n.dist).sum()
     }
 
-    /// Number of distance computations performed so far, if the
-    /// engine counts them (used by the efficiency experiments).
-    fn distance_evals(&self) -> u64 {
-        0
-    }
-
     /// A per-query distance cache over this engine's whole dataset,
     /// when the engine supports one (see [`QueryContext`]): the
     /// [`KnnEngine::range_context`] over every physical row.
@@ -70,10 +97,10 @@ pub trait KnnEngine: Send + Sync {
     /// A per-query distance cache over the physical rows `rows` of this
     /// engine's dataset, reporting dataset ids, when the engine
     /// supports one ([`QueryContext::build_rows`]). The evaluator
-    /// ([`KnnEngine::evaluator`], behind `hos-core`'s `dynamic_search`)
-    /// builds one per row range on its first OD call: one `n x d`
-    /// pre-distance pass per query point replaces per-subspace
-    /// raw-coordinate scans.
+    /// ([`crate::LazyContextEvaluator`], behind `hos-core`'s
+    /// `dynamic_search`) builds one per row range on its first OD
+    /// call: one `n x d` pre-distance pass per query point replaces
+    /// per-subspace raw-coordinate scans.
     ///
     /// The default is `None`: an engine with its own search structure
     /// (the X-tree's pruning) answers each query through that
@@ -94,20 +121,6 @@ pub trait KnnEngine: Send + Sync {
     /// is 1, the serial walk; an engine without a context ignores it.
     fn row_ranges(&self) -> usize {
         1
-    }
-
-    /// An [`OdEvaluator`] for one `(engine, query)` pair: the object
-    /// every search layer streams subspaces at — the
-    /// [`LazyContextEvaluator`] (the engine's per-query distance
-    /// caches, built on the first OD call when the engine provides
-    /// them; direct engine queries otherwise).
-    fn evaluator<'a>(
-        &'a self,
-        query: &'a [f64],
-        k: usize,
-        exclude: Option<PointId>,
-    ) -> Box<dyn OdEvaluator + 'a> {
-        Box::new(LazyContextEvaluator::new(self, query, k, exclude))
     }
 
     /// Checked k-NN: validates the query (arity, finiteness) and that
@@ -160,53 +173,11 @@ pub trait KnnEngine: Send + Sync {
             .sum())
     }
 
-    /// The engine's incremental-mutation capability, if it has one.
-    /// Every engine in this crate returns `Some`; the default `None`
-    /// keeps the trait implementable by fit-once engines.
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalEngine> {
-        None
-    }
-
     /// The engine as an X-tree, so tests can inspect the shape of the
     /// tree a build hands out (its height, fill, stale entries).
     fn as_xtree(&self) -> Option<&crate::xtree::XTree> {
         None
     }
-
-    /// Consumes the engine and returns its dataset **without copying**
-    /// — every engine in this crate owns its `Dataset` outright. This
-    /// is what lets callers compact or snapshot a windowed dataset at
-    /// peak-memory moments (the 3:1 tombstone valve) without first
-    /// cloning the full matrix. The default clones, keeping the trait
-    /// implementable by engines that only borrow their data.
-    fn into_dataset(self: Box<Self>) -> Dataset {
-        self.dataset().clone()
-    }
-}
-
-/// Incremental mutation: engines that can absorb inserts and removals
-/// without a rebuild.
-///
-/// # Equivalence contract
-///
-/// After any sequence of `insert`/`remove` calls, every query result
-/// (`knn`, `range`, `od`, evaluator paths) must be **bit-identical**
-/// to a cold rebuild of the same engine kind over the surviving rows
-/// — same distances, same `(distance, id)` ordering, with incremental
-/// ids related to cold-rebuild ids by the order-preserving compaction
-/// map. `tests/incremental_oracle.rs` (workspace root) pins this for
-/// every engine under randomized op sequences.
-///
-/// Ids are append-only: `insert` returns `dataset().len() - 1` and
-/// `remove` tombstones without renumbering, so callers can hold ids
-/// across mutations.
-pub trait IncrementalEngine {
-    /// Appends one point, returning its id.
-    fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError>;
-
-    /// Removes (tombstones) one point. The id stays allocated; using
-    /// it again yields [`IndexError::DeadPoint`].
-    fn remove(&mut self, id: PointId) -> Result<(), IndexError>;
 }
 
 /// A concrete engine choice, for configs and CLIs.
@@ -240,10 +211,19 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// Builds the chosen engine over a dataset.
-pub fn build_engine(engine: Engine, dataset: Dataset, metric: Metric) -> Box<dyn KnnEngine> {
+/// Builds the chosen engine over a dataset. A linear scan splits each
+/// cached walk into `ranges` row ranges ([`crate::LinearScan::with_ranges`]);
+/// the X-tree has no cached walk to split and ignores `ranges`.
+pub fn build_engine(
+    engine: Engine,
+    dataset: Dataset,
+    metric: Metric,
+    ranges: usize,
+) -> Box<dyn KnnEngine> {
     match engine {
-        Engine::Linear => Box::new(crate::linear::LinearScan::new(dataset, metric)),
+        Engine::Linear => Box::new(crate::linear::LinearScan::with_ranges(
+            dataset, metric, ranges,
+        )),
         Engine::XTree => Box::new(crate::xtree::XTree::bulk_load(
             dataset,
             metric,
@@ -278,7 +258,7 @@ mod tests {
     #[test]
     fn build_engine_bulk_loads_the_xtree() {
         let ds = hos_data::synth::uniform(5000, 8, 0.0, 100.0, 77).unwrap();
-        let e = build_engine(Engine::XTree, ds, Metric::L2);
+        let e = build_engine(Engine::XTree, ds, Metric::L2, 1);
         let tree = e.as_xtree().expect("an X-tree");
         tree.check_bulk_shape().unwrap();
         assert_eq!(tree.stats().supernodes, 0);
@@ -288,16 +268,26 @@ mod tests {
     fn build_engine_returns_working_engines() {
         let ds = Dataset::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap();
         for kind in [Engine::Linear, Engine::XTree] {
-            let e = build_engine(kind, ds.clone(), Metric::L2);
+            let e = build_engine(kind, ds.clone(), Metric::L2, 1);
             let nn = e.knn(&[0.1, 0.1], 1, Subspace::full(2), None);
             assert_eq!(nn[0].id, 0, "{kind}");
         }
+        // The range count reaches the linear scan; the X-tree has no
+        // cached walk to split.
+        assert_eq!(
+            build_engine(Engine::Linear, ds.clone(), Metric::L2, 3).row_ranges(),
+            3
+        );
+        assert_eq!(
+            build_engine(Engine::XTree, ds, Metric::L2, 3).row_ranges(),
+            1
+        );
     }
 
-    /// Every engine exposes the incremental capability, and the
-    /// checked query path returns typed errors — not panics, not
-    /// silently short lists — once removals shrink the live set below
-    /// `k`, all the way down to empty.
+    /// Every engine absorbs inserts and removals, and the checked query
+    /// path returns typed errors — not panics, not silently short lists
+    /// — once removals shrink the live set below `k`, all the way down
+    /// to empty.
     #[test]
     fn try_knn_k_edge_and_incremental_smoke_per_engine() {
         use crate::error::IndexError;
@@ -307,7 +297,7 @@ mod tests {
         let s = Subspace::full(2);
         for kind in [Engine::Linear, Engine::XTree] {
             let label = kind.to_string();
-            let mut e = build_engine(kind, ds.clone(), Metric::L2);
+            let mut e = build_engine(kind, ds.clone(), Metric::L2, 1);
             // Checked path agrees with the unchecked one when valid.
             assert_eq!(
                 e.try_knn(&[1.0, 1.0], 3, s, Some(0)).unwrap(),
@@ -330,13 +320,12 @@ mod tests {
             );
             // Shrink below k: 8 live, remove 3 → 5 live; k=5 with
             // self-exclusion leaves only 4 candidates.
-            let inc = e.as_incremental().expect(&label);
             for id in [1usize, 4, 6] {
-                inc.remove(id).unwrap();
+                e.remove(id).unwrap();
             }
-            assert_eq!(inc.remove(4), Err(IndexError::DeadPoint(4)), "{label}");
+            assert_eq!(e.remove(4), Err(IndexError::DeadPoint(4)), "{label}");
             assert_eq!(
-                inc.remove(99),
+                e.remove(99),
                 Err(IndexError::OutOfBounds { id: 99, len: 8 }),
                 "{label}"
             );
@@ -348,7 +337,7 @@ mod tests {
             assert!(e.try_od(&[1.0, 1.0], 4, s, Some(0)).is_ok(), "{label}");
             // Remove everything: the empty edge is an error too.
             for id in [0usize, 2, 3, 5, 7] {
-                e.as_incremental().unwrap().remove(id).unwrap();
+                e.remove(id).unwrap();
             }
             assert_eq!(
                 e.try_knn(&[1.0, 1.0], 1, s, None),
@@ -358,10 +347,10 @@ mod tests {
             assert!(e.knn(&[1.0, 1.0], 2, s, None).is_empty(), "{label}");
             // Inserting revives the engine; mutation validation is
             // typed as well.
-            let id = e.as_incremental().unwrap().insert(&[0.5, 0.5]).unwrap();
+            let id = e.insert(&[0.5, 0.5]).unwrap();
             assert_eq!(id, 8, "{label}");
             assert_eq!(
-                e.as_incremental().unwrap().insert(&[0.5]),
+                e.insert(&[0.5]),
                 Err(IndexError::Shape {
                     expected: 2,
                     got: 1
@@ -369,7 +358,7 @@ mod tests {
                 "{label}"
             );
             assert_eq!(
-                e.as_incremental().unwrap().insert(&[f64::INFINITY, 0.0]),
+                e.insert(&[f64::INFINITY, 0.0]),
                 Err(IndexError::NonFinite),
                 "{label}"
             );
@@ -383,10 +372,9 @@ mod tests {
     #[test]
     fn incremental_insert_into_empty_engine() {
         for kind in [Engine::Linear, Engine::XTree] {
-            let mut e = build_engine(kind, Dataset::empty(), Metric::L2);
-            let inc = e.as_incremental().unwrap();
-            assert_eq!(inc.insert(&[1.0, 2.0, 3.0]).unwrap(), 0);
-            assert_eq!(inc.insert(&[4.0, 5.0, 6.0]).unwrap(), 1);
+            let mut e = build_engine(kind, Dataset::empty(), Metric::L2, 1);
+            assert_eq!(e.insert(&[1.0, 2.0, 3.0]).unwrap(), 0);
+            assert_eq!(e.insert(&[4.0, 5.0, 6.0]).unwrap(), 1);
             let nn = e.knn(&[1.0, 2.0, 3.0], 2, Subspace::full(3), None);
             assert_eq!(nn.len(), 2, "{kind}");
             assert_eq!(nn[0].id, 0);

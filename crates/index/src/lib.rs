@@ -7,9 +7,10 @@
 //! reference engine used both as a baseline (experiment E7) and as a
 //! correctness oracle in tests.
 //!
-//! * [`knn::KnnEngine`] — the engine abstraction: k-NN and range
+//! * [`knn::KnnEngine`] — the one engine contract: k-NN and range
 //!   queries in an arbitrary axis-parallel subspace, with optional
-//!   self-exclusion for queries that are dataset members.
+//!   self-exclusion for queries that are dataset members, plus
+//!   incremental insert and remove, bit-identical to a cold rebuild.
 //! * [`linear::LinearScan`] — exact brute force with a bounded heap.
 //! * [`xtree::XTree`] — a from-scratch X-tree (Berchtold, Keim,
 //!   Kriegel, VLDB'96): an R-tree derivative whose directory nodes
@@ -24,10 +25,10 @@
 //!   pre-distance accumulators makes every visited lattice node an
 //!   `O(n)` column fold (plus bounded top-k) instead of an
 //!   `O(n · |s|)` recombine, bit-identical to the direct path.
-//! * [`evaluator`] — the engine-agnostic OD-evaluation seam: one
-//!   [`evaluator::OdEvaluator`] per `(engine, query)` pair builds the
-//!   contexts on its first OD call and owns the walker traversal; every
-//!   search layer streams subspaces at it. It also holds the one
+//! * [`evaluator`] — the OD evaluator: one [`LazyContextEvaluator`]
+//!   per `(engine, query)` pair builds the contexts on its first OD
+//!   call and owns the walker traversal; every search layer streams
+//!   subspaces at it. It also holds the one
 //!   intra-query parallelism: a walk split into contiguous row ranges
 //!   ([`LinearScan::with_ranges`]), one per worker, with the per-range
 //!   top-k lists merged exactly (bit-identical ODs).
@@ -67,8 +68,8 @@ pub use block::{
 };
 pub use context::QueryContext;
 pub use error::IndexError;
-pub use evaluator::{shard_count, LazyContextEvaluator, OdEvaluator, MIN_SHARD_ROWS};
-pub use knn::{Engine, IncrementalEngine, KnnEngine, Neighbor};
+pub use evaluator::{shard_count, LazyContextEvaluator, MIN_SHARD_ROWS};
+pub use knn::{Engine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
 pub use walker::{PrefixStack, PrefixWalker};
 pub use xtree::{XTree, XTreeConfig};

@@ -8,7 +8,7 @@
 
 use crate::context::QueryContext;
 use crate::error::{validate_insert, validate_remove, IndexError};
-use crate::knn::{IncrementalEngine, KnnEngine, Neighbor};
+use crate::knn::{KnnEngine, Neighbor};
 use crate::topk::TopK;
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use std::ops::Range;
@@ -49,7 +49,7 @@ impl LinearScan {
     ///
     /// ```
     /// use hos_data::{Dataset, Metric, Subspace};
-    /// use hos_index::{KnnEngine, LinearScan};
+    /// use hos_index::{KnnEngine, LazyContextEvaluator, LinearScan};
     ///
     /// let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
     /// let ds = Dataset::from_rows(&rows).unwrap();
@@ -57,7 +57,7 @@ impl LinearScan {
     /// let linear = LinearScan::new(ds, Metric::L2);
     /// let s = Subspace::full(2);
     /// let q = [3.0, 3.0];
-    /// let od = split.evaluator(&q, 5, None).od_batch(&[s], 2)[0];
+    /// let od = LazyContextEvaluator::new(&split, &q, 5, None).od_batch(&[s], 2)[0];
     /// assert_eq!(od, linear.od(&q, 5, s, None));
     /// ```
     pub fn with_ranges(dataset: Dataset, metric: Metric, ranges: usize) -> Self {
@@ -151,15 +151,9 @@ impl KnnEngine for LinearScan {
         self.ranges
     }
 
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalEngine> {
-        Some(self)
-    }
-}
-
-/// The linear scan is natively incremental: an insert appends a row,
-/// a removal tombstones one, and the scan loop (which iterates live
-/// rows only) needs no other state.
-impl IncrementalEngine for LinearScan {
+    // The linear scan is natively incremental: an insert appends a
+    // row, a removal tombstones one, and the scan loop (which iterates
+    // live rows only) needs no other state.
     fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError> {
         validate_insert(&self.dataset, row)?;
         Ok(self.dataset.push_row(row)?)

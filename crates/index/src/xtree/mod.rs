@@ -33,7 +33,7 @@ pub use mbr::Mbr;
 pub use node::{Node, NodeId};
 
 use crate::error::{validate_insert, validate_remove, IndexError};
-use crate::knn::{IncrementalEngine, KnnEngine, Neighbor};
+use crate::knn::{KnnEngine, Neighbor};
 use hos_data::{Dataset, Metric, PointId, Subspace};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -130,7 +130,7 @@ impl XTree {
         };
         for pid in 0..tree.dataset.len() {
             if tree.dataset.is_live(pid) {
-                tree.insert(pid);
+                tree.tree_insert(pid);
             }
         }
         tree
@@ -338,7 +338,7 @@ impl XTree {
         ((capacity as f64 * self.cfg.min_fill_frac).floor() as usize).max(1)
     }
 
-    fn insert(&mut self, pid: PointId) {
+    fn tree_insert(&mut self, pid: PointId) {
         if let Some(right) = self.insert_rec(self.root, pid) {
             // Root split: grow the tree by one level.
             let left = self.root;
@@ -711,8 +711,47 @@ impl KnnEngine for XTree {
         self.evals.load(AtomicOrdering::Relaxed)
     }
 
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalEngine> {
-        Some(self)
+    // Incremental maintenance:
+    //
+    // * Insert — the native R*-style insertion path (choose subtree →
+    //   split or supernode), the routine sequential `XTree::build`
+    //   uses per point. It runs on whatever shape the tree has: a
+    //   bulk-loaded one (every served build) or an insertion-grown
+    //   one. Bulk-loaded leaves keep a quarter of their capacity free
+    //   (`XTree::BULK_LEAF_FILL`), so early inserts do not split.
+    // * Remove — tombstone; leaf scans skip dead points (their MBRs
+    //   stay conservative, so the MINDIST bounds stay valid), and a
+    //   bounded re-bulk-load rebuilds the structure over the live
+    //   points once the dead fraction crosses
+    //   `XTree::REBULK_DEAD_FRACTION`.
+    //
+    // Either way, queries stay exact: best-first search with valid
+    // lower bounds plus the full `(distance, id)` eviction order
+    // returns the true top-k regardless of tree shape, which is why
+    // incremental results match a cold rebuild bit for bit.
+    fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError> {
+        validate_insert(&self.dataset, row)?;
+        let was_dimless = self.dataset.dim() == 0;
+        let pid = self.dataset.push_row(row)?;
+        if was_dimless {
+            // First row fixed the arity: the placeholder root leaf has
+            // the wrong MBR dimensionality, so rebuild from scratch.
+            self.rebulk();
+        } else {
+            self.tree_insert(pid);
+        }
+        Ok(pid)
+    }
+
+    fn remove(&mut self, id: PointId) -> Result<(), IndexError> {
+        validate_remove(&self.dataset, id)?;
+        self.dataset.remove_row(id)?;
+        self.stale += 1;
+        let in_tree = (self.dataset.live_len() + self.stale) as f64;
+        if self.stale as f64 >= Self::REBULK_DEAD_FRACTION * in_tree {
+            self.rebulk();
+        }
+        Ok(())
     }
 
     fn as_xtree(&self) -> Option<&XTree> {
@@ -729,51 +768,6 @@ impl XTree {
     /// dataset's cumulative dead count, which never resets here and
     /// would re-trigger a full rebuild on every removal once crossed.
     pub const REBULK_DEAD_FRACTION: f64 = 0.25;
-}
-
-/// Incremental maintenance for the X-tree.
-///
-/// * **Insert** — the native R*-style insertion path (`choose
-///   subtree → split or supernode`), the routine sequential
-///   [`XTree::build`] uses per point. It runs on whatever shape the
-///   tree has: a bulk-loaded one (every served build) or an
-///   insertion-grown one. Bulk-loaded leaves keep a quarter of their
-///   capacity free ([`XTree::BULK_LEAF_FILL`]), so early inserts do
-///   not split.
-/// * **Remove** — tombstone; leaf scans skip dead points (their MBRs
-///   stay conservative, so the MINDIST bounds stay valid), and a
-///   bounded re-bulk-load rebuilds the structure over the live points
-///   once the dead fraction crosses [`XTree::REBULK_DEAD_FRACTION`].
-///
-/// Either way, queries stay exact: best-first search with valid lower
-/// bounds plus the full `(distance, id)` eviction order returns the
-/// true top-k regardless of tree shape, which is why incremental
-/// results match a cold rebuild bit for bit.
-impl IncrementalEngine for XTree {
-    fn insert(&mut self, row: &[f64]) -> Result<PointId, IndexError> {
-        validate_insert(&self.dataset, row)?;
-        let was_dimless = self.dataset.dim() == 0;
-        let pid = self.dataset.push_row(row)?;
-        if was_dimless {
-            // First row fixed the arity: the placeholder root leaf has
-            // the wrong MBR dimensionality, so rebuild from scratch.
-            self.rebulk();
-        } else {
-            self.insert(pid);
-        }
-        Ok(pid)
-    }
-
-    fn remove(&mut self, id: PointId) -> Result<(), IndexError> {
-        validate_remove(&self.dataset, id)?;
-        self.dataset.remove_row(id)?;
-        self.stale += 1;
-        let in_tree = (self.dataset.live_len() + self.stale) as f64;
-        if self.stale as f64 >= Self::REBULK_DEAD_FRACTION * in_tree {
-            self.rebulk();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -985,7 +979,7 @@ mod tests {
         let ds = random_dataset(2000, 6, 41);
         let mut t = XTree::build(ds, Metric::L2, XTreeConfig::default());
         for id in 0.. {
-            IncrementalEngine::remove(&mut t, id).unwrap();
+            t.remove(id).unwrap();
             if t.stale_points() == 0 {
                 break;
             }
@@ -1006,7 +1000,7 @@ mod tests {
         let mut gaps_without_rebuild = 0usize;
         let mut prev_stale = 0usize;
         for id in 0..300usize {
-            IncrementalEngine::remove(&mut t, id).unwrap();
+            t.remove(id).unwrap();
             if t.stale_points() == 0 {
                 rebuilds += 1;
             } else {

@@ -1,11 +1,11 @@
 //! Property tests: the X-tree must be indistinguishable from the
 //! brute-force oracle on arbitrary data, metrics, subspaces and k —
-//! and so must the range-split walk and the evaluator seam.
+//! and so must the range-split walk and the OD evaluator.
 
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{
-    all_points_full_od_counted, quantized_lower_bounds, KnnEngine, LinearScan, QueryContext, XTree,
-    XTreeConfig,
+    all_points_full_od_counted, quantized_lower_bounds, KnnEngine, LazyContextEvaluator,
+    LinearScan, QueryContext, XTree, XTreeConfig,
 };
 use proptest::prelude::*;
 
@@ -129,11 +129,11 @@ proptest! {
         let split = LinearScan::with_ranges(ds, metric, ranges);
         prop_assert_eq!(split.knn(&q, k, s, None), lin.knn(&q, k, s, None));
         prop_assert_eq!(split.od(&q, k, s, None), lin.od(&q, k, s, None));
-        prop_assert_eq!(split.evaluator(&q, k, None).od(s), lin.od(&q, k, s, None));
+        prop_assert_eq!(LazyContextEvaluator::new(&split, &q, k, None).od(s), lin.od(&q, k, s, None));
         // Self-exclusion lands in the range that holds the point.
         prop_assert_eq!(split.knn(&q, k, s, Some(0)), lin.knn(&q, k, s, Some(0)));
         prop_assert_eq!(split.od(&q, k, s, Some(0)), lin.od(&q, k, s, Some(0)));
-        prop_assert_eq!(split.evaluator(&q, k, Some(0)).od(s), lin.od(&q, k, s, Some(0)));
+        prop_assert_eq!(LazyContextEvaluator::new(&split, &q, k, Some(0)).od(s), lin.od(&q, k, s, Some(0)));
     }
 
     /// The range-split evaluator (per-range lazy contexts + exact
@@ -149,14 +149,14 @@ proptest! {
         let split = LinearScan::with_ranges(ds, metric, ranges);
         let subspaces: Vec<Subspace> = Subspace::all_nonempty(D).collect();
         let expected: Vec<f64> = subspaces.iter().map(|&s| lin.od(&q, k, s, Some(0))).collect();
-        let mut ev = split.evaluator(&q, k, Some(0));
+        let mut ev = LazyContextEvaluator::new(&split, &q, k, Some(0));
         prop_assert_eq!(ev.od_batch(&subspaces, 2), expected);
     }
 
     /// The evaluator path of the context-less X-tree returns exactly
-    /// what per-subspace `engine.od` calls return — the refactor onto
-    /// `OdEvaluator` cannot silently change its results, batched or
-    /// single, at any thread count.
+    /// what per-subspace `engine.od` calls return — the evaluator
+    /// cannot silently change its results, batched or single, at any
+    /// thread count.
     #[test]
     fn evaluator_path_preserves_contextless_engines(ds in arb_dataset(),
                                                     q in prop::collection::vec(-60.0f64..60.0, D),
@@ -171,12 +171,12 @@ proptest! {
             .map(|&s| tree.od(&q, k, s, Some(0)))
             .collect();
         for threads in [1usize, 3] {
-            let mut ev = tree.evaluator(&q, k, Some(0));
+            let mut ev = LazyContextEvaluator::new(&tree, &q, k, Some(0));
             prop_assert_eq!(ev.od_batch(&subspaces, threads), expected.clone());
         }
         // Single-od streaming agrees too (the X-tree has no cache to
         // switch onto).
-        let mut ev = tree.evaluator(&q, k, Some(0));
+        let mut ev = LazyContextEvaluator::new(&tree, &q, k, Some(0));
         for (i, &s) in subspaces.iter().enumerate() {
             prop_assert_eq!(ev.od(s), expected[i]);
         }

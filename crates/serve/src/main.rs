@@ -18,8 +18,7 @@ USAGE:
             [--engine linear|xtree] [--metric l1|l2|linf]
             [--threads 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0]
-            [--batch-window-ms 2] [--batch-max 64] [--queue-cap 1024]
-            [--fixed-window] [--query-weight 3] [--scan-weight 1]
+            [--batch-window-ms 2] [--batch-max 64] [--fixed-window]
             [--sync-every 64] [--snapshot-every 4096]
 
 Fits once at startup, then serves POST /query /scan /insert /retire
@@ -30,9 +29,9 @@ batching (answers are bit-identical either way). Batch windows are
 adaptive by default: the batcher holds a dry window open only while
 its arrival/cost model says waiting beats executing now (capped by
 --batch-window-ms); --fixed-window restores close-when-dry windows.
---query-weight/--scan-weight split worker capacity between endpoints:
-at most workers*scan/(query+scan) scans run at once, so scan bursts
-cannot starve point queries (excess scans get 429 after a short wait).
+At most a quarter of the workers (at least one) run scans at once, so
+scan bursts cannot starve point queries (excess scans get 429 after a
+short wait).
 The same listener also speaks hosbin, the length-prefixed binary
 protocol (DESIGN.md §13): a connection opening with the `\\0HSB`
 preamble switches to framed binary with identical semantics.
@@ -81,9 +80,6 @@ const VALUE_FLAGS: &[&str] = &[
     "workers",
     "batch-window-ms",
     "batch-max",
-    "queue-cap",
-    "query-weight",
-    "scan-weight",
     "sync-every",
     "snapshot-every",
 ];
@@ -171,7 +167,10 @@ fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
 
 fn miner_config(flags: &Flags) -> Result<HosMinerConfig, String> {
     let threshold = match (flags.get("threshold"), flags.get("quantile")) {
-        (Some(t), _) => ThresholdPolicy::Fixed(
+        (Some(_), Some(_)) => {
+            return Err("--threshold and --quantile are mutually exclusive".into())
+        }
+        (Some(t), None) => ThresholdPolicy::Fixed(
             t.parse()
                 .map_err(|_| format!("--threshold: bad value {t:?}"))?,
         ),
@@ -308,17 +307,8 @@ fn recover_or_fit(
     // Fresh directory: fit from the data flags and checkpoint
     // immediately so a restart recovers instead of refitting.
     let (miner, report) = build_miner(flags, config)?;
-    let model_text = hos_core::ModelFile::from_miner(&miner).to_text();
     let n = miner.engine().dataset().len() as u64;
-    store
-        .snapshot(&hos_storage::store::SnapshotState {
-            dataset: miner.engine().dataset(),
-            model: Some(&model_text),
-            base: 0,
-            oldest: 0,
-            rows_consumed: n,
-            search_width: hos_storage::snapshot_search_width(&miner),
-        })
+    hos_storage::snapshot_miner(&mut store, &miner, (0, 0, n))
         .map_err(|e| format!("initialising data dir {dir}: {e}"))?;
     println!(
         "hos-serve initialised data dir {dir} at seq {}",
@@ -340,15 +330,8 @@ fn run(argv: &[String]) -> Result<(), String> {
         workers: flags.num("workers", 0)?,
         batch_window: Duration::from_millis(flags.num("batch-window-ms", 2)?),
         batch_max: flags.num("batch-max", 64)?,
-        query_queue_cap: flags.num("queue-cap", 1024)?,
-        write_queue_cap: flags.num("queue-cap", 1024)?,
         adaptive_window: !flags.switch("fixed-window"),
-        query_weight: flags.num("query-weight", 3)?,
-        scan_weight: flags.num("scan-weight", 1)?,
     };
-    if config.query_weight == 0 || config.scan_weight == 0 {
-        return Err("--query-weight and --scan-weight must be positive".into());
-    }
     let live = miner.live_len();
     let dim = miner.engine().dataset().dim();
     let shards = miner.config().shards;

@@ -54,22 +54,21 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Maximum specs per batch; `1` disables cross-request batching.
     pub batch_max: usize,
-    /// Admission queue capacity (requests, not specs).
-    pub query_queue_cap: usize,
-    /// Write queue capacity.
-    pub write_queue_cap: usize,
     /// Adaptive batch windows: hold a dry window open only while the
     /// arrival/cost model says the wait beats executing now. `false`
     /// restores the fixed close-when-dry window.
     pub adaptive_window: bool,
-    /// Relative weight of point queries when splitting worker
-    /// capacity between endpoints (see `scan_weight`).
-    pub query_weight: usize,
-    /// Relative weight of scans: at most
-    /// `max(1, workers * scan_weight / (query_weight + scan_weight))`
-    /// scans run concurrently, so a scan burst cannot occupy every
-    /// worker and starve point queries.
-    pub scan_weight: usize,
+}
+
+/// Capacity of the query admission queue (requests, not specs) and of
+/// the write queue.
+const QUEUE_CAP: usize = 1024;
+
+/// Scans that may run at once on `workers` HTTP workers: a quarter of
+/// them, at least one, so a scan burst cannot occupy every worker and
+/// starve point queries.
+fn scan_permits(workers: usize) -> usize {
+    (workers / 4).max(1)
 }
 
 impl Default for ServeConfig {
@@ -79,11 +78,7 @@ impl Default for ServeConfig {
             workers: 0,
             batch_window: Duration::from_millis(2),
             batch_max: 64,
-            query_queue_cap: 1024,
-            write_queue_cap: 1024,
             adaptive_window: true,
-            query_weight: 3,
-            scan_weight: 1,
         }
     }
 }
@@ -141,18 +136,14 @@ impl Server {
         } else {
             config.workers
         };
-        let scan_permits = (workers * config.scan_weight)
-            .checked_div(config.query_weight + config.scan_weight)
-            .unwrap_or(workers)
-            .max(1);
         let state = SharedState::new(
             miner,
             config.batch_window,
             config.batch_max,
-            config.query_queue_cap,
-            config.write_queue_cap,
+            QUEUE_CAP,
+            QUEUE_CAP,
             config.adaptive_window,
-            scan_permits,
+            scan_permits(workers),
         );
         if let Some((s, snapshot_every, carry)) = store {
             state.attach_store(s, snapshot_every, carry);

@@ -33,10 +33,9 @@
 //!   threads finish everything already admitted before exiting — no
 //!   admitted request is ever dropped.
 
-use hos_core::{HosError, HosMiner, ModelFile, QueryOutcome, QuerySpec};
+use hos_core::{HosError, HosMiner, QueryOutcome, QuerySpec};
 use hos_data::PointId;
-use hos_storage::store::SnapshotState;
-use hos_storage::{snapshot_search_width, Op, Store};
+use hos_storage::{snapshot_miner, Op, Store};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -618,20 +617,12 @@ impl SharedState {
     /// the next write retries the checkpoint.
     pub fn checkpoint(self: &Arc<SharedState>, final_sync: bool) {
         let mut slot = self.store.lock().expect("store lock poisoned");
-        let (base, oldest, rows_consumed) = slot.carry;
+        let carry = slot.carry;
         let Some(store) = slot.store.as_mut() else {
             return;
         };
         let miner = self.miner.read().expect("miner lock poisoned");
-        let model_text = ModelFile::from_miner(&miner).to_text();
-        let result = store.snapshot(&SnapshotState {
-            dataset: miner.engine().dataset(),
-            model: Some(&model_text),
-            base,
-            oldest,
-            rows_consumed,
-            search_width: snapshot_search_width(&miner),
-        });
+        let result = snapshot_miner(store, &miner, carry);
         drop(miner);
         let snapshotted = match result {
             Ok(_) => {

@@ -478,6 +478,13 @@ fn bad_flags_make_the_binary_exit_2() {
         (&["--ef", "48"], "unknown flag --ef"),
         (&["--recall-target", "0.9"], "unknown flag --recall-target"),
         (&["--shards", "2"], "unknown flag --shards"),
+        (
+            &["--threshold", "5", "--quantile", "0.9"],
+            "--threshold and --quantile are mutually exclusive",
+        ),
+        (&["--queue-cap", "8"], "unknown flag --queue-cap"),
+        (&["--query-weight", "3"], "unknown flag --query-weight"),
+        (&["--scan-weight", "1"], "unknown flag --scan-weight"),
     ];
     for (extra, needle) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))

@@ -35,7 +35,8 @@ pub mod store;
 pub mod wal;
 
 pub use recover::{
-    config_fingerprint, miner_from_snapshot, recover_miner, snapshot_search_width, Folded,
+    config_fingerprint, miner_from_snapshot, recover_miner, snapshot_miner, snapshot_search_width,
+    Folded,
 };
 pub use snapshot::{Snapshot, SnapshotMeta};
 pub use store::{Recovery, Store, StoreConfig};

@@ -15,11 +15,12 @@
 //!   miner that absorbed the same ops one at a time.
 
 use crate::snapshot::Snapshot;
-use crate::store::Recovery;
+use crate::store::{Recovery, SnapshotState, Store};
 use crate::wal::Op;
 use crate::{Result, StorageError};
 use hos_core::{HosMiner, HosMinerConfig, LearnedModel, ModelFile, SearchStats};
 use hos_data::Dataset;
+use std::path::PathBuf;
 
 /// Flattens the replay-relevant configuration into the fingerprint
 /// string stored in every WAL header and snapshot. Opening a store
@@ -133,6 +134,25 @@ impl Folded {
 /// layout keeps the field so existing data directories still open.
 pub fn snapshot_search_width(_miner: &HosMiner) -> u64 {
     0
+}
+
+/// Checkpoints a fitted miner into `store` ([`Store::snapshot`]): its
+/// dataset, its model as [`ModelFile`] text, and the stream counters
+/// `carry = (base, oldest, rows_consumed)` that recovery hands back.
+pub fn snapshot_miner(
+    store: &mut Store,
+    miner: &HosMiner,
+    (base, oldest, rows_consumed): (u64, u64, u64),
+) -> Result<PathBuf> {
+    let model = ModelFile::from_miner(miner).to_text();
+    store.snapshot(&SnapshotState {
+        dataset: miner.engine().dataset(),
+        model: Some(&model),
+        base,
+        oldest,
+        rows_consumed,
+        search_width: snapshot_search_width(miner),
+    })
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! resubmit unacknowledged writes), and compare queries bit for bit:
 //! f64 `to_bits`, subspace sets, and `od_evals` counts.
 
-use hos_core::{HosMiner, HosMinerConfig, ModelFile, ThresholdPolicy};
+use hos_core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_data::Dataset;
 use hos_storage::store::SnapshotState;
 use hos_storage::{
-    miner_from_snapshot, recover_miner, snapshot_search_width, Op, StorageError, Store, StoreConfig,
+    miner_from_snapshot, recover_miner, snapshot_miner, Op, StorageError, Store, StoreConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -63,17 +63,7 @@ fn apply(miner: &mut HosMiner, op: &Op) {
 }
 
 fn checkpoint(store: &mut Store, miner: &HosMiner) -> u64 {
-    let text = ModelFile::from_miner(miner).to_text();
-    store
-        .snapshot(&SnapshotState {
-            dataset: miner.engine().dataset(),
-            model: Some(&text),
-            base: 0,
-            oldest: 0,
-            rows_consumed: 0,
-            search_width: snapshot_search_width(miner),
-        })
-        .unwrap();
+    snapshot_miner(store, miner, (0, 0, 0)).unwrap();
     store.last_seq()
 }
 

@@ -23,7 +23,7 @@
 use hos_miner::core::{HosMiner, HosMinerConfig, ThresholdPolicy};
 use hos_miner::data::{Dataset, Metric, PointId};
 use hos_miner::index::knn::build_engine;
-use hos_miner::index::{Engine, KnnEngine, LinearScan};
+use hos_miner::index::{Engine, KnnEngine, LazyContextEvaluator};
 use hos_miner::Subspace;
 use proptest::prelude::*;
 
@@ -39,14 +39,6 @@ const ARMS: [(Engine, usize); 5] = [
     (Engine::Linear, 4),
     (Engine::XTree, 1),
 ];
-
-/// One arm's engine over `ds`.
-fn build(kind: Engine, ds: Dataset, metric: Metric, shards: usize) -> Box<dyn KnnEngine> {
-    match kind {
-        Engine::Linear => Box::new(LinearScan::with_ranges(ds, metric, shards)),
-        Engine::XTree => build_engine(kind, ds, metric),
-    }
-}
 
 /// One step of a generated stream.
 #[derive(Clone, Debug)]
@@ -117,7 +109,7 @@ fn assert_equivalent(
     step: usize,
 ) {
     let cold_ds = mirror.dataset();
-    let cold = build(kind, cold_ds, metric, shards);
+    let cold = build_engine(kind, cold_ds, metric, shards);
     let ctx = format!("{kind} metric={metric:?} shards={shards} step={step}");
 
     // Queries: one external probe plus up to three live members.
@@ -171,8 +163,8 @@ fn assert_equivalent(
             .iter()
             .map(|&s| inc.od(&q, k, s, inc_exclude))
             .collect();
-        let mut ev_inc = inc.evaluator(&q, k, inc_exclude);
-        let mut ev_cold = cold.evaluator(&q, k, cold_exclude);
+        let mut ev_inc = LazyContextEvaluator::new(inc, &q, k, inc_exclude);
+        let mut ev_cold = LazyContextEvaluator::new(cold.as_ref(), &q, k, cold_exclude);
         let batch = ev_inc.od_batch(&subspaces, 2);
         assert_eq!(
             batch,
@@ -212,11 +204,7 @@ fn assert_equivalent(
 fn apply(op: &Op, inc: &mut Box<dyn KnnEngine>, mirror: &mut Mirror) {
     match op {
         Op::Insert(row) => {
-            let id = inc
-                .as_incremental()
-                .expect("all engines are incremental")
-                .insert(row)
-                .expect("valid insert");
+            let id = inc.insert(row).expect("valid insert");
             assert_eq!(id, mirror.next_id, "insert ids are append-only");
             mirror.live.push((id, row.clone()));
             mirror.next_id += 1;
@@ -227,10 +215,7 @@ fn apply(op: &Op, inc: &mut Box<dyn KnnEngine>, mirror: &mut Mirror) {
             }
             let idx = pick % mirror.live.len();
             let (id, _) = mirror.live.remove(idx);
-            inc.as_incremental()
-                .expect("all engines are incremental")
-                .remove(id)
-                .expect("valid remove");
+            inc.remove(id).expect("valid remove");
         }
     }
 }
@@ -250,7 +235,7 @@ proptest! {
         metric in arb_metric(),
     ) {
         for (kind, shards) in ARMS {
-            let mut inc = build(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
+            let mut inc = build_engine(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
             let mut mirror = Mirror::new(&initial);
             assert_equivalent(inc.as_ref(), &mirror, kind, metric, shards, 0);
             for (step, op) in ops.iter().enumerate() {
@@ -289,7 +274,7 @@ fn long_streams_with_rebuilds_stay_equivalent() {
     }
     for (kind, shards) in [(Engine::Linear, 1), (Engine::Linear, 3), (Engine::XTree, 1)] {
         for metric in [Metric::L2, Metric::LInf] {
-            let mut inc = build(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
+            let mut inc = build_engine(kind, Dataset::from_rows(&initial).unwrap(), metric, shards);
             let mut mirror = Mirror::new(&initial);
             for (step, op) in ops.iter().enumerate() {
                 apply(op, &mut inc, &mut mirror);
@@ -389,7 +374,7 @@ fn draining_every_engine_below_k_is_a_typed_error() {
         .map(|i| vec![i as f64, (i % 2) as f64, 0.0])
         .collect();
     for (kind, shards) in ARMS {
-        let mut e = build(kind, Dataset::from_rows(&rows).unwrap(), Metric::L2, shards);
+        let mut e = build_engine(kind, Dataset::from_rows(&rows).unwrap(), Metric::L2, shards);
         let s = Subspace::full(3);
         for id in 0..6 {
             let removed = 6 - e.dataset().live_len();
@@ -413,7 +398,7 @@ fn draining_every_engine_below_k_is_a_typed_error() {
                 K.min(e.dataset().live_len()),
                 "{kind} shards={shards}"
             );
-            e.as_incremental().unwrap().remove(id).unwrap();
+            e.remove(id).unwrap();
         }
         // Fully drained: empty results, typed error on the checked path.
         assert!(e.knn(&[0.0; 3], K, s, None).is_empty());

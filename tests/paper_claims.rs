@@ -3,7 +3,7 @@
 
 use hos_miner::core::priors::Priors;
 use hos_miner::core::search::dynamic_search;
-use hos_miner::core::{learn, minimal_subspaces};
+use hos_miner::core::{learn, minimal_subspaces, FractionMode};
 use hos_miner::data::{Dataset, Metric};
 use hos_miner::index::{KnnEngine, LinearScan};
 use hos_miner::lattice::{binomial, dsf, usf, Lattice, TsfComputer};
@@ -101,7 +101,7 @@ fn learned_priors_boundary_convention() {
     let flat: Vec<f64> = (0..300 * d).map(|_| rng.gen_range(0.0..1.0)).collect();
     let ds = Dataset::from_flat(flat, d).unwrap();
     let e = LinearScan::new(ds, Metric::L2);
-    let model = learn(&e, 4, 0.8, 10, 3, 1).unwrap();
+    let model = learn(&e, 4, 0.8, 10, 3, 1, 1.0, FractionMode::EvaluatedOnly).unwrap();
     assert_eq!(model.priors.down(1), 0.0);
     assert_eq!(model.priors.up(d), 0.0);
 }

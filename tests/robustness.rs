@@ -43,7 +43,7 @@ fn constant_columns() {
     assert_eq!(out.minimal, vec![Subspace::from_dims(&[1])]);
     // The X-tree survives constant columns too.
     let ds2 = miner.engine().dataset().clone();
-    let e = hos_miner::index::knn::build_engine(Engine::XTree, ds2, Metric::L2);
+    let e = hos_miner::index::knn::build_engine(Engine::XTree, ds2, Metric::L2, 1);
     let nn = e.knn(&[5.0, 0.0, 7.0], 3, Subspace::full(3), None);
     assert_eq!(nn.len(), 3);
 }
