@@ -55,12 +55,11 @@ bit-identical to the serial ones.
 --engine picks the exact k-NN search (linear scan or X-tree); both
 return the same neighbours, distances and ODs.
 `bench serve` drives an in-process hos-serve instance with concurrent
-clients under a 90/10 read/write mix across four arms — unbatched,
-batched with a fixed window, batched with the adaptive window, and the
-hosbin binary protocol with a pipelined client (--pipeline frames in
-flight) — and writes serve_qps / serve_adaptive_qps / serve_bin_qps
-(plus their p99_ms keys) to a summary (default BENCH_SUMMARY.json;
---summary - disables); --min-speedup sets a floor on the
+clients under a 90/10 read/write mix across three arms — unbatched,
+batched (a window closes when the queue is dry), and the hosbin binary
+protocol with a pipelined client (--pipeline frames in flight) — and
+writes serve_qps / serve_bin_qps (plus their p99_ms keys) to a
+summary (default BENCH_SUMMARY.json; --summary - disables); --min-speedup sets a floor on the
 batched/unbatched throughput ratio and --min-bin-speedup one on the
 hosbin/batched-JSON ratio, enforced on any core count. The served
 system is timed by `python3 perfbench/run.py` and the kernels by

@@ -21,15 +21,14 @@ pub const BENCH_SERVE_FLAGS: &[&str] = &[
 ];
 
 /// `bench serve`: sustained-load benchmark of the resident query
-/// server under a 90/10 read/write mix, across four arms that all
+/// server under a 90/10 read/write mix, across three arms that all
 /// answer bit-identically (pinned by the serve concurrency and
 /// protocol oracles) so each comparison isolates one mechanism:
 ///
-/// * unbatched (`batch_max 1`) vs **fixed-window batched** — what
-///   cross-request batching buys (`serve_qps`, meaning unchanged
-///   from earlier baselines);
-/// * fixed vs **adaptive window** — what the arrival/cost model buys
-///   in tail latency (`serve_adaptive_*`);
+/// * unbatched (`batch_max 1`) vs **batched** (`batch_max 64`, a
+///   window closes when the queue is dry) — what cross-request
+///   batching buys (`serve_qps`, meaning unchanged from earlier
+///   baselines);
 /// * batched JSON vs **hosbin** with a pipelined binary client —
 ///   what the length-prefixed protocol and `--pipeline` in-flight
 ///   frames buy (`serve_bin_*`).
@@ -90,7 +89,6 @@ pub fn cmd_bench_serve(args: &Args) -> CmdResult {
     fn drive(
         miner: hos_core::HosMiner,
         batch_max: usize,
-        adaptive: bool,
         clients: usize,
         per_client: usize,
         n: usize,
@@ -98,9 +96,7 @@ pub fn cmd_bench_serve(args: &Args) -> CmdResult {
     ) -> Result<(f64, f64), String> {
         let config = hos_serve::ServeConfig {
             workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
             batch_max,
-            adaptive_window: adaptive,
             ..hos_serve::ServeConfig::default()
         };
         let server = hos_serve::Server::start(miner, &config).map_err(|e| e.to_string())?;
@@ -205,7 +201,6 @@ pub fn cmd_bench_serve(args: &Args) -> CmdResult {
 
         let config = hos_serve::ServeConfig {
             workers: clients.min(16),
-            batch_window: std::time::Duration::from_millis(2),
             batch_max: 64,
             ..hos_serve::ServeConfig::default()
         };
@@ -279,24 +274,15 @@ pub fn cmd_bench_serve(args: &Args) -> CmdResult {
         Ok(m)
     };
     let twin_unbatched = fit_twin()?;
-    let twin_fixed = fit_twin()?;
     let twin_bin = fit_twin()?;
     let pipeline = args.get_or("pipeline", 4usize)?.max(1);
-    let (unbatched_qps, unbatched_p99) =
-        drive(twin_unbatched, 1, false, clients, per_client, n, dim)?;
-    let (serve_qps, serve_p99) = drive(twin_fixed, 64, false, clients, per_client, n, dim)?;
-    let (adaptive_qps, adaptive_p99) = drive(miner, 64, true, clients, per_client, n, dim)?;
+    let (unbatched_qps, unbatched_p99) = drive(twin_unbatched, 1, clients, per_client, n, dim)?;
+    let (serve_qps, serve_p99) = drive(miner, 64, clients, per_client, n, dim)?;
     let (bin_qps, bin_p99) = drive_bin(twin_bin, clients, per_client, n, dim, pipeline)?;
     let speedup = serve_qps / unbatched_qps.max(1e-12);
     let bin_speedup = bin_qps / serve_qps.max(1e-12);
     println!("serve unbatched: {unbatched_qps:.1} req/s, p99 {unbatched_p99:.2} ms  (batch_max 1)");
-    println!(
-        "serve batched:   {serve_qps:.1} req/s, p99 {serve_p99:.2} ms  (batch_max 64, fixed window)"
-    );
-    println!(
-        "serve adaptive:  {adaptive_qps:.1} req/s, p99 {adaptive_p99:.2} ms  \
-         (batch_max 64, adaptive window)"
-    );
+    println!("serve batched:   {serve_qps:.1} req/s, p99 {serve_p99:.2} ms  (batch_max 64)");
     println!(
         "serve hosbin:    {bin_qps:.1} req/s, p99 {bin_p99:.2} ms  \
          (binary protocol, pipeline {pipeline})"
@@ -326,8 +312,6 @@ pub fn cmd_bench_serve(args: &Args) -> CmdResult {
              \"fit_seconds\": {fit_seconds:.6},\n    \
              \"serve_qps\": {serve_qps:.3},\n    \"serve_p99_ms\": {serve_p99:.3},\n    \
              \"serve_unbatched_qps\": {unbatched_qps:.3},\n    \"serve_speedup\": {speedup:.3},\n    \
-             \"serve_adaptive_qps\": {adaptive_qps:.3},\n    \
-             \"serve_adaptive_p99_ms\": {adaptive_p99:.3},\n    \
              \"serve_bin_qps\": {bin_qps:.3},\n    \"serve_bin_p99_ms\": {bin_p99:.3},\n    \
              \"serve_bin_speedup\": {bin_speedup:.3}\n  }}\n}}\n"
         );

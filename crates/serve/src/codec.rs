@@ -264,6 +264,10 @@ pub fn execute(state: &SharedState, req: ApiRequest) -> Result<ApiReply, ApiErro
                 bin_requests: c.bin_requests.load(Ordering::Relaxed),
             }))
         }
+        // A draining server cannot take new work: not healthy.
+        ApiRequest::Healthz if state.is_draining() => {
+            Err(ApiError::from_serve(&ServeError::Draining))
+        }
         ApiRequest::Healthz => Ok(ApiReply::Healthz),
         ApiRequest::Shutdown => {
             state.start_drain();

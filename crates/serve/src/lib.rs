@@ -13,8 +13,9 @@
 //!   connections end to end plus a reusable response buffer.
 //! * [`state`] — the miner behind a single-writer/many-reader lock;
 //!   a cross-request **dynamic batcher** that coalesces concurrent
-//!   queries into time/size-bounded windows and drives each window
-//!   through one `HosMiner::query_each` fan-out (answers are
+//!   queries into windows (closed when the queue is dry or at
+//!   `batch_max` specs) and drives each window through one
+//!   `HosMiner::query_each` fan-out (answers are
 //!   bit-identical to serial execution — pinned by the concurrency
 //!   oracle test); a bounded write queue drained by one writer
 //!   thread that bumps a version counter under the write lock.
@@ -31,7 +32,8 @@
 //! Endpoints: `POST /query` (id/ids/point/points), `POST /scan`,
 //! `POST /insert`, `POST /retire`, `POST /explain`, `GET /stats`,
 //! `GET /healthz`, `POST /shutdown` (graceful drain). Every error is
-//! a typed JSON envelope; backpressure is a 429, drain a 503. The
+//! a typed JSON envelope; backpressure is a 429, drain a 503 (on
+//! `healthz` too). The
 //! same listener also speaks `hosbin`: a connection that opens with
 //! the `\0HSB` preamble switches to framed binary with the same
 //! endpoint set and error taxonomy.

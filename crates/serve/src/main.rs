@@ -6,7 +6,7 @@ use hos_data::synth::planted::{generate, PlantedSpec};
 use hos_data::{Dataset, Metric, Subspace};
 use hos_index::{shard_count, Engine};
 use hos_serve::{ServeConfig, Server};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const HELP: &str = "\
 hos-serve — resident HTTP query server for HOS-Miner
@@ -18,17 +18,16 @@ USAGE:
             [--engine linear|xtree] [--metric l1|l2|linf]
             [--threads 1] [--samples 20]
             [--addr 127.0.0.1:7878] [--workers 0]
-            [--batch-window-ms 2] [--batch-max 64] [--fixed-window]
             [--sync-every 64] [--snapshot-every 4096]
 
 Fits once at startup, then serves POST /query /scan /insert /retire
 /explain and GET /stats /healthz until POST /shutdown, which drains
-gracefully: admitted work finishes, new work gets 503. --workers 0
-means one HTTP worker per core. --batch-max 1 disables cross-request
-batching (answers are bit-identical either way). Batch windows are
-adaptive by default: the batcher holds a dry window open only while
-its arrival/cost model says waiting beats executing now (capped by
---batch-window-ms); --fixed-window restores close-when-dry windows.
+gracefully: admitted work finishes, new work gets 503 (healthz
+included). --workers 0 means one HTTP worker per core. Concurrent
+queries are batched: one batcher thread takes every query already
+queued, up to batch_max=64 specs, and runs them as one fan-out; a
+window closes as soon as the queue is dry, so a lone query never
+waits for company (answers are bit-identical either way).
 At most a quarter of the workers (at least one) run scans at once, so
 scan bursts cannot starve point queries (excess scans get 429 after a
 short wait).
@@ -59,7 +58,7 @@ WAL tail's ops folded into its rows), rebuild_ms (the one engine
 build over the result) and ops (the tail's length).";
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["header", "help", "fixed-window"];
+const SWITCHES: &[&str] = &["header", "help"];
 
 /// Flags that take one value: exactly the ones HELP documents.
 const VALUE_FLAGS: &[&str] = &[
@@ -78,8 +77,6 @@ const VALUE_FLAGS: &[&str] = &[
     "samples",
     "addr",
     "workers",
-    "batch-window-ms",
-    "batch-max",
     "sync-every",
     "snapshot-every",
 ];
@@ -328,9 +325,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     let config = ServeConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: flags.num("workers", 0)?,
-        batch_window: Duration::from_millis(flags.num("batch-window-ms", 2)?),
-        batch_max: flags.num("batch-max", 64)?,
-        adaptive_window: !flags.switch("fixed-window"),
+        ..ServeConfig::default()
     };
     let live = miner.live_len();
     let dim = miner.engine().dataset().dim();
@@ -343,8 +338,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     println!(
-        "hos-serve listening on {} (live={live} dim={dim} shards={shards} workers={} batch_max={} \
-         window={}ms) \
+        "hos-serve listening on {} (live={live} dim={dim} shards={shards} workers={} batch_max={}) \
          {setup_report}",
         server.addr(),
         if config.workers == 0 {
@@ -352,8 +346,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         } else {
             config.workers
         },
-        config.batch_max,
-        config.batch_window.as_millis()
+        config.batch_max
     );
     let report = server.wait();
     println!(
@@ -391,6 +384,30 @@ mod tests {
                     .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
             });
             assert!(documented, "{flag} missing from HELP");
+        }
+        // And the other direction: every flag the USAGE block shows is
+        // accepted, so a deleted flag cannot linger in the help text.
+        let usage = HELP
+            .split("USAGE:")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("HELP has a USAGE block");
+        let shown: Vec<&str> = usage
+            .match_indices("--")
+            .map(|(at, _)| {
+                let rest = &usage[at + 2..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect();
+        assert!(shown.contains(&"data") && shown.contains(&"snapshot-every"));
+        for name in shown {
+            assert!(
+                SWITCHES.contains(&name) || VALUE_FLAGS.contains(&name),
+                "USAGE shows --{name}, which the parser refuses"
+            );
         }
         let floor = format!("at least {} rows", hos_index::MIN_SHARD_ROWS);
         assert!(HELP.contains(&floor), "HELP must state the range floor");

@@ -49,15 +49,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads; `0` = one per available core.
     pub workers: usize,
-    /// Longest the batcher holds a window open after the first
-    /// request arrives (hard cap in adaptive mode too).
-    pub batch_window: Duration,
-    /// Maximum specs per batch; `1` disables cross-request batching.
+    /// Maximum specs per batch window (a window closes early when the
+    /// queue is dry); `1` disables cross-request batching.
     pub batch_max: usize,
-    /// Adaptive batch windows: hold a dry window open only while the
-    /// arrival/cost model says the wait beats executing now. `false`
-    /// restores the fixed close-when-dry window.
-    pub adaptive_window: bool,
 }
 
 /// Capacity of the query admission queue (requests, not specs) and of
@@ -76,9 +70,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            batch_window: Duration::from_millis(2),
             batch_max: 64,
-            adaptive_window: true,
         }
     }
 }
@@ -138,11 +130,11 @@ impl Server {
         };
         let state = SharedState::new(
             miner,
-            config.batch_window,
+            Duration::ZERO,
             config.batch_max,
             QUEUE_CAP,
             QUEUE_CAP,
-            config.adaptive_window,
+            false,
             scan_permits(workers),
         );
         if let Some((s, snapshot_every, carry)) = store {

@@ -12,15 +12,12 @@
 //!   lock therefore observes the state exactly as of that version —
 //!   the serialization point the concurrency oracle replays against.
 //! * **Query batching**: requests enqueue their [`QuerySpec`]s on a
-//!   bounded admission queue; one batcher thread collects a window
-//!   (first arrival opens it, it closes after `batch_window` or at
-//!   `batch_max` specs) and drives the whole window through ONE
-//!   [`HosMiner::query_each`] call — the same fan-out the CLI's
-//!   `query --ids` uses, so every answer is bit-identical to running
-//!   that query alone. In **adaptive** mode (DESIGN.md §13) the batcher
-//!   additionally holds a non-full window open for one expected
-//!   inter-arrival gap when the EWMA cost model says the wait is
-//!   cheaper than executing now — and closes immediately otherwise.
+//!   bounded admission queue; one batcher thread takes a window (the
+//!   first arrival opens it; it closes as soon as the queue is dry or
+//!   `batch_max` specs are in it — it never waits for more) and drives
+//!   the whole window through ONE [`HosMiner::query_each`] call — the
+//!   same fan-out the CLI's `query --ids` uses, so every answer is
+//!   bit-identical to running that query alone.
 //! * **Per-endpoint weights**: scans run on worker threads under the
 //!   read lock, so a burst of `/scan` requests could occupy every
 //!   worker and starve point queries. A semaphore sized from the
@@ -31,7 +28,9 @@
 //! * **Drain**: shutdown flips `draining` (new work is refused with a
 //!   503-mapped error), wakes both queues, and the batcher/writer
 //!   threads finish everything already admitted before exiting — no
-//!   admitted request is ever dropped.
+//!   admitted request is ever dropped. Admission and the consumers'
+//!   exit both decide under the queue lock, so a job is either
+//!   refused or seen by its consumer, never stranded.
 
 use hos_core::{HosError, HosMiner, QueryOutcome, QuerySpec};
 use hos_data::PointId;
@@ -133,8 +132,15 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    fn push(&self, item: T, which: &'static str) -> Result<(), ServeError> {
+    /// Admits `item` unless the server is draining or the queue is
+    /// full. `draining` is read under the queue lock — the lock the
+    /// consumer holds when it sees drain with an empty queue and exits
+    /// — so a job is either refused here or popped by the consumer.
+    fn push(&self, item: T, which: &'static str, draining: &AtomicBool) -> Result<(), ServeError> {
         let mut q = self.inner.lock().expect("queue poisoned");
+        if draining.load(Ordering::SeqCst) {
+            return Err(ServeError::Draining);
+        }
         if q.len() >= self.cap {
             return Err(ServeError::Backpressure(which));
         }
@@ -144,7 +150,11 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
+    /// Wakes every waiting consumer. Taking the lock first orders the
+    /// wakeup after any consumer that checked `draining` and is about
+    /// to wait, so the notification cannot be lost.
     fn wake_all(&self) {
+        drop(self.inner.lock().expect("queue poisoned"));
         self.ready.notify_all();
     }
 }
@@ -183,23 +193,6 @@ struct StoreSlot {
     carry: (u64, u64, u64),
 }
 
-/// EWMA of the query inter-arrival gap, updated on every admission.
-#[derive(Default)]
-struct ArrivalEwma {
-    last: Option<Instant>,
-    /// Smoothed gap in microseconds; `0.0` = no estimate yet.
-    gap_us: f64,
-}
-
-/// EWMAs of batch execution cost, updated after every batch.
-#[derive(Default)]
-struct ExecEwma {
-    /// Smoothed wall time of a single-job batch, microseconds.
-    single_us: f64,
-    /// Smoothed per-job marginal wall time inside a batch.
-    marginal_us: f64,
-}
-
 /// Counting semaphore capping concurrent scans (per-endpoint queue
 /// weights): waiting is bounded, then typed backpressure.
 struct ScanGate {
@@ -207,20 +200,8 @@ struct ScanGate {
     ready: Condvar,
 }
 
-/// EWMA smoothing factor for the adaptive-window cost model.
-const EWMA_ALPHA: f64 = 0.2;
-/// Smallest hold the batcher will bother sleeping for.
-const MIN_HOLD_US: f64 = 20.0;
 /// How long a scan waits for a permit before 429.
 const SCAN_GATE_WAIT: Duration = Duration::from_millis(10);
-
-fn ewma(prev: f64, sample: f64) -> f64 {
-    if prev == 0.0 {
-        sample
-    } else {
-        (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * sample
-    }
-}
 
 /// Everything the HTTP workers, batcher and writer share.
 pub struct SharedState {
@@ -231,13 +212,8 @@ pub struct SharedState {
     draining: AtomicBool,
     query_queue: BoundedQueue<QueryJob>,
     write_queue: BoundedQueue<WriteJob>,
-    batch_window: Duration,
+    /// Most specs one batch window takes; `1` = unbatched.
     batch_max: usize,
-    /// Adaptive batch windows: hold a non-full window open only while
-    /// the expected marginal wait beats the expected batching gain.
-    batch_adaptive: bool,
-    arrival: Mutex<ArrivalEwma>,
-    exec: Mutex<ExecEwma>,
     scan_gate: ScanGate,
     store: Mutex<StoreSlot>,
     /// Counters for `/stats` and the drain summary.
@@ -245,16 +221,21 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Wraps a fitted miner for serving. `scan_permits` caps
-    /// concurrent scans (see [`SharedState::acquire_scan`]);
-    /// `adaptive` selects the adaptive batch-window policy.
+    /// Wraps a fitted miner for serving. `batch_max` caps the specs
+    /// in one batch window; `scan_permits` caps concurrent scans (see
+    /// [`SharedState::acquire_scan`]).
+    ///
+    /// `_batch_window` and `_adaptive` are ignored: every window closes
+    /// when the queue is dry. They remain only so positional callers
+    /// keep building, and go when this constructor stops being public
+    /// (ROADMAP.md, item 2).
     pub fn new(
         miner: HosMiner,
-        batch_window: Duration,
+        _batch_window: Duration,
         batch_max: usize,
         query_queue_cap: usize,
         write_queue_cap: usize,
-        adaptive: bool,
+        _adaptive: bool,
         scan_permits: usize,
     ) -> Arc<SharedState> {
         Arc::new(SharedState {
@@ -263,11 +244,7 @@ impl SharedState {
             draining: AtomicBool::new(false),
             query_queue: BoundedQueue::new(query_queue_cap),
             write_queue: BoundedQueue::new(write_queue_cap),
-            batch_window,
             batch_max: batch_max.max(1),
-            batch_adaptive: adaptive,
-            arrival: Mutex::new(ArrivalEwma::default()),
-            exec: Mutex::new(ExecEwma::default()),
             scan_gate: ScanGate {
                 slots: Mutex::new(scan_permits.max(1)),
                 ready: Condvar::new(),
@@ -356,16 +333,8 @@ impl SharedState {
         &self,
         specs: Vec<QuerySpec>,
     ) -> Result<(u64, Vec<Result<QueryOutcome, HosError>>), ServeError> {
-        if self.is_draining() {
-            return Err(ServeError::Draining);
-        }
         let (tx, rx) = mpsc::channel();
-        self.query_queue
-            .push(QueryJob { specs, reply: tx }, "query")
-            .inspect_err(|_| {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            })?;
-        self.note_arrival();
+        self.admit(&self.query_queue, QueryJob { specs, reply: tx }, "query")?;
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         rx.recv()
             .map_err(|_| ServeError::Internal("batcher exited without replying"))
@@ -378,152 +347,63 @@ impl SharedState {
         &self,
         op: WriteOp,
     ) -> Result<(u64, Result<WriteOk, HosError>), ServeError> {
-        if self.is_draining() {
-            return Err(ServeError::Draining);
-        }
         let (tx, rx) = mpsc::channel();
-        self.write_queue
-            .push(WriteJob { op, reply: tx }, "write")
-            .inspect_err(|_| {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            })?;
+        self.admit(&self.write_queue, WriteJob { op, reply: tx }, "write")?;
         rx.recv()
             .map_err(|_| ServeError::Internal("writer exited without replying"))
     }
 
-    /// Records one admission for the arrival-rate EWMA.
-    fn note_arrival(&self) {
-        let mut a = self.arrival.lock().expect("arrival lock poisoned");
-        let now = Instant::now();
-        if let Some(last) = a.last {
-            let gap = now.duration_since(last).as_secs_f64() * 1e6;
-            a.gap_us = ewma(a.gap_us, gap);
-        }
-        a.last = Some(now);
-    }
-
-    /// Records one executed batch for the cost EWMAs.
-    fn note_exec(&self, njobs: usize, elapsed: Duration) {
-        let us = elapsed.as_secs_f64() * 1e6;
-        let mut e = self.exec.lock().expect("exec lock poisoned");
-        e.marginal_us = ewma(e.marginal_us, us / njobs.max(1) as f64);
-        if njobs == 1 {
-            e.single_us = ewma(e.single_us, us);
-        }
-    }
-
-    /// The adaptive-window policy: with `njobs` already holding the
-    /// window open, is one more expected inter-arrival gap of waiting
-    /// cheaper than executing now? Batching gain per coalesced job is
-    /// `single - marginal` (one whole batch execution amortized away);
-    /// the cost is every held job waiting out the expected gap. Cold
-    /// start (no estimates yet) and fixed mode never hold — identical
-    /// to the close-when-dry policy the fixed window uses.
-    fn profitable_hold(&self, njobs: usize, until_deadline: Duration) -> Option<Duration> {
-        if !self.batch_adaptive {
-            return None;
-        }
-        let (single, marginal) = {
-            let e = self.exec.lock().expect("exec lock poisoned");
-            (e.single_us, e.marginal_us)
-        };
-        if single <= 0.0 || marginal <= 0.0 {
-            return None;
-        }
-        let gain = single - marginal;
-        if gain <= 0.0 {
-            return None;
-        }
-        let expected_wait_us = {
-            let a = self.arrival.lock().expect("arrival lock poisoned");
-            if a.gap_us <= 0.0 {
-                return None;
+    /// Pushes `item` onto `queue`, counting a backpressure refusal.
+    fn admit<T>(
+        &self,
+        queue: &BoundedQueue<T>,
+        item: T,
+        which: &'static str,
+    ) -> Result<(), ServeError> {
+        queue.push(item, which, &self.draining).inspect_err(|e| {
+            if matches!(e, ServeError::Backpressure(_)) {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             }
-            let since_last = a.last.map_or(0.0, |l| l.elapsed().as_secs_f64() * 1e6);
-            (a.gap_us - since_last).max(MIN_HOLD_US)
-        };
-        if njobs as f64 * expected_wait_us > gain {
-            return None;
-        }
-        let hold = Duration::from_micros(expected_wait_us.ceil() as u64).min(until_deadline);
-        (hold > Duration::ZERO).then_some(hold)
+        })
     }
 
-    /// The batcher thread body: collect a window of admitted requests,
+    /// The batcher thread body: take a window of admitted requests,
     /// execute them as ONE `query_each` batch under the read lock,
     /// scatter the results. Exits once draining AND the queue is empty.
     pub fn batcher_loop(self: &Arc<SharedState>) {
         loop {
-            // Block until at least one job is admitted (or drain).
+            // Block until at least one job is admitted (or drain), then
+            // take whatever else is already queued, up to `batch_max`
+            // specs. The window closes as soon as the queue is dry:
+            // every waiting client is blocked on a reply, so holding it
+            // open cannot attract more work, only add latency (DESIGN.md
+            // §13). batch_max == 1 degenerates to unbatched execution.
             let mut window: Vec<QueryJob> = Vec::new();
             {
                 let mut q = self.query_queue.inner.lock().expect("queue poisoned");
-                loop {
+                let first = loop {
                     if let Some(job) = q.pop_front() {
-                        window.push(job);
-                        break;
+                        break job;
                     }
                     if self.is_draining() {
                         return;
                     }
                     q = self.query_queue.ready.wait(q).expect("queue poisoned");
+                };
+                let mut nspecs = first.specs.len();
+                window.push(first);
+                while nspecs < self.batch_max {
+                    let Some(job) = q.pop_front() else { break };
+                    nspecs += job.specs.len();
+                    window.push(job);
                 }
-            }
-            // The window is open: keep admitting until it is full, the
-            // deadline passes, or the queue runs dry. When the queue
-            // is dry, fixed mode closes the window immediately — every
-            // waiting client is blocked on a reply, so sleeping out
-            // the deadline cannot attract more work, only add latency
-            // (on one core it made batched throughput *lower* than
-            // unbatched). Adaptive mode instead asks the cost model
-            // whether one expected inter-arrival gap of extra wait is
-            // cheaper than executing the current window now, and only
-            // then sleeps — bounded by the `batch_window` deadline.
-            // batch_max == 1 degenerates to unbatched execution.
-            let deadline = Instant::now() + self.batch_window;
-            let mut nspecs = window[0].specs.len();
-            'fill: while nspecs < self.batch_max {
-                {
-                    let mut q = self.query_queue.inner.lock().expect("queue poisoned");
-                    while nspecs < self.batch_max {
-                        match q.pop_front() {
-                            Some(job) => {
-                                nspecs += job.specs.len();
-                                window.push(job);
-                            }
-                            None => break,
-                        }
-                    }
-                    if nspecs >= self.batch_max || self.is_draining() {
-                        break 'fill;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break 'fill;
-                    }
-                    let Some(hold) = self.profitable_hold(window.len(), deadline - now) else {
-                        break 'fill;
-                    };
-                    // Queue is dry and the model says waiting pays:
-                    // sleep for one expected arrival (or a wakeup).
-                    let (q2, _timeout) = self
-                        .query_queue
-                        .ready
-                        .wait_timeout(q, hold)
-                        .expect("queue poisoned");
-                    drop(q2);
-                }
-                // Re-enter the drain loop; if nothing arrived the
-                // deadline or the cost model will close the window.
             }
             // Execute the whole window as one batch. `version` is read
             // under the read lock, so it names exactly the state these
             // answers were computed from.
             let all: Vec<QuerySpec> = window.iter().flat_map(|j| j.specs.clone()).collect();
-            let started = Instant::now();
             let (version, mut results) =
                 self.with_read(|miner, version| (version, miner.query_each(&all).into_iter()));
-            self.note_exec(window.len(), started.elapsed());
             self.counters.batches.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .specs
@@ -693,15 +573,7 @@ mod tests {
     }
 
     fn spawn_state(batch_max: usize) -> (Arc<SharedState>, Vec<thread::JoinHandle<()>>) {
-        let state = SharedState::new(
-            small_miner(),
-            Duration::from_millis(2),
-            batch_max,
-            64,
-            64,
-            true,
-            1,
-        );
+        let state = SharedState::new(small_miner(), Duration::ZERO, batch_max, 64, 64, false, 1);
         let b = {
             let s = Arc::clone(&state);
             thread::spawn(move || s.batcher_loop())
@@ -822,9 +694,41 @@ mod tests {
     }
 
     #[test]
+    fn push_after_the_consumer_saw_drain_is_refused_and_never_queues() {
+        let (state, handles) = spawn_state(64);
+        // Once both consumers have seen drain with empty queues and
+        // exited, nothing would ever pop a job pushed now.
+        drain(&state, handles);
+        let (tx, rx) = mpsc::channel();
+        let job = QueryJob {
+            specs: vec![QuerySpec::Member(0)],
+            reply: tx,
+        };
+        assert!(matches!(
+            state.query_queue.push(job, "query", &state.draining),
+            Err(ServeError::Draining)
+        ));
+        assert!(state.query_queue.inner.lock().unwrap().is_empty());
+        // The refused job's reply sender is gone: no client could wait
+        // on it.
+        assert!(rx.recv().is_err());
+        let (tx, _rx) = mpsc::channel();
+        let job = WriteJob {
+            op: WriteOp::Retire(0),
+            reply: tx,
+        };
+        assert!(matches!(
+            state.write_queue.push(job, "write", &state.draining),
+            Err(ServeError::Draining)
+        ));
+        assert!(state.write_queue.inner.lock().unwrap().is_empty());
+        assert_eq!(state.counters.rejected.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn full_query_queue_is_backpressure_not_blocking() {
         // No batcher thread running: the queue only fills.
-        let state = SharedState::new(small_miner(), Duration::from_millis(1), 8, 2, 2, true, 1);
+        let state = SharedState::new(small_miner(), Duration::ZERO, 8, 2, 2, false, 1);
         let (tx, _rx) = mpsc::channel();
         for _ in 0..2 {
             state
@@ -835,6 +739,7 @@ mod tests {
                         reply: tx.clone(),
                     },
                     "query",
+                    &state.draining,
                 )
                 .unwrap();
         }
@@ -869,7 +774,7 @@ mod tests {
 
     #[test]
     fn scan_gate_bounds_concurrency_then_backpressures() {
-        let state = SharedState::new(small_miner(), Duration::from_millis(1), 8, 8, 8, true, 1);
+        let state = SharedState::new(small_miner(), Duration::ZERO, 8, 8, 8, false, 1);
         let permit = state.acquire_scan().unwrap();
         // The single slot is held: a second acquire waits out the
         // bounded gate and comes back as typed backpressure.
@@ -888,71 +793,5 @@ mod tests {
         state.start_drain();
         assert!(matches!(state.acquire_scan(), Err(ServeError::Draining)));
         drop(held);
-    }
-
-    #[test]
-    fn adaptive_policy_holds_only_when_the_model_says_it_pays() {
-        let state = SharedState::new(small_miner(), Duration::from_millis(2), 8, 8, 8, true, 1);
-        let budget = Duration::from_millis(2);
-        // Cold start: no estimates, never hold (same as fixed mode).
-        assert!(state.profitable_hold(1, budget).is_none());
-        // Teach the model: single-job batches cost ~500us, marginal
-        // ~50us, arrivals every ~100us → holding 1 job for ~100us
-        // saves ~450us. Profitable.
-        {
-            let mut e = state.exec.lock().unwrap();
-            e.single_us = 500.0;
-            e.marginal_us = 50.0;
-            let mut a = state.arrival.lock().unwrap();
-            a.gap_us = 100.0;
-            a.last = Some(Instant::now());
-        }
-        let hold = state.profitable_hold(1, budget).expect("should hold");
-        assert!(hold <= budget);
-        // 20 jobs already waiting: 20 x 100us of added latency beats
-        // the 450us gain — close the window instead.
-        assert!(state.profitable_hold(20, budget).is_none());
-        // Arrivals slower than the gain: never hold.
-        {
-            let mut a = state.arrival.lock().unwrap();
-            a.gap_us = 10_000.0;
-            a.last = Some(Instant::now());
-        }
-        assert!(state.profitable_hold(1, budget).is_none());
-        // Fixed mode ignores the model entirely.
-        let fixed = SharedState::new(small_miner(), Duration::from_millis(2), 8, 8, 8, false, 1);
-        {
-            let mut e = fixed.exec.lock().unwrap();
-            e.single_us = 500.0;
-            e.marginal_us = 50.0;
-            let mut a = fixed.arrival.lock().unwrap();
-            a.gap_us = 100.0;
-            a.last = Some(Instant::now());
-        }
-        assert!(fixed.profitable_hold(1, budget).is_none());
-    }
-
-    #[test]
-    fn adaptive_batcher_still_answers_everything_under_load() {
-        let (state, handles) = spawn_state(16);
-        // Warm the cost model with sequential singles, then hammer.
-        for _ in 0..4 {
-            let (_, r) = state.submit_query(vec![QuerySpec::Member(0)]).unwrap();
-            assert!(r[0].is_ok());
-        }
-        let mut joins = Vec::new();
-        for i in 0..16 {
-            let s = Arc::clone(&state);
-            joins.push(thread::spawn(move || {
-                let (_, results) = s.submit_query(vec![QuerySpec::Member(i % 4)]).unwrap();
-                assert_eq!(results.len(), 1);
-                assert!(results[0].is_ok());
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(state.counters.specs.load(Ordering::Relaxed), 20);
-        drain(&state, handles);
     }
 }

@@ -40,7 +40,6 @@ fn start() -> Server {
         fitted_miner(),
         &ServeConfig {
             workers: 2,
-            batch_window: Duration::from_millis(1),
             batch_max: 16,
             ..ServeConfig::default()
         },
@@ -204,7 +203,6 @@ fn unbatched_mode_still_answers() {
         fitted_miner(),
         &ServeConfig {
             workers: 1,
-            batch_window: Duration::from_millis(0),
             batch_max: 1,
             ..ServeConfig::default()
         },
@@ -218,6 +216,88 @@ fn unbatched_mode_still_answers() {
     let report = server.join();
     assert_eq!(report.specs, 3);
     server_report_sane(&report);
+}
+
+/// Reads one HTTP response off a keep-alive connection: the head, then
+/// exactly `Content-Length` body bytes.
+fn read_keep_alive_reply(stream: &mut std::net::TcpStream) -> (u16, Json) {
+    use std::io::Read;
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).unwrap();
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8(raw).unwrap();
+    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length")
+                .then(|| value.trim().parse().unwrap())
+        })
+        .unwrap();
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).unwrap();
+    (status, json(&body))
+}
+
+#[test]
+fn healthz_turns_503_draining_once_shutdown_starts_on_both_wires() {
+    use hos_serve::{codec, ApiRequest};
+    use std::io::Write;
+
+    // One worker per open connection: a keep-alive HTTP client, a
+    // hosbin client and the one-shot /shutdown.
+    let server = Server::start(
+        fitted_miner(),
+        &ServeConfig {
+            workers: 3,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let healthz = b"GET /healthz HTTP/1.1\r\nHost: hos\r\n\r\n";
+    let mut http = std::net::TcpStream::connect(addr).unwrap();
+    http.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut bin = tinyhttp::bin::BinClient::connect(addr).unwrap();
+    let mut body = Vec::new();
+    let op = codec::encode_bin_request(&ApiRequest::Healthz, &mut body);
+    let bin_healthz = |bin: &mut tinyhttp::bin::BinClient| {
+        let (rop, reply) = bin.call(op, &body).unwrap();
+        codec::bin_reply_to_json(rop, &reply).unwrap()
+    };
+
+    http.write_all(healthz).unwrap();
+    let (status, v) = read_keep_alive_reply(&mut http);
+    assert_eq!(status, 200);
+    assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+    let (status, v) = bin_healthz(&mut bin);
+    assert_eq!(status, 200);
+    assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+
+    let (status, _) = client_request(addr, "POST", "/shutdown", b"").unwrap();
+    assert_eq!(status, 200);
+
+    // Both connections outlive the shutdown; neither may still be
+    // told the server is healthy.
+    http.write_all(healthz).unwrap();
+    let (status, v) = read_keep_alive_reply(&mut http);
+    let kind = |v: &Json| {
+        let err = v.get("error").unwrap();
+        err.get("kind").unwrap().as_str().unwrap().to_string()
+    };
+    assert_eq!((status, kind(&v).as_str()), (503, "draining"));
+    let (status, v) = bin_healthz(&mut bin);
+    assert_eq!((status, kind(&v).as_str()), (503, "draining"));
+
+    drop(http);
+    drop(bin);
+    let report = server.wait();
+    assert_eq!(report.rejected, 0);
 }
 
 fn server_report_sane(report: &hos_serve::ServeReport) {
@@ -485,6 +565,12 @@ fn bad_flags_make_the_binary_exit_2() {
         (&["--queue-cap", "8"], "unknown flag --queue-cap"),
         (&["--query-weight", "3"], "unknown flag --query-weight"),
         (&["--scan-weight", "1"], "unknown flag --scan-weight"),
+        (&["--fixed-window"], "unknown flag --fixed-window"),
+        (
+            &["--batch-window-ms", "2"],
+            "unknown flag --batch-window-ms",
+        ),
+        (&["--batch-max", "8"], "unknown flag --batch-max"),
     ];
     for (extra, needle) in cases {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hos-serve"))

@@ -33,7 +33,6 @@ use hos_data::Subspace;
 use hos_serve::{Json, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 use tinyhttp::client_request;
 
 fn fitted_miner() -> HosMiner {
@@ -167,7 +166,6 @@ fn concurrent_mixed_traffic_equals_serial_replay() {
         fitted_miner(),
         &ServeConfig {
             workers: 4,
-            batch_window: Duration::from_millis(2),
             batch_max: 16,
             ..ServeConfig::default()
         },
@@ -337,7 +335,6 @@ fn every_endpoint_is_bit_identical_across_protocols() {
 
     let config = ServeConfig {
         workers: 2,
-        batch_window: Duration::from_millis(2),
         batch_max: 16,
         ..ServeConfig::default()
     };

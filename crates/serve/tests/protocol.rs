@@ -39,7 +39,6 @@ fn server_addr() -> SocketAddr {
             miner,
             &ServeConfig {
                 workers: 2,
-                batch_window: Duration::from_millis(1),
                 batch_max: 8,
                 ..ServeConfig::default()
             },
