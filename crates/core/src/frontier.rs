@@ -30,7 +30,7 @@
 
 use crate::search::SearchStats;
 use hos_data::{PointId, Subspace};
-use hos_index::{KnnEngine, LazyContextEvaluator};
+use hos_index::{Decision, KnnEngine, LazyContextEvaluator};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -44,8 +44,9 @@ pub struct FrontierOutcome {
     /// the frontier emptied before reaching `max_dim` (no deeper
     /// minimal subspace can exist).
     pub complete: bool,
-    /// Cost accounting (only `od_evals`, `rounds` and `seconds` are
-    /// meaningful; the lattice is never materialised).
+    /// Cost accounting (only `od_evals`, `settled_evals`,
+    /// `nodes_visited`, `rounds` and `seconds` are meaningful; the
+    /// lattice is never materialised).
     pub stats: SearchStats,
 }
 
@@ -70,6 +71,7 @@ pub fn frontier_search(
     let max_dim = max_dim.min(d);
 
     let mut evals = 0u64;
+    let mut settled = 0u64;
     let mut rounds = 0u32;
     let mut minimal: Vec<Subspace> = Vec::new();
 
@@ -78,11 +80,13 @@ pub fn frontier_search(
     // `dynamic_search`.
     let mut evaluator = LazyContextEvaluator::new(engine, query, k, exclude);
 
-    // Inlier fast path: the full space has the maximum OD.
+    // Inlier fast path: the full space has the maximum OD. (The first
+    // decision has no earlier winners to settle it from.)
     let full = Subspace::full(d);
-    let full_od = evaluator.od(full);
+    let full_outlying =
+        evaluator.decide_batch(&[full], threshold, threads)[0].is_outlying(threshold);
     evals += 1;
-    if full_od < threshold {
+    if !full_outlying {
         return FrontierOutcome {
             minimal,
             complete: true,
@@ -102,11 +106,12 @@ pub fn frontier_search(
     let exhausted_frontier;
     loop {
         rounds += 1;
-        let ods = evaluator.od_batch(&open, threads);
+        let decisions = evaluator.decide_batch(&open, threshold, threads);
         evals += open.len() as u64;
         let mut survivors: Vec<Subspace> = Vec::new();
-        for (&s, &od) in open.iter().zip(&ods) {
-            if od >= threshold {
+        for (&s, &decision) in open.iter().zip(&decisions) {
+            settled += u64::from(decision == Decision::Below);
+            if decision.is_outlying(threshold) {
                 minimal.push(s);
             } else {
                 survivors.push(s);
@@ -165,6 +170,7 @@ pub fn frontier_search(
         minimal,
         stats: SearchStats {
             od_evals: evals,
+            settled_evals: settled,
             nodes_visited: evaluator.node_visits(),
             rounds,
             seconds: start.elapsed().as_secs_f64(),

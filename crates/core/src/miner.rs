@@ -6,7 +6,6 @@
 //! by the refinement filter.
 
 use crate::error::HosError;
-use crate::filter::minimal_subspaces;
 use crate::learning::{FractionMode, LearnedModel};
 use crate::od::ThresholdPolicy;
 use crate::search::{dynamic_search, ScoredSubspace, SearchOutcome, SearchStats};
@@ -139,9 +138,8 @@ pub struct QueryOutcome {
 
 impl QueryOutcome {
     fn from_search(out: SearchOutcome) -> Self {
-        let subspaces: Vec<Subspace> = out.subspaces();
         QueryOutcome {
-            minimal: minimal_subspaces(&subspaces),
+            minimal: out.minimal(),
             outlying: out.outlying,
             stats: out.stats,
         }

@@ -16,9 +16,10 @@
 //! that adaptivity is the paper's core algorithmic idea, and the
 //! learned priors are what feed it.
 
+use crate::filter::minimal_subspaces;
 use crate::priors::Priors;
 use hos_data::{PointId, Subspace};
-use hos_index::{KnnEngine, LazyContextEvaluator};
+use hos_index::{Decision, KnnEngine, LazyContextEvaluator};
 use hos_lattice::{Lattice, SubspaceState, TsfComputer};
 use std::time::Instant;
 
@@ -36,7 +37,9 @@ pub struct ScoredSubspace {
 /// Search-cost accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SearchStats {
-    /// OD (k-NN) evaluations performed.
+    /// Subspaces evaluated directly, as opposed to pruned: each was
+    /// given its exact OD (a k-NN scan) or settled below `T` without
+    /// one (`settled_evals`).
     pub od_evals: u64,
     /// ODs computed in a level batch but discarded because an earlier
     /// evaluation *in the same batch* had already disposed of the
@@ -48,6 +51,16 @@ pub struct SearchStats {
     /// levels — but the counter measures the waste the moment any
     /// batching scheme (cross-level, speculative) can introduce it.
     pub wasted_evals: u64,
+    /// Evaluations decided below `T` without a scan, out of the
+    /// `od_evals + wasted_evals` decisions the evaluator made: the `k`
+    /// winners of the last node it computed already summed to less
+    /// than `T` in the subspace, which bounds the OD from above
+    /// (`hos_index::LazyContextEvaluator::decide_batch`; DESIGN.md §8).
+    /// A settled evaluation is still counted in `od_evals` — the search
+    /// disposes of it exactly as it would of its OD — but it folds no
+    /// column, so the ODs the engine computed number
+    /// `od_evals - settled_evals + wasted_evals`.
+    pub settled_evals: u64,
     /// Subspaces pruned in as certain outliers (Property 2).
     pub pruned_outlier: u64,
     /// Subspaces pruned out as certain non-outliers (Property 1).
@@ -106,6 +119,22 @@ impl SearchOutcome {
         self.outlying.iter().map(|s| s.subspace).collect()
     }
 
+    /// The minimal outlying subspaces (paper §3.4), equal to
+    /// [`minimal_subspaces`] over the whole answer set but computed
+    /// from the directly evaluated outliers only: a pruned-in subspace
+    /// is a strict superset of the evaluated outlier that pruned it
+    /// in, so it is never minimal, and the evaluated outliers are a few
+    /// dozen where the answer set can hold thousands.
+    pub fn minimal(&self) -> Vec<Subspace> {
+        let evaluated: Vec<Subspace> = self
+            .outlying
+            .iter()
+            .filter(|s| s.od.is_some())
+            .map(|s| s.subspace)
+            .collect();
+        minimal_subspaces(&evaluated)
+    }
+
     /// Whether a particular subspace was found outlying.
     pub fn contains(&self, s: Subspace) -> bool {
         self.outlying.iter().any(|x| x.subspace == s)
@@ -136,6 +165,26 @@ pub fn dynamic_search(
     priors: &Priors,
     threads: usize,
 ) -> SearchOutcome {
+    search(
+        engine, query, exclude, k, threshold, priors, threads, threshold,
+    )
+}
+
+/// [`dynamic_search`], with the evaluator settling subspaces whose OD
+/// it proves below `settle_below` without a scan (`threshold` for the
+/// search itself; `-inf` computes every OD exactly, which the tests
+/// compare against). Answers and dispositions do not depend on it.
+#[allow(clippy::too_many_arguments)]
+fn search(
+    engine: &dyn KnnEngine,
+    query: &[f64],
+    exclude: Option<PointId>,
+    k: usize,
+    threshold: f64,
+    priors: &Priors,
+    threads: usize,
+    settle_below: f64,
+) -> SearchOutcome {
     let d = engine.dataset().dim();
     assert!(k > 0, "k must be positive");
     assert_eq!(priors.dim(), d, "priors dimensionality mismatch");
@@ -148,6 +197,7 @@ pub fn dynamic_search(
     let mut level_eval_stats = vec![(0u64, 0u64); d + 1];
     let mut rounds = 0u32;
     let mut wasted_evals = 0u64;
+    let mut settled_evals = 0u64;
 
     // One OD evaluator for the whole search: it owns the per-query
     // distance caches, built on the first batch (engines without a
@@ -177,8 +227,11 @@ pub fn dynamic_search(
         // persists between batches).
         let open = lattice.open_at_level_walk(m);
         debug_assert!(!open.is_empty());
-        let ods = evaluator.od_batch(&open, threads);
-        for (&s, &od) in open.iter().zip(&ods) {
+        // A below-`T` OD is only ever compared with `T`, so the
+        // evaluator may settle it from the last winners without a scan.
+        let decisions = evaluator.decide_batch(&open, settle_below, threads);
+        for (&s, &decision) in open.iter().zip(&decisions) {
+            settled_evals += u64::from(decision == Decision::Below);
             // A subspace may have been pruned by an earlier evaluation
             // in this same batch — its OD was computed wastefully but
             // its disposal must not change. `wasted_evals` measures
@@ -189,30 +242,43 @@ pub fn dynamic_search(
             }
             lattice.mark_evaluated(s);
             level_eval_stats[m].0 += 1;
-            if od >= threshold {
-                level_eval_stats[m].1 += 1;
-                evaluated_outliers.push(ScoredSubspace {
-                    subspace: s,
-                    od: Some(od),
-                });
-                lattice.prune_up(s);
-            } else {
-                lattice.prune_down(s);
+            match decision {
+                Decision::Od(od) if od >= threshold => {
+                    level_eval_stats[m].1 += 1;
+                    evaluated_outliers.push(ScoredSubspace {
+                        subspace: s,
+                        od: Some(od),
+                    });
+                    lattice.prune_up(s);
+                }
+                _ => {
+                    lattice.prune_down(s);
+                }
             }
         }
         rounds += 1;
     }
 
-    // Assemble the answer set: directly evaluated outliers plus
-    // everything pruned in by Property 2.
-    let mut outlying = evaluated_outliers;
-    for s in lattice.in_state(SubspaceState::PrunedOutlier) {
-        outlying.push(ScoredSubspace {
-            subspace: s,
-            od: None,
-        });
+    // Assemble the answer set in mask order, one pass over the
+    // lattice: everything pruned in by Property 2, merged with the few
+    // directly evaluated outliers (sorted first; there are far fewer).
+    evaluated_outliers.sort_unstable_by_key(|s| s.subspace.mask());
+    let counters = lattice.counters();
+    let mut outlying =
+        Vec::with_capacity(evaluated_outliers.len() + counters.pruned_outlier as usize);
+    let mut evaluated = evaluated_outliers.into_iter().peekable();
+    for mask in 1..=Subspace::lattice_size(d) {
+        let s = Subspace::from_mask(mask);
+        if lattice.state(s) == SubspaceState::PrunedOutlier {
+            outlying.push(ScoredSubspace {
+                subspace: s,
+                od: None,
+            });
+        } else if let Some(e) = evaluated.next_if(|e| e.subspace == s) {
+            outlying.push(e);
+        }
     }
-    outlying.sort_by_key(|s| s.subspace.mask());
+    debug_assert!(evaluated.next().is_none(), "every evaluated outlier merged");
 
     // Per-level outlier fractions for the learning phase.
     let mut outlier_count = vec![0u64; d + 1];
@@ -230,10 +296,10 @@ pub fn dynamic_search(
         })
         .collect();
 
-    let counters = lattice.counters();
     let stats = SearchStats {
         od_evals: counters.evaluated,
         wasted_evals,
+        settled_evals,
         pruned_outlier: counters.pruned_outlier,
         pruned_non_outlier: counters.pruned_non_outlier,
         nodes_visited: evaluator.node_visits(),
@@ -380,37 +446,90 @@ mod tests {
 
     #[test]
     fn wasted_evals_accounting_matches_engine_work() {
-        // Every OD the engine computed for the search is either
-        // consumed (`od_evals`) or wasted (`wasted_evals`). Derive the
-        // total ODs actually computed from the engine's distance-eval
-        // counter — each OD over the n-point dataset with
-        // self-exclusion touches exactly n-1 points, cached or not —
-        // and pin the identity: od_evals + wasted_evals never exceeds
-        // the batch totals, and accounts for every one of them.
+        // Every decision the evaluator made for the search is either
+        // consumed (`od_evals`) or wasted (`wasted_evals`), and a
+        // settled one (`settled_evals`) scanned nothing. Derive the
+        // scans actually run from the engine's distance-eval counter —
+        // each scan over the n-point dataset with self-exclusion
+        // touches exactly n-1 points, and pricing a settled node's
+        // seeds touches none — and pin the identity
+        // od_evals - settled_evals + wasted_evals == scans.
+        let mut settled = 0;
         for threads in [1, 4] {
-            let e = axis_outlier_engine();
-            let n = e.dataset().len() as u64;
-            let q: Vec<f64> = e.dataset().row(0).to_vec();
-            let before = e.distance_evals();
-            let out = dynamic_search(&e, &q, Some(0), 4, 10.0, &Priors::uniform(3), threads);
-            let batch_total = (e.distance_evals() - before) / (n - 1);
-            let s = &out.stats;
-            assert!(
-                s.od_evals + s.wasted_evals <= batch_total,
-                "threads={threads}: {} consumed + {} wasted > {batch_total} computed",
-                s.od_evals,
-                s.wasted_evals
-            );
-            assert_eq!(
-                s.od_evals + s.wasted_evals,
-                batch_total,
-                "threads={threads}"
-            );
-            // Same-level batching cannot overshoot: the Property 1/2
-            // closures only dispose of *strictly* smaller/larger
-            // subspaces, which live on other levels.
-            assert_eq!(s.wasted_evals, 0, "threads={threads}");
+            for (qid, t) in [(0, 10.0), (5, 10.0), (0, 1e9)] {
+                let e = axis_outlier_engine();
+                let n = e.dataset().len() as u64;
+                let q: Vec<f64> = e.dataset().row(qid).to_vec();
+                let before = e.distance_evals();
+                let out = dynamic_search(&e, &q, Some(qid), 4, t, &Priors::uniform(3), threads);
+                let scans = (e.distance_evals() - before) / (n - 1);
+                let s = &out.stats;
+                let at = format!("threads={threads} point {qid} T={t}");
+                assert!(s.settled_evals <= s.od_evals + s.wasted_evals, "{at}");
+                assert_eq!(s.od_evals - s.settled_evals + s.wasted_evals, scans, "{at}");
+                // Same-level batching cannot overshoot: the Property 1/2
+                // closures only dispose of *strictly* smaller/larger
+                // subspaces, which live on other levels.
+                assert_eq!(s.wasted_evals, 0, "{at}");
+                settled += s.settled_evals;
+            }
         }
+        assert!(settled > 0, "the identity was checked with settled nodes");
+    }
+
+    #[test]
+    fn displaced_point_settles_most_below_threshold_evaluations() {
+        // A member row pushed far out in one dimension, as the served
+        // deep-search queries are: most of its lattice is below `T`,
+        // and the winners of the last computed node settle most of
+        // those evaluations without a fold. Against the same search
+        // with every OD computed (`od_batch`'s walk over the same
+        // batches), answers and dispositions are identical, and the
+        // kernel folds fewer columns.
+        use crate::od::ThresholdPolicy;
+        use hos_data::synth::planted::{generate, PlantedSpec};
+        let (n, d, k) = (2000, 8, 5);
+        let planted = generate(&PlantedSpec {
+            n_background: n,
+            d,
+            targets: vec![Subspace::from_dims(&[1, 2])],
+            seed: 7,
+            ..PlantedSpec::default()
+        })
+        .unwrap();
+        let e = LinearScan::new(planted.dataset, Metric::L2);
+        let t = ThresholdPolicy::default().resolve(&e, k, 7, 1).unwrap();
+        let mut q = e.dataset().row(3).to_vec();
+        q[4] += 200.0;
+        let priors = Priors::uniform(d);
+        let settled = search(&e, &q, None, k, t, &priors, 1, t);
+        let exact = search(&e, &q, None, k, t, &priors, 1, f64::NEG_INFINITY);
+        let mut same = fingerprint(&settled);
+        same.1 = SearchStats {
+            settled_evals: 0,
+            nodes_visited: 0,
+            ..same.1
+        };
+        let mut reference = fingerprint(&exact);
+        reference.1.nodes_visited = 0;
+        assert_eq!(same, reference, "settling changed the search");
+        assert_eq!(exact.stats.settled_evals, 0);
+
+        let s = &settled.stats;
+        let outlying_evals: u64 = settled.level_eval_stats.iter().map(|e| e.1).sum();
+        let below = s.od_evals - outlying_evals;
+        assert!(!settled.outlying.is_empty(), "the point is outlying");
+        assert!(
+            2 * s.settled_evals > below,
+            "{} of {below} below-T evaluations settled",
+            s.settled_evals
+        );
+        assert!(
+            s.nodes_visited < exact.stats.nodes_visited,
+            "{} folds settling vs {} computing every OD",
+            s.nodes_visited,
+            exact.stats.nodes_visited
+        );
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! stream of subspaces — one at a time or a whole lattice level per
 //! call. The per-query state that loop amortises (the distance caches
 //! and the prefix stacks) lives here once, in [`LazyContextEvaluator`]:
-//! one per `(engine, query)` pair, with [`LazyContextEvaluator::od`]
-//! and [`LazyContextEvaluator::od_batch`]. It builds the engine's
-//! pre-distance caches ([`KnnEngine::range_context`]) on the first OD
-//! call, and every OD after it is a prefix-stack walk over cached
-//! columns. An engine without a context (the X-tree) stays on its own
-//! search for every call.
+//! one per `(engine, query)` pair, with one walk,
+//! [`LazyContextEvaluator::decide_batch`]: each subspace is either
+//! settled below the threshold `T` without a scan or given its exact
+//! OD ([`LazyContextEvaluator::od`] and
+//! [`LazyContextEvaluator::od_batch`] are that walk with `T = -inf`).
+//! It builds the engine's pre-distance caches
+//! ([`KnnEngine::range_context`]) on the first call, and every OD after
+//! it is a prefix-stack walk over cached columns. An engine without a
+//! context (the X-tree) stays on its own search for every call.
 //!
 //! # Row ranges: the one intra-query parallelism
 //!
@@ -24,11 +27,13 @@
 //! per worker, and merges the per-range top-k lists exactly. One range
 //! is the plain serial walk.
 //!
-//! Exactness: evaluator results are bit-identical to calling
-//! [`KnnEngine::od`] per subspace — the cache is pinned by the
+//! Exactness: every OD the evaluator returns is bit-identical to
+//! calling [`KnnEngine::od`] per subspace — the cache is pinned by the
 //! context equivalence tests, the merge by the range-split property
 //! tests (DESIGN.md §6), and the evaluator-path equivalence tests in
-//! `tests/properties.rs` pin the context-less engine too.
+//! `tests/properties.rs` pin the context-less engine too — and a
+//! subspace is settled below `T` only when its exact OD is below `T`
+//! (DESIGN.md §8; `tests/decide.rs`).
 
 use crate::batch::{parallel_map, parallel_map_mut};
 use crate::context::QueryContext;
@@ -85,6 +90,32 @@ fn split_rows(rows: usize, parts: usize) -> Vec<Range<PointId>> {
 /// per-range top-k lists held at once to `ranges × WALK_BLOCK` instead
 /// of `ranges × batch`.
 const WALK_BLOCK: usize = 256;
+
+/// One subspace's answer from [`LazyContextEvaluator::decide_batch`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Decision {
+    /// `OD < T`, proven from `k` candidates' distances without a scan.
+    Below,
+    /// The exact OD, bit-identical to [`KnnEngine::od`]; it may be
+    /// below `T` too.
+    Od(f64),
+}
+
+impl Decision {
+    /// The exact OD, when one was computed.
+    pub fn od(self) -> Option<f64> {
+        match self {
+            Decision::Below => None,
+            Decision::Od(od) => Some(od),
+        }
+    }
+
+    /// Whether the subspace is outlying at `threshold` (`OD >= T`);
+    /// a [`Decision::Below`] from the same threshold never is.
+    pub fn is_outlying(self, threshold: f64) -> bool {
+        matches!(self, Decision::Od(od) if od >= threshold)
+    }
+}
 
 /// One row range's cached walk: its context and its prefix stack,
 /// reused across batches.
@@ -151,17 +182,44 @@ impl<'a> LazyContextEvaluator<'a> {
     }
 
     /// `OD(query, s)` for every subspace in `subspaces`, in input
-    /// order. `threads` bounds the fan-out over row ranges, the one
-    /// way a single query uses more than one core: an engine split
-    /// into ranges walks them on up to `threads` workers, and an
-    /// unsplit one runs the batch serially. Equals calling
-    /// [`LazyContextEvaluator::od`] per subspace, bit for bit,
-    /// regardless of `threads`. Batches are internally traversed in
-    /// walker order ([`Subspace::walk_cmp`]) so the prefix-stack kernel
-    /// pays `O(n)` per node; since every subspace's OD is a pure
-    /// function of the subspace, traversal order never shows in the
-    /// results.
+    /// order: [`LazyContextEvaluator::decide_batch`] against `-inf`,
+    /// which no seed sum is below, so every subspace gets its exact OD
+    /// from the same walk. Equals calling [`LazyContextEvaluator::od`]
+    /// per subspace, bit for bit, regardless of `threads`.
     pub fn od_batch(&mut self, subspaces: &[Subspace], threads: usize) -> Vec<f64> {
+        self.decide_batch(subspaces, f64::NEG_INFINITY, threads)
+            .into_iter()
+            .map(|d| d.od().expect("nothing is settled below -inf"))
+            .collect()
+    }
+
+    /// Decides every subspace in `subspaces` against `threshold`, in
+    /// input order: [`Decision::Below`] when `OD < threshold` is proven
+    /// without a scan, else the exact OD (which may still be below).
+    /// `threads` bounds the fan-out over row ranges, the one way a
+    /// single query uses more than one core: an engine split into
+    /// ranges walks them on up to `threads` workers, and an unsplit one
+    /// runs the batch serially. Every [`Decision::Od`] equals
+    /// [`KnnEngine::od`] bit for bit, regardless of `threads`.
+    ///
+    /// Batches are traversed in walker order
+    /// ([`Subspace::walk_cmp`]) so the prefix-stack kernel pays `O(n)`
+    /// per node. Before a node seeks, its lane prices the winners of
+    /// the last node it computed in the node's subspace
+    /// (`PrefixStack::settles`); when their sum is below `threshold`
+    /// the node is settled and the lane never seeks to it, so neither
+    /// its fold nor any prefix fold only it needed is paid. With row
+    /// ranges each lane settles on its own winners — any `k` live
+    /// candidates bound the global OD — and a node is below if any lane
+    /// settled it; otherwise the per-range lists merge exactly. The
+    /// context-less engine (the X-tree) answers every subspace with its
+    /// own `KnnEngine::od`.
+    pub fn decide_batch(
+        &mut self,
+        subspaces: &[Subspace],
+        threshold: f64,
+        threads: usize,
+    ) -> Vec<Decision> {
         if subspaces.is_empty() {
             return Vec::new();
         }
@@ -183,29 +241,33 @@ impl<'a> LazyContextEvaluator<'a> {
             .collect::<Option<Vec<Lane>>>()
             .unwrap_or_default()
         });
-        let mut out = vec![0.0f64; subspaces.len()];
+        let mut out = vec![Decision::Below; subspaces.len()];
         match lanes.as_mut_slice() {
             [] => {
                 for (o, &s) in out.iter_mut().zip(subspaces) {
-                    *o = engine.od(query, k, s, exclude);
+                    *o = Decision::Od(engine.od(query, k, s, exclude));
                 }
             }
             // Prefix-stack kernel: traverse in walker order so
             // consecutive subspaces share accumulator prefixes, and
-            // scatter results back into input order. Each OD is a pure
-            // function of its subspace, so the reordering is invisible
-            // in the results.
+            // scatter results back into input order. Each decision is a
+            // pure function of its subspace and the lane's last
+            // winners, and either way it is exact, so the reordering
+            // never shows in the results.
             [Lane { ctx, stack }] => {
                 walk_order(subspaces, &mut self.order);
                 for &i in &self.order {
-                    stack.seek(ctx, subspaces[i]);
-                    out[i] = stack.od(ctx, k, exclude);
+                    let s = subspaces[i];
+                    if !stack.settles(ctx, s, k, exclude, threshold) {
+                        stack.seek(ctx, s);
+                        out[i] = Decision::Od(stack.od(ctx, k, exclude));
+                    }
                 }
             }
             // Split walk: every range walks each block in walker order
             // on its own stack, ranges in parallel; the exact
-            // `(distance, id)` merge then reduces each subspace.
-            // Ordering by finished distance equals ordering by
+            // `(distance, id)` merge then reduces each subspace no lane
+            // settled. Ordering by finished distance equals ordering by
             // pre-metric distance (`Metric::finish` is monotone), and
             // the sum runs in the same ascending order as one range's.
             lanes => {
@@ -215,17 +277,23 @@ impl<'a> LazyContextEvaluator<'a> {
                         block
                             .iter()
                             .map(|&i| {
-                                stack.seek(ctx, subspaces[i]);
-                                stack.knn(ctx, k, exclude)
+                                let s = subspaces[i];
+                                (!stack.settles(ctx, s, k, exclude, threshold)).then(|| {
+                                    stack.seek(ctx, s);
+                                    stack.knn(ctx, k, exclude)
+                                })
                             })
                             .collect::<Vec<_>>()
                     });
                     for (pos, &i) in block.iter().enumerate() {
+                        if lists.iter().any(|list| list[pos].is_none()) {
+                            continue;
+                        }
                         self.merge.reset(k);
-                        for n in lists.iter().flat_map(|list| &list[pos]) {
+                        for n in lists.iter().flat_map(|list| list[pos].iter().flatten()) {
                             self.merge.offer(n.dist, n.id);
                         }
-                        out[i] = self.merge.sorted().iter().map(|c| c.pre).sum();
+                        out[i] = Decision::Od(self.merge.sorted().iter().map(|c| c.pre).sum());
                     }
                 }
             }
@@ -378,6 +446,42 @@ mod tests {
         let mut ev_wide = LazyContextEvaluator::new(&engine, &q, 4, Some(3));
         assert_eq!(ev_wide.od_batch(&subspaces, 4), ods);
         assert_eq!(ev_wide.node_visits(), Subspace::lattice_size(d));
+    }
+
+    #[test]
+    fn decide_batch_settles_below_threshold_nodes_without_folding() {
+        // A query pushed out along dim 0 only: every subspace without
+        // dim 0 is below T, and the winners of the last computed node
+        // already prove most of them so. Settled nodes cost no fold,
+        // and everything the walk does compute is the exact OD.
+        let d = 6;
+        let ds = dataset(200, d, 12);
+        for ranges in [1, 2] {
+            let engine = LinearScan::with_ranges(ds.clone(), Metric::L2, ranges);
+            let mut q: Vec<f64> = ds.row(0).to_vec();
+            q[0] += 500.0;
+            let t = 0.5 * engine.od(&q, 4, Subspace::single(0), None);
+            let lattice: Vec<Subspace> = Subspace::all_nonempty(d).collect();
+            let mut ev = LazyContextEvaluator::new(&engine, &q, 4, None);
+            let decisions = ev.decide_batch(&lattice, t, 2);
+            let mut settled = 0;
+            for (&s, decision) in lattice.iter().zip(&decisions) {
+                let od = engine.od(&q, 4, s, None);
+                assert_eq!(od >= t, s.contains_dim(0), "ranges={ranges} {s}");
+                match *decision {
+                    Decision::Below => settled += 1,
+                    Decision::Od(got) => assert_eq!(got, od, "ranges={ranges} {s}"),
+                }
+                assert_eq!(decision.is_outlying(t), od >= t, "ranges={ranges} {s}");
+            }
+            let below = lattice.iter().filter(|s| !s.contains_dim(0)).count();
+            assert!(2 * settled > below, "ranges={ranges}: {settled} of {below}");
+            let folds = ev.node_visits();
+            assert!(
+                folds < ranges as u64 * Subspace::lattice_size(d),
+                "ranges={ranges}: {folds} folds"
+            );
+        }
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //! * [`evaluator`] — the OD evaluator: one [`LazyContextEvaluator`]
 //!   per `(engine, query)` pair builds the contexts on its first OD
 //!   call and owns the walker traversal; every search layer streams
-//!   subspaces at it. It also holds the one
-//!   intra-query parallelism: a walk split into contiguous row ranges
-//!   ([`LinearScan::with_ranges`]), one per worker, with the per-range
-//!   top-k lists merged exactly (bit-identical ODs).
+//!   subspaces at it and gets back a [`Decision`] each: below `T`,
+//!   settled from the last winners without a scan, or the exact OD.
+//!   It also holds the one intra-query parallelism: a walk split into
+//!   contiguous row ranges ([`LinearScan::with_ranges`]), one per
+//!   worker, with the per-range top-k lists merged exactly
+//!   (bit-identical ODs).
 //! * [`block`] — the blocked full-space OD kernel behind dataset-wide
 //!   scans and threshold resolution, fanned over threads by query
 //!   chunk: SoA layout, reused selection heaps, and a
@@ -68,7 +70,7 @@ pub use block::{
 };
 pub use context::QueryContext;
 pub use error::IndexError;
-pub use evaluator::{shard_count, LazyContextEvaluator, MIN_SHARD_ROWS};
+pub use evaluator::{shard_count, Decision, LazyContextEvaluator, MIN_SHARD_ROWS};
 pub use knn::{Engine, KnnEngine, Neighbor};
 pub use linear::LinearScan;
 pub use walker::{PrefixStack, PrefixWalker};

@@ -90,8 +90,16 @@ pub struct PrefixStack {
     /// next fused selection's admission bound
     /// ([`QueryContext::fold_select_acc`]).
     seed_ids: Vec<PointId>,
-    /// Reused selection heap.
+    /// Reused selection heap. Between selections it still holds the
+    /// last selection's winners, which seed the next one's admission
+    /// bound and price [`PrefixStack::settles`].
     top: TopK,
+    /// The [`QueryContext::uid`] the winners in `top` were selected
+    /// under (`0` = none yet): ids from another context may be dead or
+    /// out of range in this one.
+    top_uid: u64,
+    /// Scratch for [`PrefixStack::settles`]' finished seed distances.
+    seed_dists: Vec<f64>,
     /// Total `descend` calls: one per `O(n)` column fold.
     visits: u64,
     /// The [`QueryContext::uid`] the current accumulators were folded
@@ -150,6 +158,8 @@ impl PrefixStack {
             dims: Vec::new(),
             seed_ids: Vec::new(),
             top: TopK::new(0),
+            top_uid: 0,
+            seed_dists: Vec::new(),
             visits: 0,
             ctx_uid: 0,
             pending: false,
@@ -297,6 +307,7 @@ impl PrefixStack {
         exclude: Option<PointId>,
         depth: usize,
     ) {
+        self.top_uid = ctx.uid();
         if self.pending {
             debug_assert_eq!(self.ctx_uid, ctx.uid());
             let dim = self.path[depth - 1];
@@ -322,6 +333,48 @@ impl PrefixStack {
         } else {
             ctx.select_acc(&self.levels[depth - 1], k, exclude, &mut self.top);
         }
+    }
+
+    /// Whether the last selection's `k` winners prove `OD(s) <
+    /// threshold` without a scan: their distances in `s` are priced
+    /// `O(|s|)` each from the cached columns
+    /// ([`QueryContext::pre_dist`]), finished, sorted ascending and
+    /// summed. The true top-k, sorted, is elementwise `<=` any `k`
+    /// distinct live non-excluded candidates, sorted; `Metric::finish`
+    /// and rounded addition are both monotone, so the exact OD — the
+    /// same ascending sum over the true winners — is `<=` this sum,
+    /// bit for bit, with no epsilon (DESIGN.md §8). Touches neither
+    /// the stack nor the selection, so the winners stay on hand for the
+    /// next node.
+    ///
+    /// Settles only with exactly `k` seeds selected under `ctx` and
+    /// `exclude` (the evaluator's lanes keep both fixed); never for
+    /// `threshold = -inf`, which is how the plain OD walk skips the
+    /// pricing.
+    pub(crate) fn settles(
+        &mut self,
+        ctx: &QueryContext<'_>,
+        s: Subspace,
+        k: usize,
+        exclude: Option<PointId>,
+        threshold: f64,
+    ) -> bool {
+        if threshold == f64::NEG_INFINITY || k == 0 || self.top_uid != ctx.uid() {
+            return false;
+        }
+        self.seed_dists.clear();
+        for id in self.top.ids() {
+            if Some(id) == exclude {
+                return false;
+            }
+            self.seed_dists
+                .push(ctx.metric().finish(ctx.pre_dist(id, s)));
+        }
+        if self.seed_dists.len() != k {
+            return false;
+        }
+        self.seed_dists.sort_unstable_by(f64::total_cmp);
+        self.seed_dists.iter().sum::<f64>() < threshold
     }
 
     /// The `k` nearest neighbours in the current subspace, ascending

@@ -592,10 +592,12 @@ pub fn encode_bin_request(req: &ApiRequest, out: &mut Vec<u8>) -> u8 {
 
 // ----------------------------------------------------- hosbin encode
 
+/// A subspace as its dimension count, then its dimensions ascending,
+/// each a `u32`: written straight from the mask, with no per-subspace
+/// buffer (a deep-search reply holds thousands of subspaces).
 fn put_subspace(out: &mut Vec<u8>, s: Subspace) {
-    let dims: Vec<usize> = s.dims().collect();
-    put_u32(out, dims.len() as u32);
-    for d in dims {
+    put_u32(out, s.dim() as u32);
+    for d in s.dims() {
         put_u32(out, d as u32);
     }
 }
@@ -1017,6 +1019,56 @@ mod tests {
             decode_bin_request(op::QUERY, &buf),
             Err(BinError::BadBody(_))
         ));
+    }
+
+    #[test]
+    fn bin_query_reply_bytes_are_pinned() {
+        // Each subspace goes out as its dimension count, then its
+        // dimensions ascending, all little-endian u32s.
+        use hos_core::{ScoredSubspace, SearchStats};
+        let outcome = QueryOutcome {
+            outlying: vec![
+                ScoredSubspace {
+                    subspace: Subspace::from_dims(&[0]),
+                    od: Some(2.0),
+                },
+                ScoredSubspace {
+                    subspace: Subspace::from_dims(&[1, 3]),
+                    od: None,
+                },
+            ],
+            minimal: vec![Subspace::from_dims(&[0])],
+            stats: SearchStats {
+                od_evals: 3,
+                pruned_outlier: 1,
+                pruned_non_outlier: 2,
+                ..SearchStats::default()
+            },
+        };
+        let reply = ApiReply::Query {
+            version: 9,
+            results: vec![Ok(outcome)],
+        };
+        let mut buf = vec![0xee; 5];
+        assert_eq!(encode_bin_reply(&reply, &mut buf), op::QUERY | op::REPLY);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            9, 0, 0, 0, 0, 0, 0, 0, // version
+            1, 0, 0, 0,             // one result
+            0,                      // ok
+            2, 0, 0, 0,             // two outlying subspaces
+            1, 0, 0, 0, 0, 0, 0, 0, // {0}
+            1,                      // with an OD:
+            0, 0, 0, 0, 0, 0, 0, 0x40, // 2.0
+            2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, // {1,3}
+            0,                      // pruned in: no OD
+            1, 0, 0, 0,             // one minimal subspace
+            1, 0, 0, 0, 0, 0, 0, 0, // {0}
+            3, 0, 0, 0, 0, 0, 0, 0, // od_evals
+            1, 0, 0, 0, 0, 0, 0, 0, // pruned_outlier
+            2, 0, 0, 0, 0, 0, 0, 0, // pruned_non_outlier
+        ];
+        assert_eq!(buf, want);
     }
 
     #[test]

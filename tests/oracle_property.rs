@@ -106,4 +106,23 @@ proptest! {
             }
         }
     }
+
+    /// The minimal set computed from the directly evaluated outliers
+    /// alone equals the filter over the whole answer set, whatever
+    /// order the priors make the search evaluate and prune in.
+    #[test]
+    fn minimal_from_evaluated_outliers_equals_filter(ds in arb_dataset(),
+                                                     query in prop::collection::vec(-25.0f64..25.0, D),
+                                                     k in 1usize..5,
+                                                     threshold in 0.5f64..40.0,
+                                                     metric in arb_metric(),
+                                                     priors in arb_priors()) {
+        let engine = LinearScan::new(ds, metric);
+        let out = dynamic_search(&engine, &query, None, k, threshold, &priors, 1);
+        prop_assert_eq!(out.minimal(), hos_miner::core::minimal_subspaces(&out.subspaces()));
+        // The answer set comes out ascending by mask, without repeats.
+        for w in out.outlying.windows(2) {
+            prop_assert!(w[0].subspace.mask() < w[1].subspace.mask());
+        }
+    }
 }
